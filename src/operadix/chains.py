@@ -1,42 +1,50 @@
 """Exact integral linear algebra for finite-basis chain complexes.
 
-Formal Z-linear combinations over arbitrary hashable bases, graded chain
+Formal Z-linear combinations over arbitrary hashable bases, their linear
+and bilinear extensions from structure-constant tables, graded chain
 complexes with integer boundary matrices, Smith normal form over Python's
-arbitrary-precision integers, homology with torsion, and Koszul-signed
-tensor products.  The Koszul sign convention (-1)^{|a|} for moving a
-differential past a degree-|a| factor is fixed here and inherited by every
-other module.
+arbitrary-precision integers, and homology with torsion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from itertools import chain
+from typing import Hashable, Iterable
 
 __all__ = [
     "LinComb",
+    "linear",
+    "bilinear",
     "ChainComplex",
     "InvalidComplex",
     "smith_normal_form",
     "homology",
-    "tensor",
     "mat_mul",
     "mat_identity",
 ]
 
 
 class LinComb:
-    """A finite Z-linear combination of basis elements (no zero terms kept)."""
+    """A finite Z-linear combination of basis elements (no zero terms kept).
+
+    Built from a dict or from (basis, coefficient) pairs: repeated basis
+    elements are summed and zero sums dropped.  Terms keep the order of
+    their first appearance; a term that cancels and appears again goes to
+    the end.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Hashable, int] | Iterable = ()):
+    def __init__(self, terms: dict[Hashable, int] | Iterable = ()):
         data: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) else terms
         for basis, coeff in items:
             if coeff:
-                data[basis] = data.get(basis, 0) + coeff
-                if not data[basis]:
+                total = data.get(basis, 0) + coeff
+                if total:
+                    data[basis] = total
+                else:
                     del data[basis]
         self.terms = data
 
@@ -49,13 +57,12 @@ class LinComb:
         return cls()
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self.terms)
-        for basis, coeff in other.terms.items():
-            out[basis] = out.get(basis, 0) + coeff
-        return LinComb(out)
+        return LinComb(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-1) * other
+        return LinComb(
+            chain(self.terms.items(), ((b, -c) for b, c in other.terms.items()))
+        )
 
     def __rmul__(self, scalar: int) -> "LinComb":
         return LinComb({b: scalar * c for b, c in self.terms.items()})
@@ -76,15 +83,8 @@ class LinComb:
         return iter(self.terms.items())
 
     def map_basis(self, fn) -> "LinComb":
-        """Apply a basis -> basis (or basis -> LinComb) map linearly."""
-        out = LinComb()
-        for basis, coeff in self.terms.items():
-            image = fn(basis)
-            if isinstance(image, LinComb):
-                out = out + coeff * image
-            else:
-                out = out + LinComb.unit(image, coeff)
-        return out
+        """Apply a basis -> basis map linearly."""
+        return LinComb((fn(basis), coeff) for basis, coeff in self.terms.items())
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -96,6 +96,35 @@ class LinComb:
             bits.append(f"{sign} {mag}{basis}")
         joined = " ".join(bits)
         return joined[2:] if joined.startswith("+ ") else joined
+
+
+def linear(table, v: LinComb) -> LinComb:
+    """The sum of c * table[b] over the terms c * b of ``v``.
+
+    ``table`` maps basis elements to combinations; a missing key reads as
+    zero.
+    """
+    return LinComb((t, c * ct) for b, c in v for t, ct in table.get(b, ()))
+
+
+def bilinear(table, u: LinComb, v: LinComb) -> LinComb:
+    """The sum of cu * cv * table[(a, b)] over the terms cu * a of ``u`` and
+    cv * b of ``v``; a missing key reads as zero."""
+    return LinComb(
+        (t, cu * cv * ct)
+        for a, cu in u
+        for b, cv in v
+        for t, ct in table.get((a, b), ())
+    )
+
+
+def _expand_terms(factors) -> list:
+    """Cartesian expansion of a list of combinations into (basis tuple,
+    product of coefficients) pairs, the first factor varying slowest."""
+    terms = [((), 1)]
+    for f in factors:
+        terms = [(t + (b,), c * cb) for t, c in terms for b, cb in f]
+    return terms
 
 
 class InvalidComplex(ValueError):
@@ -139,7 +168,8 @@ class ChainComplex:
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     if not a or not b:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
-    assert len(a[0]) == len(b), "shape mismatch"
+    if len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a[0])} columns times {len(b)} rows")
     cols = len(b[0])
     return [
         [sum(row[t] * b[t][j] for t in range(len(b))) for j in range(cols)]
@@ -273,43 +303,3 @@ def homology(complex_: ChainComplex, d: int) -> tuple[int, list[int]]:
     )
     torsion = sorted(f for f in factors if f > 1)
     return n - rank_out - rank_in, torsion
-
-
-def tensor(c: ChainComplex, d: ChainComplex) -> ChainComplex:
-    """Tensor product with the Koszul sign (-1)^{|a|} on the second factor."""
-    bases: dict[int, list] = {}
-    index: dict[tuple, tuple[int, int]] = {}
-    for p in c.degrees():
-        for q in d.degrees():
-            deg = p + q
-            lst = bases.setdefault(deg, [])
-            for a in c.bases[p]:
-                for b in d.bases[q]:
-                    index[(p, a, q, b)] = (deg, len(lst))
-                    lst.append((p, a, q, b))
-    boundary = {}
-    for deg, basis in bases.items():
-        if deg - 1 not in bases:
-            continue
-        rows = len(bases[deg - 1])
-        mat = [[0] * len(basis) for _ in range(rows)]
-        for col, (p, a, q, b) in enumerate(basis):
-            ai = c.bases[p].index(a)
-            if p - 1 in c.bases:
-                da = c.matrix(p)
-                for ri, elem in enumerate(c.bases[p - 1]):
-                    coeff = da[ri][ai]
-                    if coeff:
-                        _, r = index[(p - 1, elem, q, b)]
-                        mat[r][col] += coeff
-            bi = d.bases[q].index(b)
-            if q - 1 in d.bases:
-                db = d.matrix(q)
-                sign = -1 if p % 2 else 1
-                for ri, elem in enumerate(d.bases[q - 1]):
-                    coeff = db[ri][bi]
-                    if coeff:
-                        _, r = index[(p, a, q - 1, elem)]
-                        mat[r][col] += sign * coeff
-        boundary[deg] = mat
-    return ChainComplex(bases, boundary)

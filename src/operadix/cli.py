@@ -260,35 +260,9 @@ def _cmd_cobar(args) -> int:
 # verification suites
 
 
-def _small_strings(max_tokens: int, max_labels: int, m: int):
-    """All filtration-m strings with bounded token count and label count."""
-    from itertools import product as iproduct
-
-    out = []
-    for k in range(1, max_labels + 1):
-        for idxs in iproduct(range(max_tokens), repeat=k):
-            occ = k + sum(idxs)
-            if occ > max_tokens:
-                continue
-            for bars in range(max_tokens - occ + 1):
-                for opens in iproduct((False, True), repeat=k):
-                    for out_open in (False, True):
-                        if any(opens) and not out_open:
-                            continue
-                        ins = [
-                            strings.Colour(i, o) for i, o in zip(idxs, opens)
-                        ]
-                        out.extend(
-                            strings.enumerate_strings(
-                                ins, strings.Colour(bars, out_open), m
-                            )
-                        )
-    return out
-
-
 def _suite_rl_operad(args) -> tuple[bool, dict]:
     rng = Random(args.seed)
-    elems = _small_strings(args.max_tokens, 3, args.m)
+    elems = strings.small_strings(args.max_tokens, 3, args.m)
     failures = 0
     unit_cases = 0
     for x in elems[: args.samples * 4]:
@@ -301,7 +275,7 @@ def _suite_rl_operad(args) -> tuple[bool, dict]:
             failures += 1
         unit_cases += 1
 
-    by_out = _by_output(elems)
+    by_out = strings.by_output(elems)
     assoc_cases = 0
     for _ in range(args.samples):
         pick = _sample_pair(rng, elems, by_out)
@@ -358,14 +332,6 @@ def _suite_rl_operad(args) -> tuple[bool, dict]:
     }
 
 
-def _by_output(elems):
-    by_out = {}
-    for g in elems:
-        _, out = strings.colours(g)
-        by_out.setdefault(out, []).append(g)
-    return by_out
-
-
 def _sample_pair(rng, elems, by_out):
     """Random composable triple (f, slot, g), or None if the draw has none."""
     f = rng.choice(elems)
@@ -381,10 +347,10 @@ def _sample_pair(rng, elems, by_out):
 
 def _suite_graph_operad(args) -> tuple[bool, dict]:
     rng = Random(args.seed)
-    elems = _small_strings(args.max_tokens, 3, args.m)
+    elems = strings.small_strings(args.max_tokens, 3, args.m)
     failures = 0
     filt_cases = lax_cases = 0
-    by_out = _by_output(elems)
+    by_out = strings.by_output(elems)
     for _ in range(args.samples):
         pick = _sample_pair(rng, elems, by_out)
         if pick is None:
@@ -396,7 +362,7 @@ def _suite_graph_operad(args) -> tuple[bool, dict]:
         filt_cases += 1
         if strings.arity(fg) and strings.arity(f) and strings.arity(g):
             qf, qg, qfg = graphs.q(f), graphs.q(g), graphs.q(fg)
-            composed = _graph_compose_at(qf, i, qg)
+            composed = graphs.compose_at(qf, i, qg)
             if not graphs.leq(qfg, composed):
                 failures += 1
             lax_cases += 1
@@ -405,18 +371,6 @@ def _suite_graph_operad(args) -> tuple[bool, dict]:
         "laxMorphismCases": lax_cases,
         "failures": failures,
     }
-
-
-def _graph_compose_at(alpha: graphs.GraphElement, i: int, beta: graphs.GraphElement):
-    """Blockwise composition substituting beta into vertex i of alpha."""
-    betas = []
-    for v in range(1, alpha.n + 1):
-        if v == i:
-            betas.append(beta)
-        else:
-            out_open = alpha.vertex_open[v - 1]
-            betas.append(graphs.GraphElement((out_open,), {}, out_open))
-    return graphs.compose(alpha, betas)
 
 
 def _suite_chain_core(args) -> tuple[bool, dict]:
@@ -449,7 +403,11 @@ def _suite_rs_operad(args) -> tuple[bool, dict]:
     basis = []
     for ins, out in comps:
         basis.extend(surjections.enumerate_component(ins, out, args.m))
-    failures += sum(1 for s in basis if _diff_lin(surjections.differential(s)))
+    failures += sum(
+        1
+        for s in basis
+        if surjections.linear_differential(surjections.differential(s))
+    )
     by_out = {}
     for g in basis:
         by_out.setdefault(strings.colours(g.underlying)[1], []).append(g)
@@ -464,7 +422,7 @@ def _suite_rs_operad(args) -> tuple[bool, dict]:
         if not gs:
             continue
         g = rng.choice(gs)
-        lhs = _diff_lin(surjections.rs_compose(f, i, g))
+        lhs = surjections.linear_differential(surjections.rs_compose(f, i, g))
         rhs = surjections._compose_linear(
             surjections.differential(f), i, LinComb.unit(g)
         ) + ((-1) ** (f.degree % 2)) * surjections._compose_linear(
@@ -478,14 +436,6 @@ def _suite_rs_operad(args) -> tuple[bool, dict]:
         "leibnizCases": leibniz_cases,
         "failures": failures,
     }
-
-
-def _diff_lin(v: LinComb) -> LinComb:
-    """Differential extended linearly over a combination of basis elements."""
-    out = LinComb()
-    for b, c in v:
-        out = out + c * surjections.differential(b)
-    return out
 
 
 def _suite_sc_geometry(args) -> tuple[bool, dict]:

@@ -26,9 +26,10 @@ coproduct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 
-from .chains import ChainComplex, LinComb
+from .chains import ChainComplex, LinComb, _expand_terms, bilinear, linear
 
 __all__ = [
     "NotOneReduced",
@@ -55,8 +56,6 @@ __all__ = [
     "mb_compose",
     "lambda_prime_B",
     "lambda_i_B",
-    "lambda_B",
-    "iota_B",
     "rho_B",
     "z_coface",
     "CobarTot",
@@ -79,10 +78,6 @@ class NotOneReduced(ValueError):
 # layer 1: graded coalgebras, cobar, twisting
 
 
-def _pair_lc(items) -> LinComb:
-    return LinComb(items)
-
-
 @dataclass
 class DGCoalgebra:
     """Finite-rank graded coassociative coalgebra with coaugmentation.
@@ -101,10 +96,7 @@ class DGCoalgebra:
         return self.degrees[name]
 
     def d(self, v: LinComb) -> LinComb:
-        out = LinComb()
-        for b, c in v:
-            out = out + c * self.differential.get(b, LinComb())
-        return out
+        return linear(self.differential, v)
 
     def delta(self, name) -> LinComb:
         return self.coproduct[name]
@@ -139,30 +131,28 @@ class DGCoalgebra:
             if left != LinComb.unit(x) or right != LinComb.unit(x):
                 raise ValueError(f"counit law fails at {x}")
             # coassociativity
-            lhs = LinComb()
-            for (a, b), c in self.delta(x):
-                for (a1, a2), c2 in self.delta(a):
-                    lhs = lhs + LinComb.unit((a1, a2, b), c * c2)
-            rhs = LinComb()
-            for (a, b), c in self.delta(x):
-                for (b1, b2), c2 in self.delta(b):
-                    rhs = rhs + LinComb.unit((a, b1, b2), c * c2)
+            lhs = LinComb(
+                ((a1, a2, b), c * c2)
+                for (a, b), c in self.delta(x)
+                for (a1, a2), c2 in self.delta(a)
+            )
+            rhs = LinComb(
+                ((a, b1, b2), c * c2)
+                for (a, b), c in self.delta(x)
+                for (b1, b2), c2 in self.delta(b)
+            )
             if lhs != rhs:
                 raise ValueError(f"coassociativity fails at {x}")
             # d^2 = 0
             if self.d(self.d(LinComb.unit(x))):
                 raise ValueError(f"differential does not square to zero at {x}")
             # co-Leibniz: delta d = (d ox 1 + (-1)^{|a|} 1 ox d) delta
-            lhs = LinComb()
-            for y, c in self.d(LinComb.unit(x)):
-                lhs = lhs + c * self.delta(y)
-            rhs = LinComb()
-            for (a, b), c in self.delta(x):
-                for a2, c2 in self.d(LinComb.unit(a)):
-                    rhs = rhs + LinComb.unit((a2, b), c * c2)
-                sign = -1 if self.degree(a) % 2 else 1
-                for b2, c2 in self.d(LinComb.unit(b)):
-                    rhs = rhs + LinComb.unit((a, b2), sign * c * c2)
+            lhs = LinComb(
+                (t, c * ct)
+                for y, c in self.d(LinComb.unit(x))
+                for t, ct in self.delta(y)
+            )
+            rhs = LinComb(_leibniz_terms(self, self, self.delta(x)))
             if lhs != rhs:
                 raise ValueError(f"co-Leibniz fails at {x}")
 
@@ -170,6 +160,17 @@ class DGCoalgebra:
         for name, deg in self.degrees.items():
             if deg == 1 or (deg == 0 and name != self.unit):
                 raise NotOneReduced(f"basis element {name} in degree {deg}")
+
+
+def _leibniz_terms(C: DGCoalgebra, right, pairs: LinComb):
+    """Terms of (d ox 1 + (-1)^{|a|} 1 ox d) on a combination of pairs (a, b):
+    ``a`` lies in the coalgebra C and ``b`` in ``right`` (C or a comodule)."""
+    for (a, b), c in pairs:
+        for a2, c2 in C.d(LinComb.unit(a)):
+            yield (a2, b), c * c2
+        sign = -1 if C.degree(a) % 2 else 1
+        for b2, c2 in right.d(LinComb.unit(b)):
+            yield (a, b2), sign * c * c2
 
 
 @dataclass
@@ -186,10 +187,7 @@ class DGComodule:
         return self.degrees[name]
 
     def d(self, v: LinComb) -> LinComb:
-        out = LinComb()
-        for b, c in v:
-            out = out + c * self.differential.get(b, LinComb())
-        return out
+        return linear(self.differential, v)
 
     def rho(self, name) -> LinComb:
         return self.coaction[name]
@@ -214,36 +212,29 @@ class DGComodule:
             if left != LinComb.unit(x):
                 raise ValueError(f"comodule counit law fails at {x}")
             # coassociativity of the coaction
-            lhs = LinComb()
-            for (a, n), c in self.rho(x):
-                for (a1, a2), c2 in C.delta(a):
-                    lhs = lhs + LinComb.unit((a1, a2, n), c * c2)
-            rhs = LinComb()
-            for (a, n), c in self.rho(x):
-                for (b, n2), c2 in self.rho(n):
-                    rhs = rhs + LinComb.unit((a, b, n2), c * c2)
+            lhs = LinComb(
+                ((a1, a2, n), c * c2)
+                for (a, n), c in self.rho(x)
+                for (a1, a2), c2 in C.delta(a)
+            )
+            rhs = LinComb(
+                ((a, b, n2), c * c2)
+                for (a, n), c in self.rho(x)
+                for (b, n2), c2 in self.rho(n)
+            )
             if lhs != rhs:
                 raise ValueError(f"coaction coassociativity fails at {x}")
             if self.d(self.d(LinComb.unit(x))):
                 raise ValueError(f"module differential squares to {x}")
             # co-Leibniz for the coaction
-            lhs = LinComb()
-            for y, c in self.d(LinComb.unit(x)):
-                lhs = lhs + c * self.rho(y)
-            rhs = LinComb()
-            for (a, n), c in self.rho(x):
-                for a2, c2 in C.d(LinComb.unit(a)):
-                    rhs = rhs + LinComb.unit((a2, n), c * c2)
-                sign = -1 if C.degree(a) % 2 else 1
-                for n2, c2 in self.d(LinComb.unit(n)):
-                    rhs = rhs + LinComb.unit((a, n2), sign * c * c2)
+            lhs = LinComb(
+                (t, c * ct)
+                for y, c in self.d(LinComb.unit(x))
+                for t, ct in self.rho(y)
+            )
+            rhs = LinComb(_leibniz_terms(C, self, self.rho(x)))
             if lhs != rhs:
                 raise ValueError(f"coaction co-Leibniz fails at {x}")
-
-
-def trivial_comodule(C: DGCoalgebra) -> DGComodule:
-    """The rank-one trivial comodule."""
-    return DGComodule(C, {"*": 0}, {}, {"*": LinComb.unit((C.unit, "*"))})
 
 
 @dataclass
@@ -298,59 +289,51 @@ class CobarObject:
         return w if self.comodule is None else w[0]
 
     def differential(self, v: LinComb) -> LinComb:
-        out = LinComb()
-        for w, c in v:
-            out = out + c * self._diff_basis(w)
-        return out
+        return LinComb((t, c * ct) for w, c in v for t, ct in self._diff_basis(w))
 
     def _diff_basis(self, w) -> LinComb:
         C = self.coalgebra
         word = self._word_of(w)
         tail = None if self.comodule is None else w[1]
-        out = LinComb()
 
-        def emit(new_word, new_tail, coeff):
-            elem = new_word if self.comodule is None else (new_word, new_tail)
-            out_deg = self.word_degree(elem)
-            if 0 <= out_deg <= self.truncation:
-                nonlocal out
-                out = out + LinComb.unit(elem, coeff)
+        def elem(new_word, new_tail):
+            return new_word if self.comodule is None else (new_word, new_tail)
 
-        prefix = 0
-        for i, x in enumerate(word):
-            sign = -1 if prefix % 2 else 1
-            # internal differential: d(s^{-1} x) = - s^{-1}(d x)
-            for y, cy in C.d(LinComb.unit(x)):
-                if C.degree(y) >= 2:
-                    emit(word[:i] + (y,) + word[i + 1 :], tail, -sign * cy)
-            # quadratic part: sum (-1)^{|c1|} [c1, c2]
-            for (a, b), cab in C.reduced_delta(x):
-                if C.degree(a) >= 2 and C.degree(b) >= 2:
-                    s2 = -1 if C.degree(a) % 2 else 1
-                    emit(
-                        word[:i] + (a, b) + word[i + 1 :], tail, sign * s2 * cab
-                    )
-            prefix += self.letter_degree(x)
-        if self.comodule is not None:
-            sign = -1 if prefix % 2 else 1
-            for y, cy in self.comodule.d(LinComb.unit(tail)):
-                emit(word, y, sign * cy)
-            for (z, n2), czn in self.comodule.reduced_rho(tail):
-                if C.degree(z) >= 2:
-                    emit(word + (z,), n2, sign * czn)
-        return out
+        def terms():
+            prefix = 0
+            for i, x in enumerate(word):
+                sign = -1 if prefix % 2 else 1
+                # internal differential: d(s^{-1} x) = - s^{-1}(d x)
+                for y, cy in C.d(LinComb.unit(x)):
+                    if C.degree(y) >= 2:
+                        yield elem(word[:i] + (y,) + word[i + 1 :], tail), -sign * cy
+                # quadratic part: sum (-1)^{|c1|} [c1, c2]
+                for (a, b), cab in C.reduced_delta(x):
+                    if C.degree(a) >= 2 and C.degree(b) >= 2:
+                        s2 = -1 if C.degree(a) % 2 else 1
+                        new_word = word[:i] + (a, b) + word[i + 1 :]
+                        yield elem(new_word, tail), sign * s2 * cab
+                prefix += self.letter_degree(x)
+            if self.comodule is not None:
+                sign = -1 if prefix % 2 else 1
+                for y, cy in self.comodule.d(LinComb.unit(tail)):
+                    yield elem(word, y), sign * cy
+                for (z, n2), czn in self.comodule.reduced_rho(tail):
+                    if C.degree(z) >= 2:
+                        yield elem(word + (z,), n2), sign * czn
+
+        return LinComb(
+            (e, c) for e, c in terms() if 0 <= self.word_degree(e) <= self.truncation
+        )
 
     def action(self, a: LinComb, u: LinComb) -> LinComb:
         """Concatenation action of closed words on relative words."""
         if self.comodule is None:
             raise ValueError("the action lives on the relative construction")
-        out = LinComb()
-        for wa, ca in a:
-            for (wb, n), cb in u:
-                elem = (wa + wb, n)
-                if self.word_degree(elem) <= self.truncation:
-                    out = out + LinComb.unit(elem, ca * cb)
-        return out
+        terms = (((wa + wb, n), ca * cb) for wa, ca in a for (wb, n), cb in u)
+        return LinComb(
+            (e, c) for e, c in terms if self.word_degree(e) <= self.truncation
+        )
 
     def chain_complex(self) -> ChainComplex:
         bases = {d: self.words(d) for d in range(self.truncation + 1)}
@@ -395,17 +378,10 @@ class DGAlgebra:
         return self.degrees[name]
 
     def d(self, v: LinComb) -> LinComb:
-        out = LinComb()
-        for b, c in v:
-            out = out + c * self.differential.get(b, LinComb())
-        return out
+        return linear(self.differential, v)
 
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
-        out = LinComb()
-        for a, ca in u:
-            for b, cb in v:
-                out = out + ca * cb * self.product.get((a, b), LinComb())
-        return out
+        return bilinear(self.product, u, v)
 
 
 @dataclass
@@ -422,17 +398,10 @@ class DGModule:
         return self.degrees[name]
 
     def d(self, v: LinComb) -> LinComb:
-        out = LinComb()
-        for b, c in v:
-            out = out + c * self.differential.get(b, LinComb())
-        return out
+        return linear(self.differential, v)
 
     def act(self, a: LinComb, m: LinComb) -> LinComb:
-        out = LinComb()
-        for x, cx in a:
-            for y, cy in m:
-                out = out + cx * cy * self.action.get((x, y), LinComb())
-        return out
+        return bilinear(self.action, a, m)
 
 
 def cobar_algebra(cob: CobarObject) -> DGAlgebra:
@@ -488,13 +457,13 @@ def twisting_check(C: DGCoalgebra, A: DGAlgebra, f: dict) -> bool:
         return f.get(name, LinComb())
 
     for x in C.degrees:
-        cup = LinComb()
-        for (a, b), c in C.delta(x):
-            sign = -1 if C.degree(a) % 2 else 1  # degree -1 cochain crossing a
-            cup = cup + sign * c * A.mul(fmap(a), fmap(b))
-        boundary = A.d(fmap(x))
-        for y, cy in C.d(LinComb.unit(x)):
-            boundary = boundary + cy * fmap(y)
+        cup = LinComb(
+            # the degree -1 cochain crossing a gives the sign
+            (t, (-1 if C.degree(a) % 2 else 1) * c * ct)
+            for (a, b), c in C.delta(x)
+            for t, ct in A.mul(fmap(a), fmap(b))
+        )
+        boundary = A.d(fmap(x)) + linear(f, C.d(LinComb.unit(x)))
         if cup != boundary:
             return False
     return True
@@ -515,12 +484,13 @@ def relative_twisting_check(
         return g.get(name, LinComb())
 
     for n in N.degrees:
-        twist = LinComb()
-        for (a, n2), c in N.rho(n):
-            twist = twist + c * M.act(fmap(a), gmap(n2))
-        boundary = M.d(gmap(n))
-        for n2, c in N.d(LinComb.unit(n)):
-            boundary = boundary - c * gmap(n2)  # g has degree zero
+        twist = LinComb(
+            (t, c * ct)
+            for (a, n2), c in N.rho(n)
+            for t, ct in M.act(fmap(a), gmap(n2))
+        )
+        # g has degree zero
+        boundary = M.d(gmap(n)) - linear(g, N.d(LinComb.unit(n)))
         if twist != boundary:
             return False
     return True
@@ -538,14 +508,14 @@ def overline_fg(
     def gmap(name) -> LinComb:
         return g.get(name, LinComb())
 
+    def image(word, n) -> LinComb:
+        letters = reduce(A.mul, map(fmap, word), LinComb.unit(A.unit))
+        return M.act(letters, gmap(n))
+
     def phi(v: LinComb) -> LinComb:
-        out = LinComb()
-        for (word, n), c in v:
-            acc = LinComb.unit(A.unit)
-            for x in word:
-                acc = A.mul(acc, fmap(x))
-            out = out + c * M.act(acc, gmap(n))
-        return out
+        return LinComb(
+            (t, c * ct) for (word, n), c in v for t, ct in image(word, n)
+        )
 
     return phi
 
@@ -566,6 +536,17 @@ def dg_map_check(cob: CobarObject, M: DGModule, phi) -> bool:
 # layer 2: ungraded bialgebras, unreduced constructions, tensor-power operad
 
 
+def _check_complete(basis, mul_table: dict, act_table: dict, act_name: str) -> None:
+    """Raise ValueError naming a key missing from a product or (co)action
+    table: the structure maps read a missing key as zero."""
+    for key in product(basis, repeat=2):
+        if key not in mul_table:
+            raise ValueError(f"product table has no entry for {key}")
+    for a in basis:
+        if a not in act_table:
+            raise ValueError(f"{act_name} table has no entry for {a!r}")
+
+
 @dataclass
 class Bialgebra:
     """Ungraded unital/counital bialgebra with basis-level structure
@@ -578,19 +559,16 @@ class Bialgebra:
     counit: dict
 
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
-        out = LinComb()
-        for a, ca in u:
-            for b, cb in v:
-                out = out + ca * cb * self.product[(a, b)]
-        return out
+        return bilinear(self.product, u, v)
 
     def delta(self, v: LinComb) -> LinComb:
-        out = LinComb()
-        for a, c in v:
-            out = out + c * self.coproduct[a]
-        return out
+        return linear(self.coproduct, v)
+
+    def __post_init__(self):
+        _check_complete(self.basis, self.product, self.coproduct, "coproduct")
 
     def validate(self) -> None:
+        _check_complete(self.basis, self.product, self.coproduct, "coproduct")
         one = LinComb.unit(self.unit)
         for a in self.basis:
             va = LinComb.unit(a)
@@ -607,28 +585,29 @@ class Bialgebra:
             if lhs != rhs:
                 raise ValueError(f"associativity fails at {(a, b, c)}")
         for a in self.basis:
-            lhs = LinComb()
-            for (x, y), c in self.coproduct[a]:
-                for (x1, x2), c2 in self.coproduct[x]:
-                    lhs = lhs + LinComb.unit((x1, x2, y), c * c2)
-            rhs = LinComb()
-            for (x, y), c in self.coproduct[a]:
-                for (y1, y2), c2 in self.coproduct[y]:
-                    rhs = rhs + LinComb.unit((x, y1, y2), c * c2)
+            lhs = LinComb(
+                ((x1, x2, y), c * c2)
+                for (x, y), c in self.coproduct[a]
+                for (x1, x2), c2 in self.coproduct[x]
+            )
+            rhs = LinComb(
+                ((x, y1, y2), c * c2)
+                for (x, y), c in self.coproduct[a]
+                for (y1, y2), c2 in self.coproduct[y]
+            )
             if lhs != rhs:
                 raise ValueError(f"coassociativity fails at {a}")
         # the coproduct is an algebra map (bialgebra axiom)
         for a, b in product(self.basis, repeat=2):
             ab = self.mul(LinComb.unit(a), LinComb.unit(b))
             lhs = self.delta(ab)
-            rhs = LinComb()
-            for (x1, y1), c1 in self.coproduct[a]:
-                for (x2, y2), c2 in self.coproduct[b]:
-                    prod_x = self.mul(LinComb.unit(x1), LinComb.unit(x2))
-                    prod_y = self.mul(LinComb.unit(y1), LinComb.unit(y2))
-                    for px, cx in prod_x:
-                        for py, cy in prod_y:
-                            rhs = rhs + LinComb.unit((px, py), c1 * c2 * cx * cy)
+            rhs = LinComb(
+                ((px, py), c1 * c2 * cx * cy)
+                for (x1, y1), c1 in self.coproduct[a]
+                for (x2, y2), c2 in self.coproduct[b]
+                for px, cx in self.mul(LinComb.unit(x1), LinComb.unit(x2))
+                for py, cy in self.mul(LinComb.unit(y1), LinComb.unit(y2))
+            )
             if lhs != rhs:
                 raise ValueError(f"coproduct is not multiplicative at {(a, b)}")
 
@@ -643,18 +622,14 @@ class ComoduleAlgebra:
     product: dict
     coaction: dict  # c -> LinComb over (b name, c name)
 
+    def __post_init__(self):
+        _check_complete(self.basis, self.product, self.coaction, "coaction")
+
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
-        out = LinComb()
-        for a, ca in u:
-            for b, cb in v:
-                out = out + ca * cb * self.product[(a, b)]
-        return out
+        return bilinear(self.product, u, v)
 
     def rho(self, v: LinComb) -> LinComb:
-        out = LinComb()
-        for a, c in v:
-            out = out + c * self.coaction[a]
-        return out
+        return linear(self.coaction, v)
 
 
 def group_bialgebra(M) -> Bialgebra:
@@ -683,20 +658,14 @@ def diagonal_comodule(B: Bialgebra) -> ComoduleAlgebra:
 
 def _tensor_mul(B: Bialgebra, u: LinComb, v: LinComb) -> LinComb:
     """Componentwise product of combinations of equal-length name tuples."""
-    out = LinComb()
-    for a, ca in u:
-        for b, cb in v:
-            factors = [B.mul(LinComb.unit(x), LinComb.unit(y)) for x, y in zip(a, b)]
-            for combo, coeff in _expand(factors):
-                out = out + LinComb.unit(combo, ca * cb * coeff)
-    return out
-
-
-def _expand(factors):
-    terms = [((), 1)]
-    for f in factors:
-        terms = [(t + (b,), c * cb) for t, c in terms for b, cb in f]
-    return terms
+    return LinComb(
+        (combo, ca * cb * coeff)
+        for a, ca in u
+        for b, cb in v
+        for combo, coeff in _expand_terms(
+            [B.mul(LinComb.unit(x), LinComb.unit(y)) for x, y in zip(a, b)]
+        )
+    )
 
 
 def iterated_coproduct(B: Bialgebra, name, k: int) -> LinComb:
@@ -706,60 +675,57 @@ def iterated_coproduct(B: Bialgebra, name, k: int) -> LinComb:
         return LinComb.unit((), B.counit.get(name, 0))
     if k == 1:
         return LinComb.unit((name,))
-    out = LinComb()
-    for (x, y), c in B.coproduct[name]:
-        for rest, c2 in iterated_coproduct(B, y, k - 1):
-            out = out + LinComb.unit((x,) + rest, c * c2)
-    return out
+    return LinComb(
+        ((x,) + rest, c * c2)
+        for (x, y), c in B.coproduct[name]
+        for rest, c2 in iterated_coproduct(B, y, k - 1)
+    )
 
 
 def left_translate_B(B: Bialgebra, a_name, g: LinComb) -> LinComb:
     """a <| (b_1 ... b_l): diagonal left multiplication."""
-    out = LinComb()
-    for t, c in g:
-        out = out + c * _tensor_mul(
+    return LinComb(
+        (s, c * cs)
+        for t, c in g
+        for s, cs in _tensor_mul(
             B, iterated_coproduct(B, a_name, len(t)), LinComb.unit(t)
         )
-    return out
+    )
 
 
 def right_translate_B(B: Bialgebra, g: LinComb, b_name) -> LinComb:
     """(b_1 ... b_l) |> b: diagonal right multiplication."""
-    out = LinComb()
-    for t, c in g:
-        out = out + c * _tensor_mul(
+    return LinComb(
+        (s, c * cs)
+        for t, c in g
+        for s, cs in _tensor_mul(
             B, LinComb.unit(t), iterated_coproduct(B, b_name, len(t))
         )
-    return out
+    )
 
 
 def mb_compose(B: Bialgebra, a: LinComb, i: int, b: LinComb) -> LinComb:
     """Partial composition of tensor powers: replace the i-th factor by its
     diagonal left translate of the argument."""
-    out = LinComb()
-    for ta, ca in a:
-        if not 1 <= i <= len(ta):
-            raise ValueError(f"slot {i} out of range")
-        block = left_translate_B(B, ta[i - 1], b)
-        for tb, cb in block:
-            out = out + LinComb.unit(ta[: i - 1] + tb + ta[i:], ca * cb)
-    return out
+    if any(not 1 <= i <= len(ta) for ta, _ in a):
+        raise ValueError(f"slot {i} out of range")
+    return LinComb(
+        (ta[: i - 1] + tb + ta[i:], ca * cb)
+        for ta, ca in a
+        for tb, cb in left_translate_B(B, ta[i - 1], b)
+    )
 
 
 def gamma_B(B: Bialgebra, f: LinComb, gs: list[LinComb]) -> LinComb:
-    out = LinComb()
-    for tf, cf in f:
-        if len(gs) != len(tf):
-            raise ValueError("need one argument per tensor factor")
-        terms = [((), cf)]
-        for a_name, g in zip(tf, gs):
-            block = left_translate_B(B, a_name, g)
-            terms = [
-                (t + tb, c * cb) for t, c in terms for tb, cb in block
-            ]
-        for t, c in terms:
-            out = out + LinComb.unit(t, c)
-    return out
+    if any(len(gs) != len(tf) for tf, _ in f):
+        raise ValueError("need one argument per tensor factor")
+    return LinComb(
+        (sum(blocks, ()), cf * c)
+        for tf, cf in f
+        for blocks, c in _expand_terms(
+            [left_translate_B(B, a_name, g) for a_name, g in zip(tf, gs)]
+        )
+    )
 
 
 def lambda_prime_B(
@@ -771,91 +737,77 @@ def lambda_prime_B(
     s = len(beta)
     if len(args) != s:
         raise ValueError("one argument per selected slot")
-    out = LinComb()
-    for tf, cf in f:
-        k = len(tf)
-        if list(beta) != sorted(set(beta)) or any(not 1 <= b <= k for b in beta):
-            raise ValueError("selector must be strictly increasing within 1..k")
-        # expand each argument and the iterated coactions of its coefficient
-        arg_expansions = []
-        for t, b in enumerate(beta):
-            spread = k - b  # how many later slots receive a component
-            arg_expansions.append(_coaction_spread(B, C, args[t], spread))
-        for combo, coeff in _expand(arg_expansions):
-            # combo[t] = (g tuple, [z components], final coefficient name)
-            fill = []
-            for p in range(1, k + 1):
-                sel = [t for t, b in enumerate(beta) if b == p]
-                if sel:
-                    entry = LinComb.unit(combo[sel[0]][0])
-                else:
-                    entry = LinComb.unit((B.unit,))
-                for t, b in enumerate(beta):
-                    if b < p:
-                        z = combo[t][1][p - b - 1]
-                        entry = right_translate_B(B, entry, z)
-                fill.append(entry)
-            body_terms = [((), 1)]
-            for a_name, entry in zip(tf, fill):
-                block = left_translate_B(B, a_name, entry)
-                body_terms = [
-                    (t + tb, c * cb) for t, c in body_terms for tb, cb in block
-                ]
-            # coefficient: c_s^{(...)} ... c_1^{(...)} multiplied in C
-            cprod = LinComb.unit(C.unit)
-            for t in range(s - 1, -1, -1):
-                cprod = C.mul(cprod, LinComb.unit(combo[t][2]))
-            for body, cb in body_terms:
-                for cn, cc in cprod:
-                    out = out + LinComb.unit((body, cn), cf * coeff * cb * cc)
-    return out
+
+    def terms():
+        for tf, cf in f:
+            k = len(tf)
+            if list(beta) != sorted(set(beta)) or any(not 1 <= b <= k for b in beta):
+                raise ValueError("selector must be strictly increasing within 1..k")
+            # expand each argument and the iterated coactions of its
+            # coefficient; k - b later slots receive a component
+            spreads = [
+                _coaction_spread(B, C, args[t], k - b) for t, b in enumerate(beta)
+            ]
+            for combo, coeff in _expand_terms(spreads):
+                # combo[t] = (g tuple, [z components], final coefficient name)
+                fill = []
+                for p in range(1, k + 1):
+                    sel = [t for t, b in enumerate(beta) if b == p]
+                    if sel:
+                        entry = LinComb.unit(combo[sel[0]][0])
+                    else:
+                        entry = LinComb.unit((B.unit,))
+                    for t, b in enumerate(beta):
+                        if b < p:
+                            z = combo[t][1][p - b - 1]
+                            entry = right_translate_B(B, entry, z)
+                    fill.append(entry)
+                blocks = [left_translate_B(B, a, entry) for a, entry in zip(tf, fill)]
+                # coefficient: c_s^{(...)} ... c_1^{(...)} multiplied in C
+                cprod = reduce(
+                    C.mul,
+                    (LinComb.unit(combo[t][2]) for t in range(s - 1, -1, -1)),
+                    LinComb.unit(C.unit),
+                )
+                for body, cb in _expand_terms(blocks):
+                    for cn, cc in cprod:
+                        yield (sum(body, ()), cn), cf * coeff * cb * cc
+
+    return LinComb(terms())
 
 
 def _coaction_spread(B: Bialgebra, C: ComoduleAlgebra, arg: LinComb, spread: int):
     """Expand (g; c) into (g tuple, z components, final coefficient) terms:
     the iterated coaction of c yields ``spread`` bialgebra components and a
     final comodule component."""
-    out = []
-    for (g, cname), coeff in arg:
-        for (zc, ctail), c2 in _iterated_coaction(B, C, cname, spread):
-            out.append(((g, zc, ctail), coeff * c2))
-    return out
+    return [
+        ((g, zc, ctail), coeff * c2)
+        for (g, cname), coeff in arg
+        for (zc, ctail), c2 in _iterated_coaction(B, C, cname, spread)
+    ]
 
 
 def _iterated_coaction(B: Bialgebra, C: ComoduleAlgebra, cname, k: int) -> LinComb:
     """(nabla_B^{(k-1)} ox id) nabla_C as combinations of (k-tuple, name)."""
     if k == 0:
         return LinComb.unit(((), cname))
-    out = LinComb()
-    for (z, c2), c in C.coaction[cname]:
-        for (zs, tail), cc in _iterated_coaction(B, C, c2, k - 1):
-            out = out + LinComb.unit(((z,) + zs, tail), c * cc)
-    return out
+    return LinComb(
+        (((z,) + zs, tail), c * cc)
+        for (z, c2), c in C.coaction[cname]
+        for (zs, tail), cc in _iterated_coaction(B, C, c2, k - 1)
+    )
 
 
 def lambda_i_B(B: Bialgebra, C: ComoduleAlgebra, f: LinComb, i: int, u: LinComb) -> LinComb:
     return lambda_prime_B(B, C, (i,), f, [u])
 
 
-def lambda_B(B: Bialgebra, C: ComoduleAlgebra, f: LinComb, args: list[LinComb]) -> LinComb:
-    k = {len(t) for t, _ in f}.pop()
-    return lambda_prime_B(B, C, tuple(range(1, k + 1)), f, args)
-
-
-def iota_B(C: ComoduleAlgebra, f: LinComb) -> LinComb:
-    out = LinComb()
-    for t, c in f:
-        out = out + LinComb.unit((t, C.unit), c)
-    return out
-
-
 def rho_B(B: Bialgebra, u: LinComb, gs: list[LinComb]) -> LinComb:
-    out = LinComb()
-    for (t, cname), c in u:
-        body = gamma_B(B, LinComb.unit(t), gs)
-        for tb, cb in body:
-            out = out + LinComb.unit((tb, cname), c * cb)
-    return out
+    return LinComb(
+        ((tb, cname), c * cb)
+        for (t, cname), c in u
+        for tb, cb in gamma_B(B, LinComb.unit(t), gs)
+    )
 
 
 def z_coface(B: Bialgebra, C: ComoduleAlgebra, i: int, u: LinComb) -> LinComb:
@@ -877,26 +829,7 @@ def z_coface(B: Bialgebra, C: ComoduleAlgebra, i: int, u: LinComb) -> LinComb:
 def unreduced_cobar(B: Bialgebra, truncation: int = 4) -> ChainComplex:
     """Tensor powers of the bialgebra with the alternating unit-insertion /
     coproduct differential; degrees are negated (cochain complex)."""
-    bases = {
-        -k: list(product(B.basis, repeat=k)) for k in range(truncation + 1)
-    }
-    boundary = {}
-    for k in range(1, truncation + 1):
-        lower, upper = bases[-(k - 1)], bases[-k]
-        index = {e: r for r, e in enumerate(upper)}
-        mat = [[0] * len(lower) for _ in upper]
-        for col, t in enumerate(lower):
-            img = LinComb.unit(((B.unit,) + t))
-            for i in range(1, k):
-                piece = LinComb()
-                for (x, y), c in B.coproduct[t[i - 1]]:
-                    piece = piece + LinComb.unit(t[: i - 1] + (x, y) + t[i:], c)
-                img = img + (-1) ** (i % 2) * piece
-            img = img + LinComb.unit(t + (B.unit,), (-1) ** (k % 2))
-            for e, c in img:
-                mat[index[e]][col] += c
-        boundary[-(k - 1)] = mat
-    return ChainComplex(bases, boundary)
+    return CobarTot(B, None, truncation).chain_complex()
 
 
 def unreduced_relative_cobar(
@@ -904,30 +837,7 @@ def unreduced_relative_cobar(
 ) -> ChainComplex:
     """Tensor powers with a comodule coefficient; the final coface applies
     the coaction to the coefficient."""
-    bases = {
-        -k: [(t, c) for t in product(B.basis, repeat=k) for c in C.basis]
-        for k in range(truncation + 1)
-    }
-    boundary = {}
-    for k in range(1, truncation + 1):
-        lower, upper = bases[-(k - 1)], bases[-k]
-        index = {e: r for r, e in enumerate(upper)}
-        mat = [[0] * len(lower) for _ in upper]
-        for col, (t, cname) in enumerate(lower):
-            img = LinComb.unit((((B.unit,) + t), cname))
-            for i in range(1, k):
-                piece = LinComb()
-                for (x, y), c in B.coproduct[t[i - 1]]:
-                    piece = piece + LinComb.unit((t[: i - 1] + (x, y) + t[i:], cname), c)
-                img = img + (-1) ** (i % 2) * piece
-            piece = LinComb()
-            for (z, c2), c in C.coaction[cname]:
-                piece = piece + LinComb.unit((t + (z,), c2), c)
-            img = img + (-1) ** (k % 2) * piece
-            for e, c in img:
-                mat[index[e]][col] += c
-        boundary[-(k - 1)] = mat
-    return ChainComplex(bases, boundary)
+    return CobarTot(B, C, truncation).chain_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -951,8 +861,11 @@ class CobarTot:
     C: ComoduleAlgebra | None = None
     truncation: int = 4
 
-    def _len(self, b) -> int:
-        return len(b) if self.C is None else len(b[0])
+    def _split(self, b):
+        return (b, None) if self.C is None else b
+
+    def _join(self, w, tail):
+        return w if self.C is None else (w, tail)
 
     def basis(self, level: int) -> list:
         if level < 0 or level > self.truncation:
@@ -963,89 +876,91 @@ class CobarTot:
         return [(w, c) for w in words for c in self.C.basis]
 
     def truncate(self, v: LinComb) -> LinComb:
-        return LinComb([(b, c) for b, c in v if self._len(b) <= self.truncation])
+        return LinComb(
+            [(b, c) for b, c in v if len(self._split(b)[0]) <= self.truncation]
+        )
+
+    def _coface_basis(self, i: int, b) -> list:
+        """The i-th coface of one basis element as (element, coefficient)
+        pairs."""
+        B = self.B
+        w, tail = self._split(b)
+        k = len(w)
+        if not 0 <= i <= k + 1:
+            raise ValueError(f"coface index {i} out of range at level {k}")
+        if i == 0:
+            return [(self._join((B.unit,) + w, tail), 1)]
+        if i <= k:
+            return [
+                (self._join(w[: i - 1] + (x, y) + w[i:], tail), c)
+                for (x, y), c in B.coproduct[w[i - 1]]
+            ]
+        if self.C is None:
+            return [(w + (B.unit,), 1)]
+        return [((w + (z,), c2), c) for (z, c2), c in self.C.coaction[tail]]
 
     def coface(self, i: int, v: LinComb) -> LinComb:
-        B = self.B
-        out = LinComb()
-        for b, c in v:
-            w = b if self.C is None else b[0]
-            k = len(w)
-            if not 0 <= i <= k + 1:
-                raise ValueError(f"coface index {i} out of range at level {k}")
-            if i == 0:
-                imgs = LinComb.unit((B.unit,) + w)
-            elif i <= k:
-                imgs = LinComb()
-                for (x, y), cx in B.coproduct[w[i - 1]]:
-                    imgs = imgs + LinComb.unit(w[: i - 1] + (x, y) + w[i:], cx)
-            elif self.C is None:
-                imgs = LinComb.unit(w + (B.unit,))
-            else:
-                imgs = LinComb()
-                for (z, c2), cz in self.C.coaction[b[1]]:
-                    imgs = imgs + LinComb.unit((w + (z,), c2), cz)
-            if self.C is None or i <= k:
-                for w2, c2 in imgs:
-                    out = out + LinComb.unit(
-                        w2 if self.C is None else (w2, b[1]), c * c2
-                    )
-            else:
-                for pair, c2 in imgs:
-                    out = out + LinComb.unit(pair, c * c2)
-        return out
+        return LinComb((e, c * ce) for b, c in v for e, ce in self._coface_basis(i, b))
 
     def codegeneracy(self, i: int, v: LinComb) -> LinComb:
         B = self.B
-        out = LinComb()
-        for b, c in v:
-            w = b if self.C is None else b[0]
-            k = len(w)
-            if not 0 <= i <= k - 1:
-                raise ValueError(f"codegeneracy index {i} out of range at level {k}")
-            coeff = c * B.counit.get(w[i], 0)
-            if coeff:
-                w2 = w[:i] + w[i + 1 :]
-                out = out + LinComb.unit(w2 if self.C is None else (w2, b[1]), coeff)
-        return out
+
+        def terms():
+            for b, c in v:
+                w, tail = self._split(b)
+                if not 0 <= i <= len(w) - 1:
+                    raise ValueError(
+                        f"codegeneracy index {i} out of range at level {len(w)}"
+                    )
+                yield self._join(w[:i] + w[i + 1 :], tail), c * B.counit.get(w[i], 0)
+
+        return LinComb(terms())
 
     def differential(self, v: LinComb) -> LinComb:
-        out = LinComb()
-        for b, c in v:
-            k = self._len(b)
-            u = LinComb.unit(b, c)
-            for i in range(k + 2):
-                out = out + ((-1) ** (i % 2)) * self.coface(i, u)
-        return self.truncate(out)
+        return self.truncate(
+            LinComb(
+                (e, (-1) ** (i % 2) * c * ce)
+                for b, c in v
+                for i in range(len(self._split(b)[0]) + 2)
+                for e, ce in self._coface_basis(i, b)
+            )
+        )
 
     def conormal_project(self, v: LinComb) -> LinComb:
         """Successively remove the degenerate summands d^i s^i."""
-        out = LinComb()
-        by_len: dict[int, LinComb] = {}
+        by_len: dict[int, list] = {}
         for b, c in v:
-            by_len.setdefault(self._len(b), LinComb())
-            by_len[self._len(b)] = by_len[self._len(b)] + LinComb.unit(b, c)
-        for k, piece in by_len.items():
-            for i in range(k - 1, -1, -1):
-                piece = piece - self.coface(i, self.codegeneracy(i, piece))
-            out = out + piece
-        return out
+            by_len.setdefault(len(self._split(b)[0]), []).append((b, c))
+        pieces = (
+            reduce(
+                lambda piece, i: piece - self.coface(i, self.codegeneracy(i, piece)),
+                range(k - 1, -1, -1),
+                LinComb(terms),
+            )
+            for k, terms in by_len.items()
+        )
+        return LinComb(term for piece in pieces for term in piece)
 
     def chain_complex(self) -> ChainComplex:
         """The full truncated complex with negated degrees."""
-        if self.C is None:
-            return unreduced_cobar(self.B, self.truncation)
-        return unreduced_relative_cobar(self.B, self.C, self.truncation)
+        bases = {-k: self.basis(k) for k in range(self.truncation + 1)}
+        boundary = {}
+        for k in range(1, self.truncation + 1):
+            lower, upper = bases[-(k - 1)], bases[-k]
+            index = {e: r for r, e in enumerate(upper)}
+            mat = [[0] * len(lower) for _ in upper]
+            for col, e in enumerate(lower):
+                for img, c in self.differential(LinComb.unit(e)):
+                    mat[index[img]][col] += c
+            boundary[-(k - 1)] = mat
+        return ChainComplex(bases, boundary)
 
 
 def cup_cobar(tot: CobarTot, f: LinComb, g: LinComb) -> LinComb:
     """Concatenation product on the closed part."""
     if tot.C is not None:
         raise ValueError("cup lives on the closed part")
-    out = LinComb()
-    for a, ca in f:
-        for b, cb in g:
-            out = out + LinComb.unit(a + b, ca * cb)
+    out = LinComb((a + b, ca * cb) for a, ca in f for b, cb in g)
     return tot.conormal_project(tot.truncate(out))
 
 
@@ -1053,9 +968,7 @@ def inc_cobar(tot: CobarTot, f: LinComb) -> LinComb:
     """Closed-to-relative inclusion: unit coefficient."""
     if tot.C is None:
         raise ValueError("the inclusion lands in the relative part")
-    out = LinComb()
-    for a, ca in f:
-        out = out + LinComb.unit((a, tot.C.unit), ca)
+    out = LinComb(((a, tot.C.unit), ca) for a, ca in f)
     return tot.conormal_project(tot.truncate(out))
 
 
@@ -1066,17 +979,14 @@ def mu_prime_o(tot: CobarTot, u: LinComb, v: LinComb) -> LinComb:
     if tot.C is None:
         raise ValueError("the twisted product lives on the relative part")
     B, C = tot.B, tot.C
-    out = LinComb()
-    for (wa, ca_name), cu in u:
-        for (wb, cb_name), cv in v:
-            for (z, c2), cz in C.coaction[ca_name]:
-                shifted = right_translate_B(B, LinComb.unit(wb), z)
-                coeff = C.mul(LinComb.unit(cb_name), LinComb.unit(c2))
-                for wt, ct in shifted:
-                    for cn, cc in coeff:
-                        out = out + LinComb.unit(
-                            (wa + wt, cn), cu * cv * cz * ct * cc
-                        )
+    out = LinComb(
+        ((wa + wt, cn), cu * cv * cz * ct * cc)
+        for (wa, ca_name), cu in u
+        for (wb, cb_name), cv in v
+        for (z, c2), cz in C.coaction[ca_name]
+        for wt, ct in right_translate_B(B, LinComb.unit(wb), z)
+        for cn, cc in C.mul(LinComb.unit(cb_name), LinComb.unit(c2))
+    )
     return tot.conormal_project(tot.truncate(out))
 
 
@@ -1092,31 +1002,27 @@ def _insertion_sign(positions, arg_degrees, n) -> int:
     return (-1) ** (total % 2)
 
 
-def _expand_terms(factors):
-    terms = [((), 1)]
-    for f in factors:
-        terms = [(t + (b,), c * cb) for t, c in terms for b, cb in f]
-    return terms
-
-
 def e_prime_1k(tot: CobarTot, f: LinComb, gs: list[LinComb]) -> LinComb:
     """Insertion sum on the closed part: each argument word enters a chosen
     letter by diagonal left translation."""
     if tot.C is not None:
         raise ValueError("the closed insertion sum lives on the closed part")
     B = tot.B
-    out = LinComb()
-    for a, cf in f:
-        n = len(a)
-        for positions in combinations(range(1, n + 1), len(gs)):
-            for term, csign in _expand_terms(gs):
-                degs = [len(b) for b in term]
-                fills = [LinComb.unit((B.unit,))] * n
-                for p, b in zip(positions, term):
-                    fills[p - 1] = LinComb.unit(b)
-                img = gamma_B(B, LinComb.unit(a), fills)
-                sign = _insertion_sign(positions, degs, n)
-                out = out + sign * cf * csign * img
+
+    def insert(a, positions, term) -> LinComb:
+        fills = [LinComb.unit((B.unit,))] * len(a)
+        for p, b in zip(positions, term):
+            fills[p - 1] = LinComb.unit(b)
+        sign = _insertion_sign(positions, [len(b) for b in term], len(a))
+        return sign * gamma_B(B, LinComb.unit(a), fills)
+
+    out = LinComb(
+        (t, cf * csign * ct)
+        for a, cf in f
+        for positions in combinations(range(1, len(a) + 1), len(gs))
+        for term, csign in _expand_terms(gs)
+        for t, ct in insert(a, positions, term)
+    )
     return tot.conormal_project(tot.truncate(out))
 
 
@@ -1128,17 +1034,19 @@ def e_prime_j(tot: CobarTot, f: LinComb, hs: list[LinComb]) -> LinComb:
     if tot.C is None:
         raise ValueError("the open insertion sum lives on the relative part")
     B, C = tot.B, tot.C
-    out = LinComb()
-    for a, cf in f:
-        n = len(a)
-        for positions in combinations(range(1, n + 1), len(hs)):
-            for term, csign in _expand_terms(hs):
-                degs = [len(b[0]) for b in term]
-                img = lambda_prime_B(
-                    B, C, positions, LinComb.unit(a), [LinComb.unit(b) for b in term]
-                )
-                sign = _insertion_sign(positions, degs, n)
-                out = out + sign * cf * csign * img
+
+    def insert(a, positions, term) -> LinComb:
+        args = [LinComb.unit(b) for b in term]
+        sign = _insertion_sign(positions, [len(b[0]) for b in term], len(a))
+        return sign * lambda_prime_B(B, C, positions, LinComb.unit(a), args)
+
+    out = LinComb(
+        (t, cf * csign * ct)
+        for a, cf in f
+        for positions in combinations(range(1, len(a) + 1), len(hs))
+        for term, csign in _expand_terms(hs)
+        for t, ct in insert(a, positions, term)
+    )
     return tot.conormal_project(tot.truncate(out))
 
 
@@ -1158,22 +1066,20 @@ def dual_group_bialgebra(M) -> Bialgebra:
     def indicator(g) -> LinComb:
         # delta_g in the new basis; delta_e = 1 - sum of the others
         if g == e:
-            out = LinComb.unit(U)
-            for h in others:
-                out = out - LinComb.unit(name[h])
-            return out
+            return LinComb([(U, 1)] + [(name[h], -1) for h in others])
         return LinComb.unit(name[g])
 
     basis = (U,) + tuple(name[g] for g in others)
     prod, cop, counit = {}, {}, {U: 1}
     for g in others:
-        cop[name[g]] = LinComb()
-        for a in elems:
-            for b in elems:
-                if M.mul(a, b) == g:
-                    for x, cx in indicator(a):
-                        for y, cy in indicator(b):
-                            cop[name[g]] = cop[name[g]] + LinComb.unit((x, y), cx * cy)
+        cop[name[g]] = LinComb(
+            ((x, y), cx * cy)
+            for a in elems
+            for b in elems
+            if M.mul(a, b) == g
+            for x, cx in indicator(a)
+            for y, cy in indicator(b)
+        )
     cop[U] = LinComb.unit((U, U))
     for x in basis:
         prod[(U, x)] = LinComb.unit(x)

@@ -27,9 +27,9 @@ __all__ = [
     "leq",
     "in_filtration",
     "compose",
+    "compose_at",
     "sym_act",
     "q",
-    "is_fully_acyclic",
     "enumerate_graphs",
 ]
 
@@ -162,6 +162,16 @@ def compose(alpha: GraphElement, betas: list[GraphElement]) -> GraphElement:
     return GraphElement(vertex_open, edges, alpha.output_open)
 
 
+def compose_at(alpha: GraphElement, i: int, beta: GraphElement) -> GraphElement:
+    """Substitute ``beta`` into vertex ``i`` of ``alpha``, one-vertex graphs
+    elsewhere."""
+    betas = [
+        beta if v == i else GraphElement((opn,), {}, opn)
+        for v, opn in enumerate(alpha.vertex_open, start=1)
+    ]
+    return compose(alpha, betas)
+
+
 def sym_act(sigma, alpha: GraphElement) -> GraphElement:
     """Relabel vertex ``i`` to ``sigma[i-1]``, decorations unchanged."""
     n = alpha.n
@@ -191,14 +201,6 @@ def q(x: IntegerString) -> GraphElement:
             orient = 1 if _first_occurrence(x, i) > _first_occurrence(x, j) else -1
             edges[(i, j)] = (mu, orient)
     return GraphElement(vertex_open, edges, x.output_open)
-
-
-def is_fully_acyclic(alpha: GraphElement) -> bool:
-    """True when the orientation is acyclic ignoring levels (permutation-like)."""
-    arcs = [
-        (i, j) if orient == 1 else (j, i) for (i, j), (_, orient) in alpha.edges
-    ]
-    return _acyclic(arcs, alpha.n)
 
 
 def enumerate_graphs(

@@ -18,11 +18,12 @@ d(H(f,u)) + H(df,u) + (-1)^{|f|} H(f,du)
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 
-from .chains import ChainComplex, LinComb, homology
+from .chains import ChainComplex, LinComb, _expand_terms, homology
+from .cobar import _insertion_sign
 
 __all__ = [
     "FiniteMonoid",
@@ -30,7 +31,6 @@ __all__ = [
     "CosimplicialAbGroup",
     "omega",
     "gamma",
-    "gamma_partial",
     "right_translate",
     "varsigma_prime",
     "varsigma_i",
@@ -44,8 +44,6 @@ __all__ = [
     "homotopy_H",
     "act_Tk",
     "act_Tj",
-    "monoid_to_json",
-    "monoid_from_json",
 ]
 
 
@@ -94,27 +92,6 @@ class FiniteMonoid:
         return f"FiniteMonoid({len(self.elements)} elements)"
 
 
-def monoid_to_json(m: FiniteMonoid) -> dict:
-    order = list(m.elements)
-    return {
-        "elements": order,
-        "unit": m.unit,
-        "table": [[m.mul(a, b) for b in order] for a in order],
-    }
-
-
-def monoid_from_json(data) -> FiniteMonoid:
-    if isinstance(data, str):
-        data = json.loads(data)
-    elems = data["elements"]
-    table = {
-        (a, b): data["table"][i][j]
-        for i, a in enumerate(elems)
-        for j, b in enumerate(elems)
-    }
-    return FiniteMonoid(elems, data["unit"], table)
-
-
 # ---------------------------------------------------------------------------
 # cosimplicial structure
 
@@ -160,14 +137,18 @@ class CosimplicialAbGroup:
                     for j in range(i + 1, k + 3):
                         lhs = self.coface(j, self.coface(i, e))
                         rhs = self.coface(i, self.coface(j - 1, e))
-                        assert lhs == rhs, (i, j, e)
+                        if lhs != rhs:
+                            raise ValueError(f"coface identity fails at {(i, j, e)}")
         for k in range(2, max_level + 2):
             for e in self.level(k):
                 for j in range(k - 1):
                     for i in range(j + 1):
                         lhs = self.codegeneracy(j, self.codegeneracy(i, e))
                         rhs = self.codegeneracy(i, self.codegeneracy(j + 1, e))
-                        assert lhs == rhs, (i, j, e)
+                        if lhs != rhs:
+                            raise ValueError(
+                                f"codegeneracy identity fails at {(i, j, e)}"
+                            )
         for k in range(max_level):
             for e in self.level(k):
                 for i in range(k + 2):
@@ -180,7 +161,8 @@ class CosimplicialAbGroup:
                             want = e
                         else:
                             want = self.coface(i - 1, self.codegeneracy(j, e))
-                        assert got == want, (i, j, e)
+                        if got != want:
+                            raise ValueError(f"mixed identity fails at {(i, j, e)}")
 
 
 def omega(M: FiniteMonoid, N) -> CosimplicialAbGroup:
@@ -200,16 +182,6 @@ def gamma(M: FiniteMonoid, f, gs):
     for x, g in zip(f, gs):
         out.extend(M.mul(x, y) for y in g)
     return tuple(out)
-
-
-def gamma_partial(M: FiniteMonoid, f, i: int, g):
-    """f o_i g = (x_1, ..., x_{i-1}, x_i y_1, ..., x_i y_l, x_{i+1}, ...)."""
-    k = len(f)
-    if not 1 <= i <= k:
-        raise ValueError(f"slot {i} out of range for arity {k}")
-    gs = [(M.unit,)] * k
-    gs[i - 1] = tuple(g)
-    return gamma(M, f, gs)
 
 
 def right_translate(M: FiniteMonoid, g, n):
@@ -289,6 +261,7 @@ class TotComplex:
         self.N = self.M.check_submonoid(self.N)
         if self.kind not in ("closed", "open"):
             raise ValueError("kind is 'closed' or 'open'")
+        self._omega = CosimplicialAbGroup(self.M, self.N)
 
     def _normal(self, xs) -> bool:
         if xs and xs[0] == self.M.unit:
@@ -314,12 +287,9 @@ class TotComplex:
         return xs if self.kind == "closed" else (xs, y)
 
     def truncate(self, v: LinComb) -> LinComb:
-        out = LinComb()
-        for b, c in v:
-            xs, _ = self._split(b)
-            if len(xs) <= self.truncation:
-                out = out + LinComb.unit(b, c)
-        return out
+        return LinComb(
+            (b, c) for b, c in v if len(self._split(b)[0]) <= self.truncation
+        )
 
     def degree_of(self, v: LinComb):
         degs = {len(self._split(b)[0]) for b, _ in v}
@@ -329,32 +299,27 @@ class TotComplex:
 
     def differential(self, v: LinComb) -> LinComb:
         """Full alternating coface sum on raw combinations."""
-        out = LinComb()
-        for b, c in v:
-            xs, y = self._split(b)
-            k = len(xs)
-            for i in range(k + 2):
-                if i == 0:
-                    img = (self.M.unit,) + xs
-                elif i == k + 1:
-                    img = xs + (y,)
-                else:
-                    img = xs[:i] + (xs[i - 1],) + xs[i:]
-                out = out + LinComb.unit(self._join(img, y), (-1) ** (i % 2) * c)
+        raw = ((self._split(b), c) for b, c in v)
+        out = LinComb(
+            (self._join(*self._omega.coface(i, e)), (-1) ** (i % 2) * c)
+            for e, c in raw
+            for i in range(len(e[0]) + 2)
+        )
         return self.truncate(out)
 
     def conormal_project(self, v: LinComb) -> LinComb:
         """Project onto the intersection of codegeneracy kernels along the
         span of the non-final coface images (the summand the totalization
         Hom-complex selects)."""
-        out = LinComb()
-        for b, c in v:
-            piece = LinComb.unit(b, c)
-            xs, _ = self._split(b)
-            for i in range(len(xs) - 1, -1, -1):
-                piece = piece - piece.map_basis(lambda e, i=i: self._dup(i, e))
-            out = out + piece
-        return out
+        pieces = (
+            reduce(
+                lambda piece, i: piece - piece.map_basis(lambda e: self._dup(i, e)),
+                range(len(self._split(b)[0]) - 1, -1, -1),
+                LinComb.unit(b, c),
+            )
+            for b, c in v
+        )
+        return LinComb(term for piece in pieces for term in piece)
 
     def _dup(self, i: int, b):
         """d^i s^i on a raw basis element: replace x_{i+1} by x_i (or the
@@ -369,7 +334,7 @@ class TotComplex:
         Degrees are negated so that the coface differential lowers the
         chain degree as the chain machinery expects.
         """
-        om = CosimplicialAbGroup(self.M, self.N)
+        om = self._omega
 
         def levels(k):
             if self.kind == "closed":
@@ -422,28 +387,23 @@ def _pairs(u: LinComb, v: LinComb):
 
 def cup(tot: TotComplex, f: LinComb, g: LinComb) -> LinComb:
     """Concatenation product on the closed part: (mu o_2 g) o_1 f."""
-    out = LinComb()
-    for a, b, c in _pairs(f, g):
-        out = out + LinComb.unit(a + b, c)
+    out = LinComb((a + b, c) for a, b, c in _pairs(f, g))
     return tot.conormal_project(tot.truncate(out))
 
 
 def sqcup(tot: TotComplex, u: LinComb, v: LinComb) -> LinComb:
     """Concatenation product on the open part: (f, g |> m; nm)."""
     M = tot.M
-    out = LinComb()
-    for (a, m), (b, n), c in _pairs(u, v):
-        out = out + LinComb.unit(
-            (a + right_translate(M, b, m), M.mul(n, m)), c
-        )
+    out = LinComb(
+        ((a + right_translate(M, b, m), M.mul(n, m)), c)
+        for (a, m), (b, n), c in _pairs(u, v)
+    )
     return tot.conormal_project(tot.truncate(out))
 
 
 def inc_tot(tot: TotComplex, f: LinComb) -> LinComb:
     """The inclusion of the closed part: f -> (f; 1)."""
-    out = LinComb()
-    for a, c in f:
-        out = out + LinComb.unit((a, tot.M.unit), c)
+    out = LinComb(((a, tot.M.unit), c) for a, c in f)
     return tot.conormal_project(tot.truncate(out))
 
 
@@ -454,75 +414,49 @@ def homotopy_H(tot: TotComplex, f: LinComb, u: LinComb) -> LinComb:
     = inc(f) |_| u - (-1)^{|f||u|} u |_| inc(f).
     """
     M = tot.M
-    out = LinComb()
-    for a, (b, n), c in _pairs(f, u):
-        k, dg = len(a), len(b)
-        for i in range(1, k + 1):
-            sign = (-1) ** ((i + i * dg + k * dg) % 2)
-            img, end = varsigma_i(M, a, i, (b, n))
-            out = out + LinComb.unit((img, end), sign * c)
+    out = LinComb(
+        (
+            varsigma_i(M, a, i, (b, n)),
+            (-1) ** ((i + i * len(b) + len(a) * len(b)) % 2) * c,
+        )
+        for a, (b, n), c in _pairs(f, u)
+        for i in range(1, len(a) + 1)
+    )
     return tot.conormal_project(tot.truncate(out))
-
-
-def _insertion_sign(positions, arg_degrees, n):
-    """Sign of one unit-insertion term: each argument at slot p of degree d
-    contributes p + p*d, plus the cross terms n*d and pairwise products."""
-    total = 0
-    for p, d in zip(positions, arg_degrees):
-        total += p + p * d + n * d
-    for s in range(len(arg_degrees)):
-        for t in range(s + 1, len(arg_degrees)):
-            total += arg_degrees[s] * arg_degrees[t]
-    return (-1) ** (total % 2)
 
 
 def act_Tk(tot: TotComplex, f: LinComb, gs: list[LinComb]) -> LinComb:
     """Unit-insertion sum placing closed arguments between coordinates of f."""
     M = tot.M
-    out = LinComb()
-    for a, cf in f:
-        n = len(a)
-        for combo in _selections(n, len(gs)):
-            for term, csign in _expand_terms(gs):
-                degs = [len(b) for b in term]
-                fill = [(M.unit,)] * n
-                for p, b in zip(combo, term):
-                    fill[p - 1] = b
-                img = gamma(M, a, fill)
-                sign = _insertion_sign(combo, degs, n)
-                out = out + LinComb.unit(img, sign * cf * csign)
+
+    def insert(a, combo, term):
+        fill = [(M.unit,)] * len(a)
+        for p, b in zip(combo, term):
+            fill[p - 1] = b
+        return gamma(M, a, fill)
+
+    out = LinComb(
+        (
+            insert(a, combo, term),
+            _insertion_sign(combo, [len(b) for b in term], len(a)) * cf * csign,
+        )
+        for a, cf in f
+        for combo in combinations(range(1, len(a) + 1), len(gs))
+        for term, csign in _expand_terms(gs)
+    )
     return tot.conormal_project(tot.truncate(out))
 
 
 def act_Tj(tot: TotComplex, f: LinComb, hs: list[LinComb]) -> LinComb:
     """Unit-insertion sum placing open arguments, endpoints accumulated."""
     M = tot.M
-    out = LinComb()
-    for a, cf in f:
-        n = len(a)
-        for combo in _selections(n, len(hs)):
-            for term, csign in _expand_terms(hs):
-                degs = [len(b[0]) for b in term]
-                img, end = varsigma_prime(M, combo, a, list(term))
-                sign = _insertion_sign(combo, degs, n)
-                out = out + LinComb.unit((img, end), sign * cf * csign)
-    return tot.conormal_project(tot.truncate(out))
-
-
-def _selections(n: int, s: int):
-    """Strictly increasing slot tuples of length s within 1..n."""
-    from itertools import combinations
-
-    return combinations(range(1, n + 1), s)
-
-
-def _expand_terms(factors: list[LinComb]):
-    """Cartesian expansion of a list of combinations into (basis tuple, coeff)."""
-    terms = [()]
-    coeffs = [1]
-    for f in factors:
-        terms, coeffs = (
-            [t + (b,) for t in terms for b, _ in f],
-            [c * cb for c in coeffs for _, cb in f],
+    out = LinComb(
+        (
+            varsigma_prime(M, combo, a, list(term)),
+            _insertion_sign(combo, [len(b[0]) for b in term], len(a)) * cf * csign,
         )
-    return zip(terms, coeffs)
+        for a, cf in f
+        for combo in combinations(range(1, len(a) + 1), len(hs))
+        for term, csign in _expand_terms(hs)
+    )
+    return tot.conormal_project(tot.truncate(out))

@@ -7,7 +7,7 @@ the output colour.  The module provides parsing/printing of the canonical
 text form, operadic composition by segment substitution, the left symmetric
 action, per-pair complexity counters with the induced filtrations, the
 duality between unary strings and monotone maps, and exhaustive enumeration
-of fixed-colour components.
+of fixed-colour components and of small windows across colours.
 
 Token encoding: each token is an ``int`` — ``0`` is a bar, ``+i`` a closed
 letter with label ``i``, ``-i`` an open letter with label ``i``.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 BAR = 0
@@ -47,10 +48,11 @@ __all__ = [
     "c_dbl_prime",
     "in_filtration",
     "identity_string",
-    "empty_string",
     "joyal_to_string",
     "string_to_joyal",
     "enumerate_strings",
+    "small_strings",
+    "by_output",
     "multiset_permutations",
 ]
 
@@ -210,23 +212,6 @@ def colours(x: IntegerString) -> tuple[tuple[Colour, ...], Colour]:
         Colour(counts[i] - 1, opens[i]) for i in range(1, len(counts) + 1)
     )
     return inputs, Colour(bars, x.output_open)
-
-
-def _segments(tokens: Sequence[int]) -> list[list[int]]:
-    """Split a token sequence at its bars (bars are not kept)."""
-    out: list[list[int]] = [[]]
-    for t in tokens:
-        if t == BAR:
-            out.append([])
-        else:
-            out[-1].append(t)
-    return out
-
-
-def _shift(token: int, threshold: int, amount: int) -> int:
-    if token == BAR or abs(token) <= threshold:
-        return token
-    return token + amount if token > 0 else token - amount
 
 
 def _unchecked(tokens: tuple[int, ...], output_open: bool) -> IntegerString:
@@ -428,11 +413,6 @@ def identity_string(colour: Colour) -> IntegerString:
     return IntegerString(tuple(tokens), colour.open)
 
 
-def empty_string() -> IntegerString:
-    """The nullary element ``()^c``."""
-    return IntegerString((), False)
-
-
 @dataclass(frozen=True)
 class MonotoneMap:
     """A weakly monotone map [n] -> [m], given by its n+1 values."""
@@ -535,3 +515,31 @@ def enumerate_strings(
             found.append(x)
     found.sort(key=text)
     return found
+
+
+def small_strings(max_tokens: int, max_labels: int, m: int) -> list[IntegerString]:
+    """All filtration-``m`` strings with at most ``max_tokens`` tokens and
+    ``max_labels`` labels, over every admissible colour signature."""
+    out = []
+    for k in range(1, max_labels + 1):
+        for idxs in product(range(max_tokens), repeat=k):
+            occ = k + sum(idxs)
+            if occ > max_tokens:
+                continue
+            for bars in range(max_tokens - occ + 1):
+                for opens in product((False, True), repeat=k):
+                    for out_open in (False, True):
+                        if any(opens) and not out_open:
+                            continue
+                        ins = [Colour(i, o) for i, o in zip(idxs, opens)]
+                        out.extend(enumerate_strings(ins, Colour(bars, out_open), m))
+    return out
+
+
+def by_output(elems) -> dict[Colour, list[IntegerString]]:
+    """Group strings by output colour for composability lookups."""
+    table: dict[Colour, list[IntegerString]] = {}
+    for g in elems:
+        _, out = colours(g)
+        table.setdefault(out, []).append(g)
+    return table

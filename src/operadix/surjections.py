@@ -40,6 +40,7 @@ __all__ = [
     "Surjection",
     "BarredClass",
     "differential",
+    "linear_differential",
     "vartheta",
     "rs_compose",
     "generators",
@@ -122,20 +123,27 @@ def differential(u) -> LinComb:
     x = _unwrap(u)
     k = arity(x)
     occs = [occurrences(x, i) for i in range(1, k + 1)]
-    out = LinComb()
-    for i in range(1, k + 1):
-        if occs[i - 1] < 2:
-            continue
-        prefix = sum(o - 1 for o in occs[: i - 1])
-        j = -1
-        for pos, t in enumerate(x.tokens):
-            if t != BAR and abs(t) == i:
-                j += 1
-                tokens = x.tokens[:pos] + x.tokens[pos + 1 :]
-                if _nondegenerate(tokens):
-                    y = IntegerString(tokens, x.output_open)
-                    out = out + LinComb.unit(_wrap_like(u, y), (-1) ** ((prefix + j) % 2))
-    return out
+
+    def terms():
+        for i in range(1, k + 1):
+            if occs[i - 1] < 2:
+                continue
+            prefix = sum(o - 1 for o in occs[: i - 1])
+            j = -1
+            for pos, t in enumerate(x.tokens):
+                if t != BAR and abs(t) == i:
+                    j += 1
+                    tokens = x.tokens[:pos] + x.tokens[pos + 1 :]
+                    if _nondegenerate(tokens):
+                        y = IntegerString(tokens, x.output_open)
+                        yield _wrap_like(u, y), (-1) ** ((prefix + j) % 2)
+
+    return LinComb(terms())
+
+
+def linear_differential(v: LinComb) -> LinComb:
+    """The differential extended linearly to a combination of basis elements."""
+    return LinComb((t, c * ct) for b, c in v for t, ct in differential(b))
 
 
 def vartheta(T, n: int) -> LinComb:
@@ -146,10 +154,7 @@ def vartheta(T, n: int) -> LinComb:
         raise ValueError("bar insertion starts from a bar-free string")
     if n < 0:
         raise ValueError("bar count must be nonnegative")
-    out = LinComb()
-    for _, y in _vartheta_terms(x, n):
-        out = out + LinComb.unit(BarredClass(y))
-    return out
+    return LinComb((BarredClass(y), 1) for _, y in _vartheta_terms(x, n))
 
 
 def _vartheta_terms(x: IntegerString, n: int):
@@ -195,12 +200,10 @@ def rs_compose(f, i: int, g) -> LinComb:
     suffix = sum(occurrences(fx, t) - 1 for t in range(i + 1, k + 1))
     r = len(gx.tokens) - arity(gx)  # degree of the bar-free argument
     prefactor = (-1) ** ((r * suffix) % 2)
-    out = LinComb()
-    for _, barred in _vartheta_terms(gx, n):
-        h = compose(fx, i, barred)
-        if _nondegenerate(h.tokens):
-            out = out + LinComb.unit(Surjection(h), prefactor)
-    return out
+    composites = (compose(fx, i, barred) for _, barred in _vartheta_terms(gx, n))
+    return LinComb(
+        (Surjection(h), prefactor) for h in composites if _nondegenerate(h.tokens)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +356,12 @@ def _spans_full_lattice(vectors: list[list[int]], dim: int) -> bool:
 
 
 def _compose_linear(v: LinComb, i: int, w: LinComb) -> LinComb:
-    out = LinComb()
-    for x, cx in v:
-        for y, cy in w:
-            out = out + cx * cy * rs_compose(x, i, y)
-    return out
+    return LinComb(
+        (t, cx * cy * ct)
+        for x, cx in v
+        for y, cy in w
+        for t, ct in rs_compose(x, i, y)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,7 @@ def window_elements():
     """All filtration-2 strings with <= 6 tokens and <= 3 labels, with a
     lookup table of fillers by (output colour, token count)."""
     if "elems" not in _CACHE:
-        from util import small_strings
-
-        elems = small_strings(6, 3, m=2)
+        elems = strings.small_strings(6, 3, m=2)
         buckets = {}
         for g in elems:
             _, out = strings.colours(g)
@@ -196,32 +194,21 @@ def test_criterion_03_filtration_functoriality():
                     assert strings.in_filtration(fg, 2)
                     pairs += 1
                     if strings.arity(fg) and strings.arity(f) and strings.arity(g):
-                        betas = []
-                        for v in range(1, qf.n + 1):
-                            if v == i:
-                                betas.append(graphs.q(g))
-                            else:
-                                oo = qf.vertex_open[v - 1]
-                                betas.append(graphs.GraphElement((oo,), {}, oo))
-                        assert graphs.leq(graphs.q(fg), graphs.compose(qf, betas))
+                        composed = graphs.compose_at(qf, i, graphs.q(g))
+                        assert graphs.leq(graphs.q(fg), composed)
         assert pairs > 100_000
 
 
 def test_criterion_04_surjection_dg_operad():
     with Budget("criterion-04 surjection-dg-operad", 120.0):
-        def diff_lin(v):
-            out = LinComb()
-            for b, c in v:
-                out = out + c * surjections.differential(b)
-            return out
-
         basis = []
         for k in (1, 2, 3):
             for opens in iproduct((False, True), repeat=k):
                 for oo in {True} if any(opens) else (False, True):
                     for s in surjections.enumerate_component(list(opens), oo, 2):
                         basis.append(s)
-                        assert not diff_lin(surjections.differential(s))
+                        ds = surjections.differential(s)
+                        assert not surjections.linear_differential(ds)
         table = {}
         for g in basis:
             table.setdefault(strings.colours(g.underlying)[1], []).append(g)
@@ -237,7 +224,7 @@ def test_criterion_04_surjection_dg_operad():
             if not gs:
                 continue
             g = rng.choice(gs)
-            lhs = diff_lin(surjections.rs_compose(f, i, g))
+            lhs = surjections.linear_differential(surjections.rs_compose(f, i, g))
             rhs = surjections._compose_linear(
                 surjections.differential(f), i, LinComb.unit(g)
             ) + ((-1) ** (f.degree % 2)) * surjections._compose_linear(
@@ -317,14 +304,7 @@ def test_criterion_07_cellulation():
                 geometry.cell_index(y),
                 geometry.cell_index(z),
             )
-            betas = []
-            for v in range(1, ax.n + 1):
-                if v == i:
-                    betas.append(ay)
-                else:
-                    oo = ax.vertex_open[v - 1]
-                    betas.append(graphs.GraphElement((oo,), {}, oo))
-            assert graphs.leq(az, graphs.compose(ax, betas))
+            assert graphs.leq(az, graphs.compose_at(ax, i, ay))
             checked += 1
 
 

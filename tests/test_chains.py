@@ -7,7 +7,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from operadix import chains
-from operadix.chains import ChainComplex, InvalidComplex, LinComb
+from operadix.chains import ChainComplex, InvalidComplex, LinComb, bilinear, linear
 
 
 class TestLinComb:
@@ -21,6 +21,22 @@ class TestLinComb:
     def test_repeated_keys_accumulate(self):
         v = LinComb([("a", 1), ("a", 2)])
         assert dict(v) == {"a": 3}
+
+    def test_cancelled_term_reenters_at_the_end(self):
+        v = LinComb([("a", 1), ("b", 1), ("a", -1), ("c", 2), ("a", 4)])
+        assert list(v) == [("b", 1), ("c", 2), ("a", 4)]
+        assert list(LinComb({"x": 1, "y": 0, "z": -3})) == [("x", 1), ("z", -3)]
+
+    def test_linear_and_bilinear(self):
+        table = {"a": LinComb({"x": 1, "y": 2}), "b": LinComb.unit("y", -2)}
+        v = LinComb({"a": 3, "b": 1, "missing": 5})
+        assert linear(table, v) == LinComb({"x": 3, "y": 4})
+        assert linear(table, LinComb.unit("missing")) == LinComb()
+        product = {("a", "b"): LinComb.unit("ab"), ("b", "b"): LinComb.unit("bb", 2)}
+        u = LinComb({"a": 2, "b": -1})
+        w = LinComb({"b": 3, "c": 7})
+        assert bilinear(product, u, w) == LinComb({"ab": 6, "bb": -6})
+        assert bilinear(product, w, u) == LinComb({"bb": -6})
 
 
 class TestSmithNormalForm:
@@ -43,6 +59,10 @@ class TestSmithNormalForm:
                 abs(ref[i, i]) for i in range(min(rows, cols)) if ref[i, i]
             ]
             assert ours == theirs
+
+    def test_mat_mul_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            chains.mat_mul([[1, 2]], [[1], [2], [3]])
 
     def test_transforms_are_unimodular(self):
         rng = random.Random(1)

@@ -10,6 +10,7 @@ from operadix.chains import LinComb, homology
 from operadix.cobar import (
     Bialgebra,
     CobarTot,
+    ComoduleAlgebra,
     DGCoalgebra,
     DGComodule,
     NotOneReduced,
@@ -186,6 +187,32 @@ class TestBialgebraLayer:
         group_bialgebra(Z2).validate()
         dual_group_bialgebra(Z2).validate()
         group_bialgebra(FiniteMonoid.cyclic(3)).validate()
+
+    def test_incomplete_tables_rejected(self):
+        B = group_bialgebra(Z2)
+        product = dict(B.product)
+        del product[("1", "0")]
+        with pytest.raises(ValueError, match=r"product table .*\('1', '0'\)"):
+            Bialgebra(B.basis, B.unit, product, B.coproduct, B.counit)
+        coproduct = dict(B.coproduct)
+        del coproduct["1"]
+        with pytest.raises(ValueError, match="coproduct table .*'1'"):
+            Bialgebra(B.basis, B.unit, B.product, coproduct, B.counit)
+        # an entry removed after construction is still caught by validate
+        del B.product[("0", "1")]
+        with pytest.raises(ValueError, match=r"product table .*\('0', '1'\)"):
+            B.validate()
+
+    def test_incomplete_comodule_tables_rejected(self):
+        C = diagonal_comodule(group_bialgebra(Z2))
+        product = dict(C.product)
+        del product[("1", "1")]
+        with pytest.raises(ValueError, match=r"product table .*\('1', '1'\)"):
+            ComoduleAlgebra(C.bialgebra, C.basis, C.unit, product, C.coaction)
+        coaction = dict(C.coaction)
+        del coaction["0"]
+        with pytest.raises(ValueError, match="coaction table .*'0'"):
+            ComoduleAlgebra(C.bialgebra, C.basis, C.unit, C.product, coaction)
 
     def test_unreduced_cobar_d_squared(self):
         B = group_bialgebra(Z2)

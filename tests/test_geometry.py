@@ -112,14 +112,7 @@ class TestScCompose:
                 geometry.cell_index(y),
                 geometry.cell_index(z),
             )
-            betas = []
-            for v in range(1, ax.n + 1):
-                if v == i:
-                    betas.append(ay)
-                else:
-                    oo = ax.vertex_open[v - 1]
-                    betas.append(graphs.GraphElement((oo,), {}, oo))
-            assert graphs.leq(az, graphs.compose(ax, betas))
+            assert graphs.leq(az, graphs.compose_at(ax, i, ay))
             checked += 1
 
 

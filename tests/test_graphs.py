@@ -6,19 +6,7 @@ import pytest
 
 from operadix import graphs, strings
 
-from util import by_output, small_strings
-
-
-def graph_compose_at(alpha, i, beta):
-    """Substitute beta into vertex i, singleton graphs elsewhere."""
-    betas = []
-    for v in range(1, alpha.n + 1):
-        if v == i:
-            betas.append(beta)
-        else:
-            out_open = alpha.vertex_open[v - 1]
-            betas.append(graphs.GraphElement((out_open,), {}, out_open))
-    return graphs.compose(alpha, betas)
+from operadix.strings import by_output, small_strings
 
 
 class TestEnumerate:
@@ -97,7 +85,7 @@ class TestQ:
             fg = strings.compose(f, i, g)
             if not (strings.arity(fg) and strings.arity(f) and strings.arity(g)):
                 continue
-            composed = graph_compose_at(graphs.q(f), i, graphs.q(g))
+            composed = graphs.compose_at(graphs.q(f), i, graphs.q(g))
             assert graphs.leq(graphs.q(fg), composed)
             checked += 1
 

@@ -52,6 +52,16 @@ class TestCosimplicial:
         omega(Z2, Z2.elements).check_identities(3)
         omega(Z3, (0,)).check_identities(3)
 
+    def test_broken_coface_reported_with_witness(self):
+        class Broken(loops.CosimplicialAbGroup):
+            def coface(self, i, elem):
+                xs, y = super().coface(i, elem)
+                return (xs, y) if i else (xs[::-1], y)
+
+        witness = r"coface identity fails at \(0, 1, \(\(1,\), 0\)\)"
+        with pytest.raises(ValueError, match=witness):
+            Broken(Z3, (0,)).check_identities(3)
+
     def test_submonoid_enforced(self):
         with pytest.raises(ValueError):
             omega(Z3, (0, 1))

@@ -2,11 +2,14 @@
 
 import pytest
 
+from itertools import combinations_with_replacement
+
 from operadix import strings
 from operadix.strings import (
     BAR,
     Colour,
     ColourMismatch,
+    MonotoneMap,
     StringError,
     UnknownToken,
 )
@@ -123,6 +126,42 @@ class TestFiltration:
             assert strings.in_filtration(x, 2, "standard") == strings.in_filtration(
                 x, 2, "primed-variant"
             )
+
+
+OPENNESS_PAIRS = [(False, False), (False, True), (True, True)]
+
+
+class TestJoyalDuality:
+    def test_maps_round_trip(self):
+        cases = 0
+        for n in range(5):
+            for m in range(5):
+                for values in combinations_with_replacement(range(m + 1), n + 1):
+                    psi = MonotoneMap(n, m, values)
+                    for input_open, output_open in OPENNESS_PAIRS:
+                        x = strings.joyal_to_string(psi, input_open, output_open)
+                        assert strings.colours(x) == (
+                            (Colour(n, input_open),),
+                            Colour(m, output_open),
+                        )
+                        assert strings.string_to_joyal(x) == psi
+                        cases += 1
+        assert cases == 1368
+
+    def test_strings_round_trip(self):
+        cases = 0
+        for k in range(5):
+            for bars in range(5):
+                for input_open, output_open in OPENNESS_PAIRS:
+                    for x in strings.enumerate_strings(
+                        [Colour(k, input_open)], Colour(bars, output_open), 2
+                    ):
+                        psi = strings.string_to_joyal(x)
+                        assert (psi.n, psi.m) == (k, bars)
+                        back = strings.joyal_to_string(psi, input_open, output_open)
+                        assert back == x
+                        cases += 1
+        assert cases == 1368
 
 
 class TestEnumerate:

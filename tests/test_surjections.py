@@ -9,13 +9,6 @@ from operadix.chains import LinComb
 from operadix.surjections import BarredClass, Surjection
 
 
-def diff_lin(v: LinComb) -> LinComb:
-    out = LinComb()
-    for b, c in v:
-        out = out + c * surjections.differential(b)
-    return out
-
-
 ALL_COMPONENTS = [
     ([False], False),
     ([False], True),
@@ -55,7 +48,8 @@ class TestBasis:
 class TestDifferential:
     def test_squares_to_zero_exhaustively(self):
         for s in full_basis():
-            assert not diff_lin(surjections.differential(s))
+            ds = surjections.differential(s)
+            assert not surjections.linear_differential(ds)
 
     def test_worked_values_frozen(self):
         # only nondegenerate occurrence deletions survive
@@ -111,7 +105,7 @@ class TestRsCompose:
             if not gs:
                 continue
             g = rng.choice(gs)
-            lhs = diff_lin(surjections.rs_compose(f, i, g))
+            lhs = surjections.linear_differential(surjections.rs_compose(f, i, g))
             rhs = surjections._compose_linear(
                 surjections.differential(f), i, LinComb.unit(g)
             ) + ((-1) ** (f.degree % 2)) * surjections._compose_linear(

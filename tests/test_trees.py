@@ -5,7 +5,7 @@ import pytest
 from operadix import strings, trees
 from operadix.strings import Colour
 
-from util import small_strings
+from operadix.strings import small_strings
 
 
 def test_round_trip_exhaustive_small():
