@@ -18,6 +18,7 @@ __all__ = [
     "bilinear",
     "ChainComplex",
     "InvalidComplex",
+    "build_complex",
     "smith_normal_form",
     "homology",
     "mat_mul",
@@ -163,6 +164,30 @@ class ChainComplex:
 
     def degrees(self) -> list[int]:
         return sorted(self.bases)
+
+
+def build_complex(bases: dict[int, list], image) -> ChainComplex:
+    """The chain complex on ``bases`` whose boundary sends a basis element
+    ``e`` of degree d to the combination ``image(e)`` of degree-(d-1) basis
+    elements; ``boundary[d]`` is filled wherever degrees d and d-1 are both
+    present."""
+    boundary = {}
+    for d, elems in bases.items():
+        if d - 1 not in bases:
+            continue
+        lower = bases[d - 1]
+        index = {e: r for r, e in enumerate(lower)}
+        mat = [[0] * len(elems) for _ in lower]
+        for col, e in enumerate(elems):
+            for t, c in image(e):
+                row = index.get(t)
+                if row is None:
+                    raise ValueError(
+                        f"boundary of {e!r} has the term {t!r} outside degree {d - 1}"
+                    )
+                mat[row][col] += c
+        boundary[d] = mat
+    return ChainComplex(bases, boundary)
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

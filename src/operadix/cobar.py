@@ -27,9 +27,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
-from .chains import ChainComplex, LinComb, _expand_terms, bilinear, linear
+from .chains import (
+    ChainComplex,
+    LinComb,
+    _expand_terms,
+    bilinear,
+    build_complex,
+    linear,
+)
 
 __all__ = [
     "NotOneReduced",
@@ -49,6 +56,7 @@ __all__ = [
     "dg_map_check",
     "Bialgebra",
     "ComoduleAlgebra",
+    "monoid_bialgebra",
     "group_bialgebra",
     "diagonal_comodule",
     "unreduced_cobar",
@@ -337,18 +345,7 @@ class CobarObject:
 
     def chain_complex(self) -> ChainComplex:
         bases = {d: self.words(d) for d in range(self.truncation + 1)}
-        bases = {d: b for d, b in bases.items() if b}
-        boundary = {}
-        for d, elems in bases.items():
-            if d - 1 not in bases:
-                continue
-            index = {e: r for r, e in enumerate(bases[d - 1])}
-            mat = [[0] * len(elems) for _ in bases[d - 1]]
-            for col, e in enumerate(elems):
-                for img, coeff in self._diff_basis(e):
-                    mat[index[img]][col] += coeff
-            boundary[d] = mat
-        return ChainComplex(bases, boundary)
+        return build_complex({d: b for d, b in bases.items() if b}, self._diff_basis)
 
 
 def cobar(C: DGCoalgebra, truncation: int = 5) -> CobarObject:
@@ -632,21 +629,26 @@ class ComoduleAlgebra:
         return linear(self.coaction, v)
 
 
-def group_bialgebra(M) -> Bialgebra:
-    """The monoid algebra with grouplike coproduct, from a FiniteMonoid."""
-    names = tuple(str(g) for g in M.elements)
-    lookup = {g: str(g) for g in M.elements}
+def monoid_bialgebra(M, name) -> Bialgebra:
+    """The monoid algebra of a FiniteMonoid with grouplike coproduct; the
+    element g is the basis element ``name(g)``."""
+    n = {g: name(g) for g in M.elements}
+    names = tuple(n.values())
     return Bialgebra(
         names,
-        lookup[M.unit],
+        n[M.unit],
         {
-            (lookup[a], lookup[b]): LinComb.unit(lookup[M.mul(a, b)])
-            for a in M.elements
-            for b in M.elements
+            (n[a], n[b]): LinComb.unit(n[M.mul(a, b)])
+            for a, b in product(M.elements, repeat=2)
         },
-        {lookup[a]: LinComb.unit((lookup[a], lookup[a])) for a in M.elements},
-        {lookup[a]: 1 for a in M.elements},
+        {x: LinComb.unit((x, x)) for x in names},
+        dict.fromkeys(names, 1),
     )
+
+
+def group_bialgebra(M) -> Bialgebra:
+    """The monoid algebra with grouplike coproduct, basis named by str."""
+    return monoid_bialgebra(M, str)
 
 
 def diagonal_comodule(B: Bialgebra) -> ComoduleAlgebra:
@@ -656,52 +658,57 @@ def diagonal_comodule(B: Bialgebra) -> ComoduleAlgebra:
     )
 
 
-def _tensor_mul(B: Bialgebra, u: LinComb, v: LinComb) -> LinComb:
-    """Componentwise product of combinations of equal-length name tuples."""
-    return LinComb(
-        (combo, ca * cb * coeff)
-        for a, ca in u
-        for b, cb in v
-        for combo, coeff in _expand_terms(
-            [B.mul(LinComb.unit(x), LinComb.unit(y)) for x, y in zip(a, b)]
-        )
-    )
+def _mul_terms(table: dict, a: tuple, b: tuple) -> list:
+    """Componentwise product of two equal-length name tuples as (tuple,
+    coefficient) pairs, read from a complete product table."""
+    return _expand_terms([table[(x, y)] for x, y in zip(a, b)])
 
 
-def iterated_coproduct(B: Bialgebra, name, k: int) -> LinComb:
-    """The k-fold Sweedler expansion of a basis element as a combination of
-    k-tuples (k = 0 gives the counit as a scalar on the empty tuple)."""
+def _iterate(table: dict, name, k: int) -> list:
+    """Apply a coproduct or coaction table k times, each time to the last
+    component: ((split-off k-tuple, last name), coefficient) pairs."""
+    terms = [((), name, 1)]
+    for _ in range(k):
+        terms = [
+            (done + (x,), y, c * c2)
+            for done, last, c in terms
+            for (x, y), c2 in table[last]
+        ]
+    return [((done, last), c) for done, last, c in terms]
+
+
+def _iterated_coproduct(B: Bialgebra, name, k: int) -> list:
+    """The k-fold Sweedler expansion of a basis element as (k-tuple,
+    coefficient) pairs (k = 0 gives the counit on the empty tuple)."""
     if k == 0:
-        return LinComb.unit((), B.counit.get(name, 0))
-    if k == 1:
-        return LinComb.unit((name,))
-    return LinComb(
-        ((x,) + rest, c * c2)
-        for (x, y), c in B.coproduct[name]
-        for rest, c2 in iterated_coproduct(B, y, k - 1)
-    )
+        return [((), B.counit.get(name, 0))]
+    split = _iterate(B.coproduct, name, k - 1)
+    return [(done + (last,), c) for (done, last), c in split]
+
+
+def _left_terms(B: Bialgebra, a_name, t: tuple) -> list:
+    """a <| t, the diagonal left multiplication of one tuple, as (tuple,
+    coefficient) pairs."""
+    return [
+        (s, cx * cs)
+        for xs, cx in _iterated_coproduct(B, a_name, len(t))
+        for s, cs in _mul_terms(B.product, xs, t)
+    ]
+
+
+def _right_terms(B: Bialgebra, t: tuple, b_name) -> list:
+    """t |> b, the diagonal right multiplication of one tuple, as (tuple,
+    coefficient) pairs."""
+    return [
+        (s, cx * cs)
+        for xs, cx in _iterated_coproduct(B, b_name, len(t))
+        for s, cs in _mul_terms(B.product, t, xs)
+    ]
 
 
 def left_translate_B(B: Bialgebra, a_name, g: LinComb) -> LinComb:
     """a <| (b_1 ... b_l): diagonal left multiplication."""
-    return LinComb(
-        (s, c * cs)
-        for t, c in g
-        for s, cs in _tensor_mul(
-            B, iterated_coproduct(B, a_name, len(t)), LinComb.unit(t)
-        )
-    )
-
-
-def right_translate_B(B: Bialgebra, g: LinComb, b_name) -> LinComb:
-    """(b_1 ... b_l) |> b: diagonal right multiplication."""
-    return LinComb(
-        (s, c * cs)
-        for t, c in g
-        for s, cs in _tensor_mul(
-            B, LinComb.unit(t), iterated_coproduct(B, b_name, len(t))
-        )
-    )
+    return LinComb((s, c * cs) for t, c in g for s, cs in _left_terms(B, a_name, t))
 
 
 def mb_compose(B: Bialgebra, a: LinComb, i: int, b: LinComb) -> LinComb:
@@ -734,68 +741,48 @@ def lambda_prime_B(
     """Wide left action: arguments fill the selected slots, coaction
     components of their coefficients fill the later slots, and the final
     coaction components multiply onto the output coefficient."""
-    s = len(beta)
-    if len(args) != s:
+    if len(args) != len(beta):
         raise ValueError("one argument per selected slot")
-
-    def terms():
-        for tf, cf in f:
-            k = len(tf)
-            if list(beta) != sorted(set(beta)) or any(not 1 <= b <= k for b in beta):
-                raise ValueError("selector must be strictly increasing within 1..k")
-            # expand each argument and the iterated coactions of its
-            # coefficient; k - b later slots receive a component
-            spreads = [
-                _coaction_spread(B, C, args[t], k - b) for t, b in enumerate(beta)
-            ]
-            for combo, coeff in _expand_terms(spreads):
-                # combo[t] = (g tuple, [z components], final coefficient name)
-                fill = []
-                for p in range(1, k + 1):
-                    sel = [t for t, b in enumerate(beta) if b == p]
-                    if sel:
-                        entry = LinComb.unit(combo[sel[0]][0])
-                    else:
-                        entry = LinComb.unit((B.unit,))
-                    for t, b in enumerate(beta):
-                        if b < p:
-                            z = combo[t][1][p - b - 1]
-                            entry = right_translate_B(B, entry, z)
-                    fill.append(entry)
-                blocks = [left_translate_B(B, a, entry) for a, entry in zip(tf, fill)]
-                # coefficient: c_s^{(...)} ... c_1^{(...)} multiplied in C
-                cprod = reduce(
-                    C.mul,
-                    (LinComb.unit(combo[t][2]) for t in range(s - 1, -1, -1)),
-                    LinComb.unit(C.unit),
-                )
-                for body, cb in _expand_terms(blocks):
-                    for cn, cc in cprod:
-                        yield (sum(body, ()), cn), cf * coeff * cb * cc
-
-    return LinComb(terms())
-
-
-def _coaction_spread(B: Bialgebra, C: ComoduleAlgebra, arg: LinComb, spread: int):
-    """Expand (g; c) into (g tuple, z components, final coefficient) terms:
-    the iterated coaction of c yields ``spread`` bialgebra components and a
-    final comodule component."""
-    return [
-        ((g, zc, ctail), coeff * c2)
-        for (g, cname), coeff in arg
-        for (zc, ctail), c2 in _iterated_coaction(B, C, cname, spread)
-    ]
-
-
-def _iterated_coaction(B: Bialgebra, C: ComoduleAlgebra, cname, k: int) -> LinComb:
-    """(nabla_B^{(k-1)} ox id) nabla_C as combinations of (k-tuple, name)."""
-    if k == 0:
-        return LinComb.unit(((), cname))
     return LinComb(
-        (((z,) + zs, tail), c * cc)
-        for (z, c2), c in C.coaction[cname]
-        for (zs, tail), cc in _iterated_coaction(B, C, c2, k - 1)
+        (e, cf * cu * ce)
+        for tf, cf in f
+        for us, cu in _expand_terms(args)
+        for e, ce in _wide_terms(B, C, beta, tf, us)
     )
+
+
+def _wide_terms(B: Bialgebra, C: ComoduleAlgebra, beta, tf: tuple, us: tuple):
+    """The wide left action on basis elements: ``tf`` a name tuple, ``us``
+    one (tuple, coefficient name) argument per selected slot; yields
+    (element, coefficient) pairs."""
+    k = len(tf)
+    if list(beta) != sorted(set(beta)) or any(not 1 <= b <= k for b in beta):
+        raise ValueError("selector must be strictly increasing within 1..k")
+    # (nabla_B^{(k-b-1)} ox id) nabla_C of each argument coefficient: the
+    # k - b later slots receive a component, the last is the coefficient
+    spreads = [_iterate(C.coaction, cname, k - b) for (_, cname), b in zip(us, beta)]
+    slot = {b: t for t, b in enumerate(beta)}
+    for combo, coeff in _expand_terms(spreads):
+        # combo[t] = (z components, final coefficient name) of argument t
+        blocks = []
+        for p, a in enumerate(tf, start=1):
+            entry = [(us[slot[p]][0] if p in slot else (B.unit,), 1)]
+            for t, b in enumerate(beta):
+                if b < p:
+                    z = combo[t][0][p - b - 1]
+                    entry = [
+                        (s, c * cs) for e, c in entry for s, cs in _right_terms(B, e, z)
+                    ]
+            blocks.append(
+                [(s, c * cs) for e, c in entry for s, cs in _left_terms(B, a, e)]
+            )
+        # coefficient: c_s^{(...)} ... c_1^{(...)} multiplied in C
+        cprod = [(C.unit, 1)]
+        for _, tail in reversed(combo):
+            cprod = [(n, c * cn) for m, c in cprod for n, cn in C.product[(m, tail)]]
+        for body, cb in _expand_terms(blocks):
+            for cn, cc in cprod:
+                yield (sum(body, ()), cn), coeff * cb * cc
 
 
 def lambda_i_B(B: Bialgebra, C: ComoduleAlgebra, f: LinComb, i: int, u: LinComb) -> LinComb:
@@ -931,29 +918,23 @@ class CobarTot:
         by_len: dict[int, list] = {}
         for b, c in v:
             by_len.setdefault(len(self._split(b)[0]), []).append((b, c))
-        pieces = (
-            reduce(
-                lambda piece, i: piece - self.coface(i, self.codegeneracy(i, piece)),
-                range(k - 1, -1, -1),
-                LinComb(terms),
-            )
-            for k, terms in by_len.items()
-        )
-        return LinComb(term for piece in pieces for term in piece)
+        out = []
+        for k, terms in by_len.items():
+            piece = LinComb(terms)
+            for i in range(k - 1, -1, -1):
+                degenerate = (
+                    (t, -c * ct)
+                    for s, c in self.codegeneracy(i, piece)
+                    for t, ct in self._coface_basis(i, s)
+                )
+                piece = LinComb(chain(piece, degenerate))
+            out.extend(piece)
+        return LinComb(out)
 
     def chain_complex(self) -> ChainComplex:
         """The full truncated complex with negated degrees."""
         bases = {-k: self.basis(k) for k in range(self.truncation + 1)}
-        boundary = {}
-        for k in range(1, self.truncation + 1):
-            lower, upper = bases[-(k - 1)], bases[-k]
-            index = {e: r for r, e in enumerate(upper)}
-            mat = [[0] * len(lower) for _ in upper]
-            for col, e in enumerate(lower):
-                for img, c in self.differential(LinComb.unit(e)):
-                    mat[index[img]][col] += c
-            boundary[-(k - 1)] = mat
-        return ChainComplex(bases, boundary)
+        return build_complex(bases, lambda e: self.differential(LinComb.unit(e)))
 
 
 def cup_cobar(tot: CobarTot, f: LinComb, g: LinComb) -> LinComb:
@@ -984,8 +965,8 @@ def mu_prime_o(tot: CobarTot, u: LinComb, v: LinComb) -> LinComb:
         for (wa, ca_name), cu in u
         for (wb, cb_name), cv in v
         for (z, c2), cz in C.coaction[ca_name]
-        for wt, ct in right_translate_B(B, LinComb.unit(wb), z)
-        for cn, cc in C.mul(LinComb.unit(cb_name), LinComb.unit(c2))
+        for wt, ct in _right_terms(B, wb, z)
+        for cn, cc in C.product[(cb_name, c2)]
     )
     return tot.conormal_project(tot.truncate(out))
 
@@ -1009,12 +990,13 @@ def e_prime_1k(tot: CobarTot, f: LinComb, gs: list[LinComb]) -> LinComb:
         raise ValueError("the closed insertion sum lives on the closed part")
     B = tot.B
 
-    def insert(a, positions, term) -> LinComb:
-        fills = [LinComb.unit((B.unit,))] * len(a)
+    def insert(a, positions, term):
+        fills = [(B.unit,)] * len(a)
         for p, b in zip(positions, term):
-            fills[p - 1] = LinComb.unit(b)
+            fills[p - 1] = b
         sign = _insertion_sign(positions, [len(b) for b in term], len(a))
-        return sign * gamma_B(B, LinComb.unit(a), fills)
+        blocks = [_left_terms(B, x, t) for x, t in zip(a, fills)]
+        return ((sum(body, ()), sign * c) for body, c in _expand_terms(blocks))
 
     out = LinComb(
         (t, cf * csign * ct)
@@ -1035,10 +1017,9 @@ def e_prime_j(tot: CobarTot, f: LinComb, hs: list[LinComb]) -> LinComb:
         raise ValueError("the open insertion sum lives on the relative part")
     B, C = tot.B, tot.C
 
-    def insert(a, positions, term) -> LinComb:
-        args = [LinComb.unit(b) for b in term]
+    def insert(a, positions, term):
         sign = _insertion_sign(positions, [len(b[0]) for b in term], len(a))
-        return sign * lambda_prime_B(B, C, positions, LinComb.unit(a), args)
+        return ((e, sign * c) for e, c in _wide_terms(B, C, positions, a, term))
 
     out = LinComb(
         (t, cf * csign * ct)

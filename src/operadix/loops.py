@@ -2,12 +2,14 @@
 
 For monoids N <= M the cosimplicial abelian group has level-k basis
 M^k x N; cofaces insert the unit, duplicate a coordinate, or duplicate via
-the endpoint, and codegeneracies delete a coordinate.  The truncated
-totalization uses the conormalized basis (first coordinate not the unit, no
-adjacent equal coordinates) with the alternating coface differential.  On
-top of it live the loop-space operations: concatenation products on the
-closed and open parts, the inclusion, the commutator homotopy, and the
-higher unit-insertion operations.
+the endpoint, and codegeneracies delete a coordinate.  Its truncated
+totalization is ``CobarTot`` over the monoid bialgebra Z[M]: the closed part
+is the unreduced cobar totalization, the open part the relative one with
+coefficients Z[N] and coaction y -> y (x) y.  This module adds the
+conormalized basis with its quotient complex, names the cobar operations by
+their loop-space roles (concatenation products, inclusion, commutator
+homotopy, unit-insertion sums), and keeps the tuple-level structure they
+are checked against.
 
 Sign conventions (verified mechanically on exhaustive small-monoid bases,
 uniquely pinned over Z/3): the homotopy term at slot i carries
@@ -19,11 +21,19 @@ d(H(f,u)) + H(df,u) + (-1)^{|f|} H(f,du)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, product
+from itertools import product
 
-from .chains import ChainComplex, LinComb, _expand_terms, homology
-from .cobar import _insertion_sign
+from .chains import ChainComplex, LinComb, build_complex, homology
+from .cobar import (
+    ComoduleAlgebra,
+    CobarTot,
+    cup_cobar,
+    e_prime_1k,
+    e_prime_j,
+    inc_cobar,
+    monoid_bialgebra,
+    mu_prime_o,
+)
 
 __all__ = [
     "FiniteMonoid",
@@ -105,11 +115,7 @@ class CosimplicialAbGroup:
 
     def level(self, k: int) -> list:
         """Basis of level k: (coordinates, endpoint) pairs."""
-        out = []
-        for xs in product(self.M.elements, repeat=k):
-            for y in self.N:
-                out.append((xs, y))
-        return out
+        return [(xs, y) for xs in product(self.M.elements, repeat=k) for y in self.N]
 
     def coface(self, i: int, elem):
         xs, y = elem
@@ -242,26 +248,31 @@ def rho(M: FiniteMonoid, u, gs):
 # truncated totalizations
 
 
-@dataclass
-class TotComplex:
-    """Truncated conormalized totalization of the closed or open part.
+class TotComplex(CobarTot):
+    """``CobarTot`` over the monoid bialgebra Z[M], whose basis names are
+    the elements themselves; the open part has coefficients in Z[N].
 
     ``kind`` is "closed" (basis: coordinate tuples) or "open" (basis:
-    (coordinates, endpoint) pairs).  The cochain degree is the level; the
-    differential is the alternating coface sum, which on the conormalized
-    basis reduces to the signed endpoint-append.
+    (coordinates, endpoint) pairs).  The cochain degree is the level;
+    ``basis`` lists the conormalized tuples (first coordinate not the unit,
+    no adjacent equal coordinates), on which the differential reduces to the
+    signed endpoint-append.
     """
 
-    M: FiniteMonoid
-    N: tuple
-    truncation: int = 4
-    kind: str = "open"
-
-    def __post_init__(self):
-        self.N = self.M.check_submonoid(self.N)
-        if self.kind not in ("closed", "open"):
+    def __init__(self, M: FiniteMonoid, N, truncation: int = 4, kind: str = "open"):
+        self.M, self.N, self.kind = M, M.check_submonoid(N), kind
+        if kind not in ("closed", "open"):
             raise ValueError("kind is 'closed' or 'open'")
-        self._omega = CosimplicialAbGroup(self.M, self.N)
+        B = monoid_bialgebra(M, lambda g: g)
+        C = None
+        if kind == "open":
+            ZN = monoid_bialgebra(FiniteMonoid(self.N, M.unit, M.table), lambda g: g)
+            C = ComoduleAlgebra(B, ZN.basis, ZN.unit, ZN.product, ZN.coproduct)
+        super().__init__(B, C, truncation)
+
+    # perfbench's tracer wraps these by name in this class's own namespace
+    differential = CobarTot.differential
+    conormal_project = CobarTot.conormal_project
 
     def _normal(self, xs) -> bool:
         if xs and xs[0] == self.M.unit:
@@ -272,24 +283,11 @@ class TotComplex:
         if degree < 0 or degree > self.truncation:
             return []
         tuples = [
-            xs
-            for xs in product(self.M.elements, repeat=degree)
-            if self._normal(xs)
+            xs for xs in product(self.M.elements, repeat=degree) if self._normal(xs)
         ]
         if self.kind == "closed":
             return tuples
         return [(xs, y) for xs in tuples for y in self.N]
-
-    def _split(self, b):
-        return (b, self.M.unit) if self.kind == "closed" else b
-
-    def _join(self, xs, y):
-        return xs if self.kind == "closed" else (xs, y)
-
-    def truncate(self, v: LinComb) -> LinComb:
-        return LinComb(
-            (b, c) for b, c in v if len(self._split(b)[0]) <= self.truncation
-        )
 
     def degree_of(self, v: LinComb):
         degs = {len(self._split(b)[0]) for b, _ in v}
@@ -297,77 +295,19 @@ class TotComplex:
             raise ValueError("inhomogeneous combination")
         return degs.pop() if degs else None
 
-    def differential(self, v: LinComb) -> LinComb:
-        """Full alternating coface sum on raw combinations."""
-        raw = ((self._split(b), c) for b, c in v)
-        out = LinComb(
-            (self._join(*self._omega.coface(i, e)), (-1) ** (i % 2) * c)
-            for e, c in raw
-            for i in range(len(e[0]) + 2)
-        )
-        return self.truncate(out)
-
-    def conormal_project(self, v: LinComb) -> LinComb:
-        """Project onto the intersection of codegeneracy kernels along the
-        span of the non-final coface images (the summand the totalization
-        Hom-complex selects)."""
-        pieces = (
-            reduce(
-                lambda piece, i: piece - piece.map_basis(lambda e: self._dup(i, e)),
-                range(len(self._split(b)[0]) - 1, -1, -1),
-                LinComb.unit(b, c),
-            )
-            for b, c in v
-        )
-        return LinComb(term for piece in pieces for term in piece)
-
-    def _dup(self, i: int, b):
-        """d^i s^i on a raw basis element: replace x_{i+1} by x_i (or the
-        unit for i = 0)."""
-        xs, y = self._split(b)
-        value = self.M.unit if i == 0 else xs[i - 1]
-        return self._join(xs[:i] + (value,) + xs[i + 1 :], y)
-
-    def unnormalized_complex(self) -> ChainComplex:
-        """The full (non-quotiented) truncated complex, for cross-checks.
-
-        Degrees are negated so that the coface differential lowers the
-        chain degree as the chain machinery expects.
-        """
-        om = self._omega
-
-        def levels(k):
-            if self.kind == "closed":
-                return [(xs, self.M.unit) for xs in product(self.M.elements, repeat=k)]
-            return om.level(k)
-
-        bases = {-(k): levels(k) for k in range(self.truncation + 1)}
-        boundary = {}
-        for k in range(1, self.truncation + 1):
-            lower, upper = levels(k - 1), levels(k)
-            index = {e: r for r, e in enumerate(upper)}
-            mat = [[0] * len(lower) for _ in upper]
-            for col, e in enumerate(lower):
-                for i in range(k + 1):
-                    img = om.coface(i, e)
-                    mat[index[img]][col] += (-1) ** (i % 2)
-            boundary[-(k - 1)] = mat
-        return ChainComplex(bases, boundary)
-
     def chain_complex(self) -> ChainComplex:
-        """The conormalized truncated complex with negated degrees."""
-        bases = {-(k): self.basis(k) for k in range(self.truncation + 1)}
-        boundary = {}
-        for k in range(1, self.truncation + 1):
-            lower, upper = bases[-(k - 1)], bases[-k]
-            index = {e: r for r, e in enumerate(upper)}
-            mat = [[0] * len(lower) for _ in upper]
-            for col, e in enumerate(lower):
-                for img, coeff in self.differential(LinComb.unit(e)):
-                    if img in index:  # degenerate images vanish in the quotient
-                        mat[index[img]][col] += coeff
-            boundary[-(k - 1)] = mat
-        return ChainComplex(bases, boundary)
+        """The conormalized truncated complex with negated degrees: the
+        quotient by the degenerate tuples, whose images are dropped."""
+
+        def image(e) -> LinComb:
+            return LinComb(
+                (b, c)
+                for b, c in self.differential(LinComb.unit(e))
+                if self._normal(self._split(b)[0])
+            )
+
+        bases = {-k: self.basis(k) for k in range(self.truncation + 1)}
+        return build_complex(bases, image)
 
     def homology(self) -> dict[int, tuple[int, list[int]]]:
         """Cohomology per level, reliable strictly inside the window."""
@@ -376,87 +316,16 @@ class TotComplex:
 
 
 # ---------------------------------------------------------------------------
-# operations on the totalizations
+# operations on the totalizations: the cobar operations over Z[M]
 
-
-def _pairs(u: LinComb, v: LinComb):
-    for a, ca in u:
-        for b, cb in v:
-            yield a, b, ca * cb
-
-
-def cup(tot: TotComplex, f: LinComb, g: LinComb) -> LinComb:
-    """Concatenation product on the closed part: (mu o_2 g) o_1 f."""
-    out = LinComb((a + b, c) for a, b, c in _pairs(f, g))
-    return tot.conormal_project(tot.truncate(out))
-
-
-def sqcup(tot: TotComplex, u: LinComb, v: LinComb) -> LinComb:
-    """Concatenation product on the open part: (f, g |> m; nm)."""
-    M = tot.M
-    out = LinComb(
-        ((a + right_translate(M, b, m), M.mul(n, m)), c)
-        for (a, m), (b, n), c in _pairs(u, v)
-    )
-    return tot.conormal_project(tot.truncate(out))
-
-
-def inc_tot(tot: TotComplex, f: LinComb) -> LinComb:
-    """The inclusion of the closed part: f -> (f; 1)."""
-    out = LinComb(((a, tot.M.unit), c) for a, c in f)
-    return tot.conormal_project(tot.truncate(out))
+cup, sqcup, inc_tot = cup_cobar, mu_prime_o, inc_cobar
+act_Tk, act_Tj = e_prime_1k, e_prime_j
 
 
 def homotopy_H(tot: TotComplex, f: LinComb, u: LinComb) -> LinComb:
-    """The commutator homotopy: signed unit-insertion sum.
+    """The commutator homotopy: the one-argument open insertion sum.
 
     d(H(f,u)) + H(df,u) + (-1)^{|f|} H(f,du)
     = inc(f) |_| u - (-1)^{|f||u|} u |_| inc(f).
     """
-    M = tot.M
-    out = LinComb(
-        (
-            varsigma_i(M, a, i, (b, n)),
-            (-1) ** ((i + i * len(b) + len(a) * len(b)) % 2) * c,
-        )
-        for a, (b, n), c in _pairs(f, u)
-        for i in range(1, len(a) + 1)
-    )
-    return tot.conormal_project(tot.truncate(out))
-
-
-def act_Tk(tot: TotComplex, f: LinComb, gs: list[LinComb]) -> LinComb:
-    """Unit-insertion sum placing closed arguments between coordinates of f."""
-    M = tot.M
-
-    def insert(a, combo, term):
-        fill = [(M.unit,)] * len(a)
-        for p, b in zip(combo, term):
-            fill[p - 1] = b
-        return gamma(M, a, fill)
-
-    out = LinComb(
-        (
-            insert(a, combo, term),
-            _insertion_sign(combo, [len(b) for b in term], len(a)) * cf * csign,
-        )
-        for a, cf in f
-        for combo in combinations(range(1, len(a) + 1), len(gs))
-        for term, csign in _expand_terms(gs)
-    )
-    return tot.conormal_project(tot.truncate(out))
-
-
-def act_Tj(tot: TotComplex, f: LinComb, hs: list[LinComb]) -> LinComb:
-    """Unit-insertion sum placing open arguments, endpoints accumulated."""
-    M = tot.M
-    out = LinComb(
-        (
-            varsigma_prime(M, combo, a, list(term)),
-            _insertion_sign(combo, [len(b[0]) for b in term], len(a)) * cf * csign,
-        )
-        for a, cf in f
-        for combo in combinations(range(1, len(a) + 1), len(hs))
-        for term, csign in _expand_terms(hs)
-    )
-    return tot.conormal_project(tot.truncate(out))
+    return e_prime_j(tot, f, [u])

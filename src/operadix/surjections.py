@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .chains import ChainComplex, LinComb, homology
+from .chains import ChainComplex, LinComb, build_complex, homology
 from .strings import (
     BAR,
     Colour,
@@ -447,23 +447,10 @@ def component_complex(
     input_open, output_open: bool, m: int, variant: str = "standard"
 ) -> ChainComplex:
     """The finite chain complex of one component, differential included."""
-    basis = enumerate_component(input_open, output_open, m, variant)
     bases: dict[int, list] = {}
-    for s in basis:
+    for s in enumerate_component(input_open, output_open, m, variant):
         bases.setdefault(s.degree, []).append(s)
-    index = {s: (s.degree, bases[s.degree].index(s)) for s in basis}
-    boundary: dict[int, list[list[int]]] = {}
-    for d, elems in bases.items():
-        if d - 1 not in bases:
-            continue
-        mat = [[0] * len(elems) for _ in bases[d - 1]]
-        for col, s in enumerate(elems):
-            for y, coeff in differential(s):
-                if y in index:
-                    _, row = index[y]
-                    mat[row][col] += coeff
-        boundary[d] = mat
-    return ChainComplex(bases, boundary)
+    return build_complex(bases, differential)
 
 
 def component_homology(

@@ -7,7 +7,17 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from operadix import chains
-from operadix.chains import ChainComplex, InvalidComplex, LinComb, bilinear, linear
+from operadix.chains import (
+    ChainComplex,
+    InvalidComplex,
+    LinComb,
+    bilinear,
+    build_complex,
+    linear,
+)
+from operadix.cobar import group_bialgebra, unreduced_cobar
+from operadix.loops import FiniteMonoid, TotComplex
+from operadix.surjections import component_complex
 
 
 class TestLinComb:
@@ -111,3 +121,40 @@ class TestHomology:
         )
         with pytest.raises(InvalidComplex):
             bad.validate()
+
+
+class TestBuildComplex:
+    def test_stray_image_term_names_the_element(self):
+        bases = {0: ["v"], 1: ["e", "f"]}
+        images = {"e": LinComb.unit("v"), "f": LinComb({"v": 1, "w": -1})}
+        with pytest.raises(ValueError, match="boundary of 'f' has the term 'w'"):
+            build_complex(bases, images.__getitem__)
+
+    def test_boundaries_only_between_present_degrees(self):
+        # degree 2 is absent, so degree 3 gets no boundary
+        bases = {0: ["v", "w"], 1: ["e"], 3: ["t"]}
+        images = {"e": LinComb({"w": 1, "v": -1}), "t": LinComb.unit("missing")}
+        cx = build_complex(bases, images.__getitem__)
+        assert cx.boundary == {1: [[-1], [1]]}
+        assert cx.bases == bases
+
+    def test_surjection_component_matrices_frozen(self):
+        cx = component_complex((False, False), False, 2)
+        assert [[str(s.underlying) for s in cx.bases[d]] for d in (0, 1)] == [
+            ["(12)^c", "(21)^c"],
+            ["(121)^c", "(212)^c"],
+        ]
+        assert cx.boundary == {1: [[-1, 1], [1, -1]]}
+        assert component_complex((True, False), True, 2).boundary == {1: [[-1], [1]]}
+
+    def test_totalization_matrices_frozen(self):
+        Z2 = FiniteMonoid.cyclic(2)
+        raw = unreduced_cobar(group_bialgebra(Z2), 2)
+        assert raw.boundary == {0: [[0], [0]], -1: [[1, 0], [0, 1], [0, 1], [0, -1]]}
+        quotient = TotComplex(Z2, (0, 1), 3, "open").chain_complex()
+        assert quotient.bases[-3] == [((1, 0, 1), 0), ((1, 0, 1), 1)]
+        assert quotient.boundary == {
+            0: [[0, 0], [0, -1]],
+            -1: [[1, 0], [0, 0]],
+            -2: [[0, 0], [0, -1]],
+        }

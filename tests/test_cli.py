@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, exit codes, seeded stability."""
 
 import json
+import time
 
 import pytest
 
@@ -107,6 +108,16 @@ class TestEnumerateAndTree:
         )
         assert code == 0
         assert len(out.split()) == 2
+
+    def test_oversized_graph_enumeration_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "enumerate", "--kind", "graphs",
+            "--component", "c,c,c,c,c,c:c", "--m", "3",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert not out and "enumeration limit" in err
 
     def test_tree(self, capsys):
         code, out, _ = run(capsys, "tree", "(12|21)^c")

@@ -6,6 +6,7 @@ import pytest
 
 from operadix import loops
 from operadix.chains import LinComb, homology
+from operadix.cobar import unreduced_cobar
 from operadix.loops import (
     FiniteMonoid,
     TotComplex,
@@ -18,8 +19,10 @@ from operadix.loops import (
     iota,
     omega,
     rho,
+    right_translate,
     sqcup,
     varsigma,
+    varsigma_i,
 )
 
 U = LinComb.unit
@@ -103,7 +106,7 @@ class TestTotalization:
     def test_conormalized_matches_unnormalized(self):
         tot = TotComplex(Z2, (0,), truncation=4, kind="closed")
         hom = tot.homology()
-        raw = tot.unnormalized_complex()
+        raw = unreduced_cobar(tot.B, tot.truncation)
         for level in range(4):
             assert hom[level] == homology(raw, -level)
 
@@ -193,6 +196,105 @@ class TestHomotopies:
                 for f in pbasis(totc, df):
                     for u in pbasis(toto, du):
                         assert homotopy_H(toto, f, u) == act_Tj(toto, f, [u])
+
+
+# x * y = x away from the unit 0: not commutative, so left and right
+# translations differ
+LEFT_ZERO = FiniteMonoid((0, 1, 2), 0, {
+    (x, y): y if x == 0 else x for x in range(3) for y in range(3)
+})
+CROSS_CASES = [(M, N) for M in (Z2, Z3, LEFT_ZERO) for N in (M.elements, (0,))]
+
+
+class TestTupleLevelCrossCheck:
+    """The totalization operations against the tuple-level cosimplicial
+    structure and operad actions they are built to agree with."""
+
+    def test_differential_is_alternating_coface_sum(self):
+        for M, N in CROSS_CASES:
+            for kind, endpoints in (("closed", (M.unit,)), ("open", N)):
+                tot = TotComplex(M, N, truncation=4, kind=kind)
+                om = omega(M, endpoints)
+                for level in range(4):
+                    for xs, y in om.level(level):
+                        b = xs if kind == "closed" else (xs, y)
+                        want = LinComb(
+                            (om.coface(i, (xs, y)), (-1) ** i) for i in range(level + 2)
+                        )
+                        if kind == "closed":
+                            want = want.map_basis(lambda e: e[0])
+                        assert tot.differential(U(b)) == want
+
+    def test_projection_removes_tuple_level_degeneracies(self):
+        for M, N in CROSS_CASES:
+            tot = TotComplex(M, N, truncation=4, kind="open")
+            om = omega(M, N)
+            for level in range(4):
+                for e in om.level(level):
+                    want = U(e)
+                    for i in range(level - 1, -1, -1):
+                        want = want - want.map_basis(
+                            lambda t: om.coface(i, om.codegeneracy(i, t))
+                        )
+                    assert tot.conormal_project(U(e)) == want
+
+    def test_homotopy_is_signed_varsigma_sum(self):
+        for M, N in CROSS_CASES:
+            totc = TotComplex(M, (0,), truncation=5, kind="closed")
+            toto = TotComplex(M, N, truncation=5, kind="open")
+            for df in range(1, 4):
+                for du in range(3):
+                    for f in pbasis(totc, df):
+                        for u in pbasis(toto, du):
+                            want = LinComb(
+                                (
+                                    varsigma_i(M, a, i, (b, n)),
+                                    (-1) ** (i + i * len(b) + len(a) * len(b))
+                                    * ca
+                                    * cu,
+                                )
+                                for a, ca in f
+                                for (b, n), cu in u
+                                for i in range(1, len(a) + 1)
+                            )
+                            assert homotopy_H(toto, f, u) == toto.conormal_project(want)
+
+    def test_open_concatenation_is_right_translated_append(self):
+        for M, N in CROSS_CASES:
+            toto = TotComplex(M, N, truncation=5, kind="open")
+            for du in range(3):
+                for dv in range(3):
+                    for u in pbasis(toto, du):
+                        for v in pbasis(toto, dv):
+                            want = LinComb(
+                                ((a + right_translate(M, b, m), M.mul(n, m)), cu * cv)
+                                for (a, m), cu in u
+                                for (b, n), cv in v
+                            )
+                            assert sqcup(toto, u, v) == toto.conormal_project(want)
+
+    def test_closed_insertion_is_gamma_unit_insertion_sum(self):
+        def insert(M, a, p, b):
+            fill = [(M.unit,)] * len(a)
+            fill[p - 1] = b
+            return gamma(M, a, fill)
+
+        for M, _ in CROSS_CASES[::2]:
+            totc = TotComplex(M, (0,), truncation=5, kind="closed")
+            for df in range(1, 4):
+                for dg in range(1, 3):
+                    for f in pbasis(totc, df):
+                        for g in pbasis(totc, dg):
+                            want = LinComb(
+                                (
+                                    insert(M, a, p, b),
+                                    (-1) ** (p + p * len(b) + len(a) * len(b)) * ca * cb,
+                                )
+                                for a, ca in f
+                                for b, cb in g
+                                for p in range(1, len(a) + 1)
+                            )
+                            assert act_Tk(totc, f, [g]) == totc.conormal_project(want)
 
 
 class TestWideBimodule:
