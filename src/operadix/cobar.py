@@ -767,7 +767,9 @@ def _wide_terms(B: Bialgebra, C: ComoduleAlgebra, beta, tf: tuple, us: tuple):
         blocks = []
         for p, a in enumerate(tf, start=1):
             entry = [(us[slot[p]][0] if p in slot else (B.unit,), 1)]
-            for t, b in enumerate(beta):
+            # the earlier components act as the product z_s ... z_1, as the
+            # endpoints do in loops.varsigma_prime: the latest goes on first
+            for t, b in reversed(list(enumerate(beta))):
                 if b < p:
                     z = combo[t][0][p - b - 1]
                     entry = [

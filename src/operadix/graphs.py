@@ -213,9 +213,11 @@ def enumerate_graphs(
 ) -> list[GraphElement]:
     """All valid filtration-m elements on the given coloured vertices.
 
-    Raises ValueError when the (2m)^(k choose 2) candidate decorations of k
-    vertices exceed ``MAX_DECORATIONS``.
+    Raises ValueError when m < 1, or when the (2m)^(k choose 2) candidate
+    decorations of k vertices exceed ``MAX_DECORATIONS``.
     """
+    if m < 1:
+        raise ValueError("filtration level m must be >= 1")
     vertex_open = tuple(bool(v) for v in vertex_open)
     if not output_open and any(vertex_open):
         return []

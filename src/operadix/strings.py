@@ -18,8 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import combinations, product
+from typing import Iterator, NamedTuple, Sequence
 
 BAR = 0
 
@@ -53,7 +53,6 @@ __all__ = [
     "enumerate_strings",
     "small_strings",
     "by_output",
-    "multiset_permutations",
 ]
 
 
@@ -347,33 +346,115 @@ def _is_open(x: IntegerString, i: int) -> bool:
     raise LabelOutOfRange(f"label {i} absent")
 
 
+def _mixed_count(x: IntegerString, i: int, j: int, primed: bool) -> int:
+    _require_labels(x, i, j)
+    base = c_count(x, i, j)
+    oi, oj = _is_open(x, i), _is_open(x, j)
+    if oi == oj:
+        return base
+    open_first = (_first_occurrence(x, i) < _first_occurrence(x, j)) == oi
+    return base + (open_first != primed)
+
+
 def c_prime(x: IntegerString, i: int, j: int) -> int:
-    """Mixed-pair complexity: ``c`` adjusted by the first-occurrence case.
+    """Mixed-pair complexity: ``c`` plus one when the open label of a mixed
+    pair occurs first.
 
     For a same-openness pair this coincides with :func:`c_count`.
     """
-    _require_labels(x, i, j)
-    base = c_count(x, i, j)
-    oi, oj = _is_open(x, i), _is_open(x, j)
-    if oi == oj:
-        return base
-    i_first = _first_occurrence(x, i) < _first_occurrence(x, j)
-    if not oi and oj:  # pair (i, uj)
-        return base if i_first else base + 1
-    return base + 1 if i_first else base  # pair (ui, j)
+    return _mixed_count(x, i, j, primed=False)
 
 
 def c_dbl_prime(x: IntegerString, i: int, j: int) -> int:
-    """Variant mixed-pair complexity with the two first-occurrence cases swapped."""
-    _require_labels(x, i, j)
-    base = c_count(x, i, j)
-    oi, oj = _is_open(x, i), _is_open(x, j)
-    if oi == oj:
-        return base
-    i_first = _first_occurrence(x, i) < _first_occurrence(x, j)
-    if not oi and oj:  # pair (i, uj)
-        return base + 1 if i_first else base
-    return base if i_first else base + 1  # pair (ui, j)
+    """Variant mixed-pair complexity: ``c`` plus one when the closed label
+    of a mixed pair occurs first."""
+    return _mixed_count(x, i, j, primed=True)
+
+
+class _PairWalk:
+    """A word of signed letters grown and shrunk one letter at a time, with
+    the filtration state of every pair of labels ``1..k``.
+
+    A pair becomes active when its second label first occurs, and its limit
+    on direction changes is fixed then: ``m - 1`` when both labels are open,
+    or when they are mixed and (the first label is open) differs from (the
+    variant is ``primed-variant``), else ``m``.  This is the bound ``m`` on
+    :func:`c_prime` (or :func:`c_dbl_prime`) moved onto :func:`c_count`.
+    """
+
+    def __init__(self, k: int, m: int, variant: str) -> None:
+        if m < 1:
+            raise ValueError("filtration level m must be >= 1")
+        if variant not in ("standard", "primed-variant"):
+            raise ValueError(f"unknown filtration variant {variant!r}")
+        primed = variant == "primed-variant"
+        # limit[f, s]: a pair whose first label has openness f, second s
+        self.limit = {
+            (f, s): m - ((f and s) or (f != s and f != primed))
+            for f in (False, True)
+            for s in (False, True)
+        }
+        # indexed by label, entry 0 unused; a pair's projection ends in
+        # whichever of its labels occurred last
+        self.open = [False] * (k + 1)
+        self.last = [-1] * (k + 1)
+        # limit minus changes so far, never negative
+        self.room = [[0] * (k + 1) for _ in range(k + 1)]
+        self.word: list[int] = []
+        self._undo: list[tuple[int, list[int]]] = []
+
+    def push(self, t: int) -> bool:
+        """Append the letter ``t`` if every pair stays within its limit, and
+        report whether it did."""
+        a = abs(t)
+        last, room = self.last, self.room
+        old = last[a]
+        # the pairs {a, b} whose projection changes block: b occurred since
+        # a last did (when a is new, that change activates the pair)
+        moved = [b for b, p in enumerate(last) if p > old]
+        row = room[a]
+        if old < 0:
+            oa = self.open[a] = t < 0
+            for b in moved:
+                row[b] = room[b][a] = self.limit[self.open[b], oa]
+        for b in moved:
+            if not row[b]:
+                return False
+        for b in moved:
+            row[b] = room[b][a] = row[b] - 1
+        self._undo.append((old, moved))
+        last[a] = len(self.word)
+        self.word.append(t)
+        return True
+
+    def pop(self) -> None:
+        """Remove the last letter."""
+        a = abs(self.word.pop())
+        old, moved = self._undo.pop()
+        self.last[a] = old
+        for b in moved:
+            self.room[a][b] = self.room[b][a] = self.room[a][b] + 1
+
+    def words(
+        self, letters: Sequence[int], counts: list[int] | None = None
+    ) -> Iterator[tuple[int, ...]]:
+        """The extensions of the word by ``letters`` inside the filtration:
+        with ``counts``, those with exactly ``counts[a]`` more ``letters[a]``;
+        without, the nondegenerate ones that use every label (finitely many,
+        since each repeated label moves some pair)."""
+        word = self.word
+        done = -1 not in self.last[1:] if counts is None else not any(counts)
+        if done:
+            yield tuple(word)
+        for a, t in enumerate(letters):
+            free = counts[a] if counts is not None else not word or word[-1] != t
+            if free and self.push(t):
+                if counts is not None:
+                    counts[a] -= 1
+                yield from self.words(letters, counts)
+                if counts is not None:
+                    counts[a] += 1
+                self.pop()
 
 
 def in_filtration(x: IntegerString, m: int, variant: str = "standard") -> bool:
@@ -381,26 +462,16 @@ def in_filtration(x: IntegerString, m: int, variant: str = "standard") -> bool:
 
     Closed pairs need complexity <= m, open pairs <= m-1, and mixed pairs
     use the adjusted counter (``variant="primed-variant"`` picks the
-    swapped-case counter) with bound m.
+    swapped-case counter) with bound m.  Bars never change the verdict.
     """
-    if m < 1:
-        raise ValueError("filtration level m must be >= 1")
-    if variant not in ("standard", "primed-variant"):
-        raise ValueError(f"unknown filtration variant {variant!r}")
-    mixed = c_prime if variant == "standard" else c_dbl_prime
-    k = arity(x)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            oi, oj = _is_open(x, i), _is_open(x, j)
-            if oi and oj:
-                if c_count(x, i, j) > m - 1:
-                    return False
-            elif oi != oj:
-                if mixed(x, i, j) > m:
-                    return False
-            else:
-                if c_count(x, i, j) > m:
-                    return False
+    walk = _PairWalk(max(map(abs, x.tokens), default=0), m, variant)
+    prev = BAR
+    for t in x.tokens:
+        # a repeated letter, even across a bar, moves no pair
+        if t != BAR and t != prev:
+            if not walk.push(t):
+                return False
+            prev = t
     return True
 
 
@@ -472,30 +543,6 @@ def string_to_joyal(x: IntegerString) -> MonotoneMap:
     return MonotoneMap(n, m, tuple(values))
 
 
-def multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All distinct orderings of a multiset of tokens."""
-    counts = {}
-    for it in items:
-        counts[it] = counts.get(it, 0) + 1
-    keys = sorted(counts)
-    total = len(items)
-    current: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(current) == total:
-            yield tuple(current)
-            return
-        for key in keys:
-            if counts[key]:
-                counts[key] -= 1
-                current.append(key)
-                yield from rec()
-                current.pop()
-                counts[key] += 1
-
-    return rec()
-
-
 def enumerate_strings(
     input_colours: Sequence[Colour],
     output_colour: Colour,
@@ -503,16 +550,18 @@ def enumerate_strings(
     variant: str = "standard",
 ) -> list[IntegerString]:
     """All filtration-m strings with the given colours, in canonical text order."""
+    walk = _PairWalk(len(input_colours), m, variant)  # checks m and variant
     if not output_colour.open and any(c.open for c in input_colours):
         return []
-    items: list[int] = [BAR] * output_colour.index
-    for label, col in enumerate(input_colours, start=1):
-        items.extend([-label if col.open else label] * (col.index + 1))
+    letters = [-a if c.open else a for a, c in enumerate(input_colours, start=1)]
+    bars = output_colour.index
     found = []
-    for tokens in multiset_permutations(items):
-        x = IntegerString(tokens, output_colour.open)
-        if in_filtration(x, m, variant):
-            found.append(x)
+    for word in walk.words(letters, [c.index + 1 for c in input_colours]):
+        for cut in combinations(range(len(word) + bars), bars):
+            tokens = list(word)
+            for p in cut:
+                tokens.insert(p, BAR)
+            found.append(IntegerString(tuple(tokens), output_colour.open))
     found.sort(key=text)
     return found
 

@@ -24,9 +24,9 @@ from itertools import permutations, product
 from .chains import ChainComplex, LinComb, build_complex, homology
 from .strings import (
     BAR,
-    Colour,
     ColourMismatch,
     IntegerString,
+    _PairWalk,
     arity,
     colours,
     compose,
@@ -376,69 +376,13 @@ def enumerate_component(
 
     Finiteness: every letter occurrence after the first starts a new block
     in some pairwise projection, so the length is at most
-    k + m * k * (k-1) / 2.
+    k + m * k * (k-1) / 2 and the filtration walk ends without a length cap.
     """
-    opens = tuple(bool(v) for v in input_open)
-    k = len(opens)
-    if not output_open and any(opens):
+    letters = [-a if o else a for a, o in enumerate(input_open, start=1)]
+    walk = _PairWalk(len(letters), m, variant)  # checks m and variant
+    if not letters or (not output_open and any(t < 0 for t in letters)):
         return []
-    if k == 0:
-        return []
-    if variant not in ("standard", "primed-variant"):
-        raise ValueError(f"unknown filtration variant {variant!r}")
-    max_len = k + m * k * (k - 1) // 2
-    found: list[Surjection] = []
-
-    def bound(a: int, b: int) -> int:
-        if not opens[a - 1] and not opens[b - 1]:
-            return m
-        if opens[a - 1] and opens[b - 1]:
-            return m - 1
-        return m  # mixed pairs: the adjusted count below is compared to m
-
-    def adjusted(c: int, a: int, b: int, first: dict) -> int:
-        oa, ob = opens[a - 1], opens[b - 1]
-        if oa == ob:
-            return c
-        open_first = first[a] < first[b] if oa else first[b] < first[a]
-        if variant == "primed-variant":
-            open_first = not open_first
-        return c + (1 if open_first else 0)
-
-    def extend(word: list[int], blocks: dict, first: dict):
-        if len(set(word)) == k:
-            tokens = tuple(-t if opens[t - 1] else t for t in word)
-            found.append(Surjection(IntegerString(tokens, output_open)))
-        if len(word) >= max_len:
-            return
-        for nxt in range(1, k + 1):
-            if word and word[-1] == nxt:
-                continue
-            new_blocks = dict(blocks)
-            new_first = dict(first)
-            if nxt not in new_first:
-                new_first[nxt] = len(word)
-            ok = True
-            for other in range(1, k + 1):
-                if other == nxt or other not in new_first:
-                    continue
-                pair = (min(nxt, other), max(nxt, other))
-                # before the pair activates, the other letter's occurrences
-                # form a single block of the pairwise projection
-                prev_letter, count = new_blocks.get(pair, (other, 1))
-                if prev_letter != nxt:
-                    count += 1
-                new_blocks[pair] = (nxt, count)
-                c = count - 1
-                if adjusted(c, pair[0], pair[1], new_first) > bound(*pair):
-                    ok = False
-                    break
-            if ok:
-                word.append(nxt)
-                extend(word, new_blocks, new_first)
-                word.pop()
-
-    extend([], {}, {})
+    found = [Surjection(IntegerString(w, output_open)) for w in walk.words(letters)]
     found.sort(key=lambda s: (s.degree, text(s.underlying)))
     return found
 

@@ -355,9 +355,6 @@ def test_criterion_08_loop_model_identities():
                         (-1) ** ((df * du) % 2)
                     ) * loops.sqcup(toto, u, loops.inc_tot(toto, f))
                     assert lhs == rhs
-                    assert loops.homotopy_H(toto, f, u) == loops.act_Tj(
-                        toto, f, [u]
-                    )
                 for g in [p for d in (1, 2) for p in pbasis(totc, d)]:
                     dg = deg_of(totc, g)
                     lhs = (

@@ -119,6 +119,20 @@ class TestEnumerateAndTree:
         assert code == 2
         assert not out and "enumeration limit" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--kind", "component", "--component", "c:c"),
+            ("homology", "--component", "c,c:c", "--json"),
+            ("enumerate", "--kind", "graphs", "--component", "c,c:c"),
+            ("enumerate", "--kind", "strings", "--colours", "c1,c0:c0"),
+        ],
+    )
+    def test_level_below_one_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--m", "0")
+        assert code == 2
+        assert not out and "m must be >= 1" in err
+
     def test_tree(self, capsys):
         code, out, _ = run(capsys, "tree", "(12|21)^c")
         assert code == 0

@@ -1,12 +1,12 @@
 """Finite-monoid loop model: cosimplicial structure, totalizations, products."""
 
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
 from operadix import loops
 from operadix.chains import LinComb, homology
-from operadix.cobar import unreduced_cobar
+from operadix.cobar import _insertion_sign, unreduced_cobar
 from operadix.loops import (
     FiniteMonoid,
     TotComplex,
@@ -23,6 +23,7 @@ from operadix.loops import (
     sqcup,
     varsigma,
     varsigma_i,
+    varsigma_prime,
 )
 
 U = LinComb.unit
@@ -188,15 +189,6 @@ class TestHomotopies:
                         ) * cup(totc, g, f)
                         assert lhs == rhs
 
-    def test_single_open_insertion_matches_commutator_homotopy(self):
-        totc = TotComplex(Z2, (0,), truncation=5, kind="closed")
-        toto = TotComplex(Z2, (0, 1), truncation=5, kind="open")
-        for df in range(1, 3):
-            for du in range(2):
-                for f in pbasis(totc, df):
-                    for u in pbasis(toto, du):
-                        assert homotopy_H(toto, f, u) == act_Tj(toto, f, [u])
-
 
 # x * y = x away from the unit 0: not commutative, so left and right
 # translations differ
@@ -258,6 +250,38 @@ class TestTupleLevelCrossCheck:
                                 for i in range(1, len(a) + 1)
                             )
                             assert homotopy_H(toto, f, u) == toto.conormal_project(want)
+
+    def test_two_argument_insertion_is_signed_varsigma_prime_sum(self):
+        # later slots are right-translated by the product n_2 n_1 of the
+        # earlier endpoints; the left-zero band with N = M shows the order
+        # in degrees (3, 1, 1)
+        cases = 0
+        for M, N in CROSS_CASES:
+            totc = TotComplex(M, (0,), truncation=5, kind="closed")
+            toto = TotComplex(M, N, truncation=5, kind="open")
+            for df in range(2, 4):
+                for du in range(2):
+                    for dv in range(2):
+                        for f in pbasis(totc, df):
+                            for u in pbasis(toto, du):
+                                for v in pbasis(toto, dv):
+                                    want = LinComb(
+                                        (
+                                            varsigma_prime(M, beta, a, [(b, n), (c, p)]),
+                                            _insertion_sign(beta, [len(b), len(c)], len(a))
+                                            * ca
+                                            * cu
+                                            * cv,
+                                        )
+                                        for a, ca in f
+                                        for (b, n), cu in u
+                                        for (c, p), cv in v
+                                        for beta in combinations(range(1, len(a) + 1), 2)
+                                    )
+                                    got = act_Tj(toto, f, [u, v])
+                                    assert got == toto.conormal_project(want)
+                                    cases += 1
+        assert cases == 2200
 
     def test_open_concatenation_is_right_translated_append(self):
         for M, N in CROSS_CASES:

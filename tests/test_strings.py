@@ -2,13 +2,14 @@
 
 import pytest
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations, product
 
-from operadix import strings
+from operadix import strings, surjections
 from operadix.strings import (
     BAR,
     Colour,
     ColourMismatch,
+    IntegerString,
     MonotoneMap,
     StringError,
     UnknownToken,
@@ -186,3 +187,126 @@ class TestEnumerate:
             )
         ]
         assert sorted(got) == ["(112)^c", "(121)^c", "(211)^c"]
+
+
+VARIANTS = ("standard", "primed-variant")
+STRINGS_SEEN, MEMBERS, CELLS = 92700, 165648, 2202
+
+
+def brute_in_filtration(x, m, variant):
+    """The filtration rule read pair by pair off the public counters."""
+    mixed = strings.c_prime if variant == "standard" else strings.c_dbl_prime
+    is_open = {abs(t): t < 0 for t in x.tokens if t != BAR}
+    for i, j in combinations(sorted(is_open), 2):
+        oi, oj = is_open[i], is_open[j]
+        if oi and oj:
+            inside = strings.c_count(x, i, j) <= m - 1
+        elif oi != oj:
+            inside = mixed(x, i, j) <= m
+        else:
+            inside = strings.c_count(x, i, j) <= m
+        if not inside:
+            return False
+    return True
+
+
+def signatures(max_tokens, max_labels):
+    """Every colour signature with at most ``max_tokens`` letters and bars."""
+    for k in range(max_labels + 1):
+        for idxs in product(range(max_tokens), repeat=k):
+            letters = k + sum(idxs)
+            for bars in range(max_tokens - letters + 1):
+                for opens in product((False, True), repeat=k):
+                    for out_open in (False, True):
+                        ins = [Colour(i, o) for i, o in zip(idxs, opens)]
+                        yield ins, Colour(bars, out_open)
+
+
+def nondegenerate_words(k, max_len):
+    """Every word on 1..k of length at most max_len with no letter twice in
+    a row."""
+    words, frontier = [], [(a,) for a in range(1, k + 1)]
+    while frontier:
+        words.extend(frontier)
+        frontier = [
+            w + (a,)
+            for w in frontier
+            if len(w) < max_len
+            for a in range(1, k + 1)
+            if a != w[-1]
+        ]
+    return words
+
+
+class TestWalkAgainstBruteForce:
+    """The pruned filtration walk against filtering every candidate."""
+
+    def test_enumerate_strings_and_membership(self):
+        strings_seen = members = 0
+        for ins, out in signatures(6, 3):
+            items = [BAR] * out.index
+            for label, c in enumerate(ins, start=1):
+                items += [-label if c.open else label] * (c.index + 1)
+            if not out.open and any(c.open for c in ins):
+                candidates = []
+            else:
+                candidates = [IntegerString(t, out.open) for t in set(permutations(items))]
+            for m in range(1, 4):
+                for variant in VARIANTS:
+                    verdicts = {x: brute_in_filtration(x, m, variant) for x in candidates}
+                    want = sorted((x for x in candidates if verdicts[x]), key=strings.text)
+                    assert strings.enumerate_strings(ins, out, m, variant) == want
+                    for x in candidates:
+                        assert strings.in_filtration(x, m, variant) == verdicts[x]
+                    strings_seen += len(want)
+                    members += len(candidates)
+        assert (strings_seen, members) == (STRINGS_SEEN, MEMBERS)
+
+    def test_enumerate_component(self):
+        cells = 0
+        for k in range(4):
+            for opens in product((False, True), repeat=k):
+                for out_open in (False, True):
+                    for m in range(1, 4):
+                        max_len = k + m * k * (k - 1) // 2
+                        for variant in VARIANTS:
+                            got = surjections.enumerate_component(
+                                opens, out_open, m, variant
+                            )
+                            want = []
+                            if k and (out_open or not any(opens)):
+                                for w in nondegenerate_words(k, max_len):
+                                    if len(set(w)) < k:
+                                        continue
+                                    tokens = tuple(-a if opens[a - 1] else a for a in w)
+                                    x = IntegerString(tokens, out_open)
+                                    if brute_in_filtration(x, m, variant):
+                                        want.append(x)
+                            want.sort(key=lambda x: (len(x.tokens), strings.text(x)))
+                            assert [s.underlying for s in got] == want
+                            cells += len(want)
+        assert cells == CELLS
+
+    def test_counts_frozen(self):
+        c = Colour
+        for ins, out, count in [
+            ([c(2, False)] * 3, c(2, False), 3960),
+            ([c(3, False), c(3, False), c(2, False)], c(1, False), 1320),
+            ([c(2, False), c(2, True), c(1, True)], c(2, True), 900),
+        ]:
+            assert len(strings.enumerate_strings(ins, out, 2)) == count
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_level_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            strings.enumerate_strings([Colour(0, False)], Colour(0, False), m)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            surjections.enumerate_component([False], False, m)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            strings.in_filtration(strings.parse("(1)^c"), m)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown filtration variant"):
+            strings.enumerate_strings([Colour(0, False)], Colour(0, False), 2, "primed")
+        with pytest.raises(ValueError, match="unknown filtration variant"):
+            surjections.enumerate_component([False], False, 2, "primed")
