@@ -4,12 +4,17 @@ Formal Z-linear combinations over arbitrary hashable bases, their linear
 and bilinear extensions from structure-constant tables, graded chain
 complexes with integer boundary matrices, Smith normal form over Python's
 arbitrary-precision integers, and homology with torsion.
+
+Homology reduces each boundary once: unit-pivot sparse elimination takes
+every +-1 pivot it can (each an invariant factor 1), and the dense Smith
+normal form runs only on the residue that has no unit entry left
+(Dumas-Heckenbach-Saunders-Welker, 2003).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import Hashable, Iterable
 
 __all__ = [
@@ -21,6 +26,7 @@ __all__ = [
     "build_complex",
     "smith_normal_form",
     "homology",
+    "homology_all",
     "mat_mul",
     "mat_identity",
 ]
@@ -155,12 +161,35 @@ class ChainComplex:
             raise InvalidComplex(f"boundary matrix at degree {d} has wrong shape")
         return got
 
-    def validate(self) -> None:
-        for d in sorted(self.bases):
-            if self.dim(d) and self.dim(d - 1) and self.dim(d - 2):
-                square = mat_mul(self.matrix(d - 1), self.matrix(d))
-                if any(any(row) for row in square):
+    def validate(self) -> dict[int, list[dict[int, int]]]:
+        """Check d o d = 0 by a sparse product and return the sparse columns
+        (see ``sparse_columns``) of every boundary between two nonzero
+        degrees, keyed by degree."""
+        columns = {
+            d: self.sparse_columns(d)
+            for d in sorted(self.bases)
+            if self.dim(d) and self.dim(d - 1)
+        }
+        for d, cols in columns.items():
+            lower = columns.get(d - 1)
+            if lower is None:
+                continue
+            for col in cols:
+                square: dict[int, int] = {}
+                for r, c in col.items():
+                    for t, e in lower[r].items():
+                        square[t] = square.get(t, 0) + c * e
+                if any(square.values()):
                     raise InvalidComplex(f"d o d != 0 from degree {d}")
+        return columns
+
+    def sparse_columns(self, d: int) -> list[dict[int, int]]:
+        """Column j of ``boundary[d]`` as a {row: nonzero entry} dict."""
+        cols: list[dict[int, int]] = [{} for _ in range(self.dim(d))]
+        for r, row in enumerate(self.matrix(d)):
+            for j in compress(range(len(row)), row):
+                cols[j][r] = row[j]
+        return cols
 
     def degrees(self) -> list[int]:
         return sorted(self.bases)
@@ -310,21 +339,86 @@ def _xgcd(p: int, q: int):
     return old_r, old_x, old_y
 
 
-def _rank_and_factors(matrix: list[list[int]]):
-    d, _, _ = smith_normal_form(matrix)
-    factors = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-    return len(factors), factors
+def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Unit-pivot elimination on sparse rows, which it consumes.
+
+    Repeatedly takes a +-1 entry of the sparsest row, choosing among them the
+    column held by the fewest rows to limit fill, clears that column from
+    the other rows and drops the pivot row and column: a unimodular change
+    that splits off an invariant factor 1.  Returns the number of pivots and
+    the nonzero rows left, none of which has a unit entry.
+    """
+    rows = [r for r in rows if r]
+    holders: dict[int, set[int]] = {}  # column -> the rows with an entry there
+    for i, row in enumerate(rows):
+        for k in row:
+            holders.setdefault(k, set()).add(i)
+    alive = set(range(len(rows)))
+    pivots = 0
+    progress = True
+    while progress:
+        progress = False
+        for i in sorted(alive, key=lambda i: len(rows[i])):
+            row = rows[i]
+            units = [k for k, c in row.items() if c == 1 or c == -1]
+            if not units:
+                continue
+            k = min(units, key=lambda k: len(holders[k]))
+            p = row[k]
+            for j in holders[k] - {i}:
+                other = rows[j]
+                f = other[k] * p
+                for key, c in row.items():
+                    v = other.get(key, 0) - f * c
+                    if v:
+                        if key not in other:
+                            holders[key].add(j)
+                        other[key] = v
+                    else:  # f * c cancelled an entry of the other row
+                        del other[key]
+                        holders[key].discard(j)
+                if not other:
+                    alive.discard(j)
+            for key in row:
+                holders[key].discard(i)
+            alive.discard(i)
+            pivots += 1
+            progress = True
+    return pivots, [rows[i] for i in sorted(alive)]
+
+
+def _rank_and_torsion(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
+    """Rank and invariant factors > 1 of the matrix with these sparse rows
+    (consumed): unit pivots first, then ``smith_normal_form`` on the
+    residue."""
+    pivots, rest = _eliminate_units(rows)
+    if not rest:
+        return pivots, []
+    where = {k: t for t, k in enumerate(sorted({k for row in rest for k in row}))}
+    dense = [[0] * len(where) for _ in rest]
+    for out, row in zip(dense, rest):
+        for k, c in row.items():
+            out[where[k]] = c
+    d, _, _ = smith_normal_form(dense)
+    factors = [d[i][i] for i in range(min(len(d), len(where))) if d[i][i]]
+    return pivots + len(factors), sorted(f for f in factors if f > 1)
+
+
+def homology_all(complex_: ChainComplex) -> dict[int, tuple[int, list[int]]]:
+    """Free rank and torsion invariant factors (> 1) of H_d for every degree
+    d of the complex.  Validates the complex once and reduces each boundary
+    once."""
+    # the columns of a boundary are the rows of its transpose, which has
+    # the same rank and invariant factors
+    reduced = {d: _rank_and_torsion(cols) for d, cols in complex_.validate().items()}
+    out = {}
+    for d in complex_.degrees():
+        rank_out, _ = reduced.get(d, (0, []))
+        rank_in, torsion = reduced.get(d + 1, (0, []))
+        out[d] = (complex_.dim(d) - rank_out - rank_in, torsion)
+    return out
 
 
 def homology(complex_: ChainComplex, d: int) -> tuple[int, list[int]]:
     """Free rank and torsion invariant factors (> 1) of H_d."""
-    complex_.validate()
-    n = complex_.dim(d)
-    if n == 0:
-        return 0, []
-    rank_out, _ = _rank_and_factors(complex_.matrix(d)) if complex_.dim(d - 1) else (0, [])
-    rank_in, factors = (
-        _rank_and_factors(complex_.matrix(d + 1)) if complex_.dim(d + 1) else (0, [])
-    )
-    torsion = sorted(f for f in factors if f > 1)
-    return n - rank_out - rank_in, torsion
+    return homology_all(complex_).get(d, (0, []))

@@ -1092,11 +1092,17 @@ def rs2_experimental_report(
     rel = CobarTot(B, C, truncation)
     report = {}
 
-    def closed_reps(level):
-        return [closed.conormal_project(LinComb.unit(b)) for b in closed.basis(level)]
-
-    def rel_reps(level):
-        return [rel.conormal_project(LinComb.unit(b)) for b in rel.basis(level)]
+    # the conormal representatives of every level a relation reads: each
+    # pair of levels below has df + dg + 1 <= truncation
+    levels = range(min(max_level, truncation - 1) + 1)
+    closed_reps = {
+        n: [closed.conormal_project(LinComb.unit(b)) for b in closed.basis(n)]
+        for n in levels
+    }
+    rel_reps = {
+        n: [rel.conormal_project(LinComb.unit(b)) for b in rel.basis(n)]
+        for n in levels
+    }
 
     # 1. concatenation is a chain map
     ok, cases = True, 0
@@ -1104,8 +1110,8 @@ def rs2_experimental_report(
         for dg in range(max_level + 1):
             if df + dg + 1 > truncation:
                 continue
-            for f in closed_reps(df):
-                for g in closed_reps(dg):
+            for f in closed_reps[df]:
+                for g in closed_reps[dg]:
                     lhs = closed.differential(cup_cobar(closed, f, g))
                     rhs = cup_cobar(closed, closed.differential(f), g) + (
                         (-1) ** (df % 2)
@@ -1121,8 +1127,8 @@ def rs2_experimental_report(
         for dg in range(1, max_level + 1):
             if df + dg + 1 > truncation:
                 continue
-            for f in closed_reps(df):
-                for g in closed_reps(dg):
+            for f in closed_reps[df]:
+                for g in closed_reps[dg]:
                     lhs = (
                         closed.differential(e_prime_1k(closed, f, [g]))
                         + e_prime_1k(closed, closed.differential(f), [g])
@@ -1143,8 +1149,8 @@ def rs2_experimental_report(
         for dv in range(max_level + 1):
             if du + dv + 1 > truncation:
                 continue
-            for u in rel_reps(du):
-                for v in rel_reps(dv):
+            for u in rel_reps[du]:
+                for v in rel_reps[dv]:
                     lhs = rel.differential(mu_prime_o(rel, u, v))
                     rhs = mu_prime_o(rel, rel.differential(u), v) + (
                         (-1) ** (du % 2)
@@ -1160,8 +1166,8 @@ def rs2_experimental_report(
         for du in range(max_level + 1):
             if df + du + 1 > truncation:
                 continue
-            for f in closed_reps(df):
-                for u in rel_reps(du):
+            for f in closed_reps[df]:
+                for u in rel_reps[du]:
                     lhs = (
                         rel.differential(e_prime_j(rel, f, [u]))
                         + e_prime_j(rel, closed.differential(f), [u])

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .chains import ChainComplex, LinComb, build_complex, homology
+from .chains import ChainComplex, LinComb, build_complex, homology_all
 from .cobar import (
     ComoduleAlgebra,
     CobarTot,
@@ -312,7 +312,7 @@ class TotComplex(CobarTot):
     def homology(self) -> dict[int, tuple[int, list[int]]]:
         """Cohomology per level, reliable strictly inside the window."""
         cx = self.chain_complex()
-        return {-d: homology(cx, d) for d in cx.degrees()}
+        return {-d: h for d, h in homology_all(cx).items()}
 
 
 # ---------------------------------------------------------------------------

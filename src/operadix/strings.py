@@ -550,6 +550,11 @@ def enumerate_strings(
     variant: str = "standard",
 ) -> list[IntegerString]:
     """All filtration-m strings with the given colours, in canonical text order."""
+    for a, c in enumerate(input_colours, start=1):
+        if c.index < 0:
+            raise ValueError(f"input colour {a} {c!r} has a negative index")
+    if output_colour.index < 0:
+        raise ValueError(f"output colour {output_colour!r} has a negative index")
     walk = _PairWalk(len(input_colours), m, variant)  # checks m and variant
     if not output_colour.open and any(c.open for c in input_colours):
         return []

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .chains import ChainComplex, LinComb, build_complex, homology
+from .chains import ChainComplex, LinComb, build_complex, homology_all
 from .strings import (
     BAR,
     ColourMismatch,
@@ -402,4 +402,4 @@ def component_homology(
 ) -> dict[int, tuple[int, list[int]]]:
     """Per-degree (free rank, torsion) of one component's homology."""
     cx = component_complex(input_open, output_open, m, variant)
-    return {d: homology(cx, d) for d in cx.degrees()}
+    return homology_all(cx)

@@ -17,7 +17,7 @@ from operadix.chains import (
 )
 from operadix.cobar import group_bialgebra, unreduced_cobar
 from operadix.loops import FiniteMonoid, TotComplex
-from operadix.surjections import component_complex
+from operadix.surjections import component_complex, component_homology
 
 
 class TestLinComb:
@@ -121,6 +121,194 @@ class TestHomology:
         )
         with pytest.raises(InvalidComplex):
             bad.validate()
+        with pytest.raises(InvalidComplex, match="from degree 2"):
+            chains.homology_all(bad)
+        with pytest.raises(InvalidComplex, match="from degree 2"):
+            chains.homology(bad, 0)
+
+    def test_sparse_columns(self):
+        cx = ChainComplex(
+            bases={0: ["v", "w"], 1: ["a", "b", "c"]},
+            boundary={1: [[-1, 0, 2], [1, 0, 0]]},
+        )
+        assert cx.sparse_columns(1) == [{0: -1, 1: 1}, {}, {0: 2}]
+        assert cx.validate() == {1: [{0: -1, 1: 1}, {}, {0: 2}]}
+        assert chains.homology_all(cx) == {0: (0, [2]), 1: (1, [])}
+
+
+def dense_homology(cx: ChainComplex, d: int) -> tuple[int, list[int]]:
+    """H_d from the full-transform Smith normal form of boundaries d and
+    d+1, the reference for the sparse engine."""
+
+    def rank_and_factors(matrix):
+        diag, _, _ = chains.smith_normal_form(matrix)
+        factors = [diag[i][i] for i in range(min(len(diag), len(diag[0]))) if diag[i][i]]
+        return len(factors), factors
+
+    if not cx.dim(d):
+        return 0, []
+    rank_out, _ = rank_and_factors(cx.matrix(d)) if cx.dim(d - 1) else (0, [])
+    rank_in, factors = rank_and_factors(cx.matrix(d + 1)) if cx.dim(d + 1) else (0, [])
+    return cx.dim(d) - rank_out - rank_in, sorted(f for f in factors if f > 1)
+
+
+def components(max_arity_by_m):
+    """Every (input openness, output openness, m) up to the given arities."""
+    for m, max_arity in max_arity_by_m:
+        for k in range(1, max_arity + 1):
+            for n_open in range(k + 1):
+                for out_open in (True,) if n_open else (False, True):
+                    yield (False,) * (k - n_open) + (True,) * n_open, out_open, m
+
+
+def unimodular(rng: random.Random, n: int):
+    """A random unimodular n x n matrix and its inverse."""
+    u, inv = chains.mat_identity(n), chains.mat_identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        c = rng.choice([-2, -1, 1, 2])
+        if i == j:
+            u[i] = [-x for x in u[i]]  # negate row i; its own inverse
+            for row in inv:
+                row[i] = -row[i]
+        else:
+            # row_i += c * row_j; the inverse gets col_j -= c * col_i
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+            for row in inv:
+                row[j] -= c * row[i]
+    return u, inv
+
+
+def random_complex(rng: random.Random) -> ChainComplex:
+    """P_{d-1} N_d P_d^-1 for a normal form N (each basis element hit by or
+    sent to at most one other, times a factor) and random unimodular P:
+    torsion from the factors > 1 survives the base change."""
+    dims = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+    changes = [unimodular(rng, n) for n in dims]
+    boundary, targets = {}, set()
+    for d in range(1, len(dims)):
+        sources = set()
+        free_rows = [r for r in range(dims[d - 1]) if r not in targets]
+        normal = [[0] * dims[d] for _ in range(dims[d - 1])]
+        for col in rng.sample(range(dims[d]), min(dims[d], len(free_rows), 2)):
+            row = free_rows.pop(rng.randrange(len(free_rows)))
+            normal[row][col] = rng.choice([1, 2, 3, 4, 6, -2])
+            sources.add(col)
+        targets = sources
+        boundary[d] = chains.mat_mul(
+            chains.mat_mul(changes[d - 1][0], normal), changes[d][1]
+        )
+    bases = {d: [f"e{d}_{i}" for i in range(n)] for d, n in enumerate(dims)}
+    return ChainComplex(bases, boundary)
+
+
+class TestSparseHomology:
+    def test_matches_dense_snf_on_every_small_component(self):
+        for variant in ("standard", "primed-variant"):
+            for opens, out_open, m in components([(2, 4), (3, 3)]):
+                cx = component_complex(opens, out_open, m, variant)
+                assert chains.homology_all(cx) == {
+                    d: dense_homology(cx, d) for d in cx.degrees()
+                }, (opens, out_open, m, variant)
+
+    def test_matches_sympy_on_random_torsion_complexes(self):
+        rng = random.Random(7)
+        with_torsion = 0
+        for _ in range(60):
+            cx = random_complex(rng)
+            cx.validate()
+            want = {}
+            for d in cx.degrees():
+                ranks, torsion = [], []
+                for e in (d, d + 1):
+                    if cx.dim(e) and cx.dim(e - 1):
+                        diag = sympy_snf(sympy.Matrix(cx.matrix(e)))
+                        factors = [
+                            abs(diag[i, i]) for i in range(min(diag.shape)) if diag[i, i]
+                        ]
+                        ranks.append(len(factors))
+                        if e == d + 1:
+                            torsion = sorted(int(f) for f in factors if f > 1)
+                    else:
+                        ranks.append(0)
+                want[d] = (cx.dim(d) - sum(ranks), torsion)
+            got = chains.homology_all(cx)
+            assert got == want
+            assert got == {d: dense_homology(cx, d) for d in cx.degrees()}
+            with_torsion += any(t for _, t in got.values())
+        assert with_torsion >= 20
+
+    def test_one_validation_and_at_most_one_snf_per_boundary(self, monkeypatch):
+        validated, snf_calls = [], []
+        validate, snf = ChainComplex.validate, chains.smith_normal_form
+
+        def counting_validate(self):
+            validated.append(id(self))
+            return validate(self)
+
+        def counting_snf(matrix):
+            snf_calls.append(len(matrix))
+            return snf(matrix)
+
+        monkeypatch.setattr(ChainComplex, "validate", counting_validate)
+        monkeypatch.setattr(chains, "smith_normal_form", counting_snf)
+        for opens, out_open, m in components([(2, 4), (3, 2)]):
+            validated.clear()
+            snf_calls.clear()
+            cx = component_complex(opens, out_open, m)
+            boundaries = len(validate(cx))
+            component_homology(opens, out_open, m)
+            assert len(validated) == 1
+            assert len(snf_calls) <= boundaries
+        rng = random.Random(3)
+        residues = 0
+        for _ in range(10):
+            validated.clear()
+            snf_calls.clear()
+            cx = random_complex(rng)
+            boundaries = len(validate(cx))
+            chains.homology_all(cx)
+            assert len(validated) == 1
+            assert len(snf_calls) <= boundaries
+            residues += len(snf_calls)
+        assert residues
+
+
+def closed_form(k: int, m: int) -> dict[int, int]:
+    """Nonzero Betti numbers of E_m in arity k: the coefficients of
+    prod_{j<k} (1 + j t^(m-1)) (Arnold; F. Cohen)."""
+    poly = {0: 1}
+    for j in range(1, k):
+        nxt: dict[int, int] = {}
+        for d, c in poly.items():
+            nxt[d] = nxt.get(d, 0) + c
+            nxt[d + m - 1] = nxt.get(d + m - 1, 0) + j * c
+        poly = nxt
+    return poly
+
+
+def betti(hom) -> dict[int, int]:
+    assert all(not torsion for _, torsion in hom.values())
+    return {d: rank for d, (rank, _) in hom.items() if rank}
+
+
+class TestReach:
+    """Components beyond the dense engine's reach, against closed forms."""
+
+    def test_e3_arity_four(self):  # 12,600 cells
+        assert betti(component_homology([False] * 4, False, 3)) == closed_form(4, 3)
+        assert closed_form(4, 3) == {0: 1, 2: 6, 4: 11, 6: 6}
+
+    def test_e2_arity_five(self):  # 10,800 cells
+        assert betti(component_homology([False] * 5, False, 2)) == closed_form(5, 2)
+
+    def test_e2_arity_four(self):  # 528 cells
+        assert betti(component_homology([False] * 4, False, 2)) == closed_form(4, 2)
+
+    def test_swiss_cheese_two_closed_two_open(self):
+        # (1 + t)(1 + t^2) at m = 3
+        hom = component_homology([False, False, True, True], True, 3)
+        assert betti(hom) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 class TestBuildComplex:

@@ -310,3 +310,10 @@ class TestWalkAgainstBruteForce:
             strings.enumerate_strings([Colour(0, False)], Colour(0, False), 2, "primed")
         with pytest.raises(ValueError, match="unknown filtration variant"):
             surjections.enumerate_component([False], False, 2, "primed")
+
+    def test_negative_colour_index_rejected_by_name(self):
+        closed = Colour(0, False)
+        with pytest.raises(ValueError, match=r"input colour 1 Colour\(index=-1"):
+            strings.enumerate_strings([Colour(-1, False), closed], closed, 2)
+        with pytest.raises(ValueError, match=r"output colour Colour\(index=-1"):
+            strings.enumerate_strings([closed], Colour(-1, True), 2)
