@@ -252,6 +252,11 @@ class CobarObject:
 
     Closed words are tuples of positive-degree cogenerator names; relative
     words carry a comodule tail: ``(word, module name)``.
+
+    The coalgebra and the comodule are read once, at construction, into
+    per-letter and per-tail differential tables; each degree's words and
+    each word's differential are then computed once and kept on the object.
+    Edits to the coalgebra or comodule after construction are not seen.
     """
 
     coalgebra: DGCoalgebra
@@ -259,10 +264,36 @@ class CobarObject:
     truncation: int
 
     def __post_init__(self):
-        self.coalgebra.check_one_reduced()
-        self._letters = [
-            x for x, d in self.coalgebra.degrees.items() if d >= 2
-        ]
+        C, N = self.coalgebra, self.comodule
+        C.check_one_reduced()
+        self._letters = [x for x, d in C.degrees.items() if d >= 2]
+        # d on one letter s^{-1}x as (replacement letters, coefficient): the
+        # internal part d(s^{-1}x) = -s^{-1}(dx) first, then the quadratic
+        # part sum (-1)^{|a|} [a, b]
+        self._letter_terms = {
+            x: [((y,), -cy) for y, cy in C.d(LinComb.unit(x)) if C.degree(y) >= 2]
+            + [
+                ((a, b), (-1 if C.degree(a) % 2 else 1) * cab)
+                for (a, b), cab in C.reduced_delta(x)
+                if C.degree(a) >= 2 and C.degree(b) >= 2
+            ]
+            for x in self._letters
+        }
+        # d on a tail n as (appended letters, new tail, coefficient): the
+        # comodule differential first, then the reduced coaction
+        self._tail_terms = {}
+        if N is not None:
+            self._tail_terms = {
+                n: [((), y, cy) for y, cy in N.d(LinComb.unit(n))]
+                + [
+                    ((z,), n2, czn)
+                    for (z, n2), czn in N.reduced_rho(n)
+                    if C.degree(z) >= 2
+                ]
+                for n in N.degrees
+            }
+        self._words: dict[int, list] = {}
+        self._diffs: dict = {}
 
     def letter_degree(self, x) -> int:
         return self.coalgebra.degree(x) - 1
@@ -275,64 +306,54 @@ class CobarObject:
 
     def words(self, degree: int) -> list:
         """All basis words of the given total degree (within truncation)."""
-        out = []
         if degree < 0 or degree > self.truncation:
-            return out
-        tails = (
-            [None] if self.comodule is None else list(self.comodule.degrees)
-        )
-        def extend(word, deg):
-            for tail in tails:
-                extra = 0 if tail is None else self.comodule.degree(tail)
-                if deg + extra == degree:
-                    out.append(word if tail is None else (word, tail))
-            for x in self._letters:
-                d2 = deg + self.letter_degree(x)
-                if d2 <= degree:
-                    extend(word + (x,), d2)
-        extend((), 0)
-        return sorted(set(out))
-
-    def _word_of(self, w):
-        return w if self.comodule is None else w[0]
+            return []
+        if degree not in self._words:
+            out = []
+            tails = (
+                [None] if self.comodule is None else list(self.comodule.degrees)
+            )
+            def extend(word, deg):
+                for tail in tails:
+                    extra = 0 if tail is None else self.comodule.degree(tail)
+                    if deg + extra == degree:
+                        out.append(word if tail is None else (word, tail))
+                for x in self._letters:
+                    d2 = deg + self.letter_degree(x)
+                    if d2 <= degree:
+                        extend(word + (x,), d2)
+            extend((), 0)
+            self._words[degree] = sorted(set(out))
+        # a fresh list: build_complex keeps it as a basis
+        return list(self._words[degree])
 
     def differential(self, v: LinComb) -> LinComb:
         return LinComb((t, c * ct) for w, c in v for t, ct in self._diff_basis(w))
 
     def _diff_basis(self, w) -> LinComb:
-        C = self.coalgebra
-        word = self._word_of(w)
-        tail = None if self.comodule is None else w[1]
+        if w not in self._diffs:
+            self._diffs[w] = LinComb(
+                (e, c)
+                for e, c in self._diff_terms(w)
+                if 0 <= self.word_degree(e) <= self.truncation
+            )
+        return self._diffs[w]
 
-        def elem(new_word, new_tail):
-            return new_word if self.comodule is None else (new_word, new_tail)
-
-        def terms():
-            prefix = 0
-            for i, x in enumerate(word):
-                sign = -1 if prefix % 2 else 1
-                # internal differential: d(s^{-1} x) = - s^{-1}(d x)
-                for y, cy in C.d(LinComb.unit(x)):
-                    if C.degree(y) >= 2:
-                        yield elem(word[:i] + (y,) + word[i + 1 :], tail), -sign * cy
-                # quadratic part: sum (-1)^{|c1|} [c1, c2]
-                for (a, b), cab in C.reduced_delta(x):
-                    if C.degree(a) >= 2 and C.degree(b) >= 2:
-                        s2 = -1 if C.degree(a) % 2 else 1
-                        new_word = word[:i] + (a, b) + word[i + 1 :]
-                        yield elem(new_word, tail), sign * s2 * cab
-                prefix += self.letter_degree(x)
-            if self.comodule is not None:
-                sign = -1 if prefix % 2 else 1
-                for y, cy in self.comodule.d(LinComb.unit(tail)):
-                    yield elem(word, y), sign * cy
-                for (z, n2), czn in self.comodule.reduced_rho(tail):
-                    if C.degree(z) >= 2:
-                        yield elem(word + (z,), n2), sign * czn
-
-        return LinComb(
-            (e, c) for e, c in terms() if 0 <= self.word_degree(e) <= self.truncation
-        )
+    def _diff_terms(self, w):
+        """The terms of d(w): each letter, then the tail, is replaced by its
+        table entries under the Koszul sign of the letters before it."""
+        word, tail = (w, None) if self.comodule is None else w
+        prefix = 0
+        for i, x in enumerate(word):
+            sign = -1 if prefix % 2 else 1
+            for letters, c in self._letter_terms[x]:
+                new_word = word[:i] + letters + word[i + 1 :]
+                yield (new_word if tail is None else (new_word, tail)), sign * c
+            prefix += self.letter_degree(x)
+        if tail is not None:
+            sign = -1 if prefix % 2 else 1
+            for letters, n, c in self._tail_terms[tail]:
+                yield (word + letters, n), sign * c
 
     def action(self, a: LinComb, u: LinComb) -> LinComb:
         """Concatenation action of closed words on relative words."""
@@ -406,16 +427,16 @@ def cobar_algebra(cob: CobarObject) -> DGAlgebra:
     under concatenation (truncated)."""
     if cob.comodule is not None:
         raise ValueError("use the closed construction")
-    degrees, diff, prod = {}, {}, {}
     words = [w for d in range(cob.truncation + 1) for w in cob.words(d)]
-    for w in words:
-        degrees[w] = cob.word_degree(w)
-        diff[w] = cob._diff_basis(w)
-    for a in words:
-        for b in words:
-            ab = a + b
-            if ab in degrees:
-                prod[(a, b)] = LinComb.unit(ab)
+    degrees = {w: cob.word_degree(w) for w in words}
+    diff = {w: cob._diff_basis(w) for w in words}
+    # letters have positive degree, so both pieces of every cut of a word
+    # are words of the window
+    prod = {
+        (w[:cut], w[cut:]): LinComb.unit(w)
+        for w in words
+        for cut in range(len(w) + 1)
+    }
     return DGAlgebra(degrees, diff, prod, ())
 
 
@@ -423,16 +444,15 @@ def relative_cobar_module(cob: CobarObject, alg: DGAlgebra) -> DGModule:
     """The relative word complex as a module over the closed word algebra."""
     if cob.comodule is None:
         raise ValueError("use the relative construction")
-    degrees, diff, action = {}, {}, {}
     words = [w for d in range(cob.truncation + 1) for w in cob.words(d)]
-    for w in words:
-        degrees[w] = cob.word_degree(w)
-        diff[w] = cob._diff_basis(w)
-    for a in alg.degrees:
-        for (wb, n) in words:
-            img = (a + wb, n)
-            if img in degrees:
-                action[(a, (wb, n))] = LinComb.unit(img)
+    degrees = {w: cob.word_degree(w) for w in words}
+    diff = {w: cob._diff_basis(w) for w in words}
+    action = {
+        (word[:cut], (word[cut:], n)): LinComb.unit((word, n))
+        for word, n in words
+        for cut in range(len(word) + 1)
+        if word[:cut] in alg.degrees and (word[cut:], n) in degrees
+    }
     return DGModule(alg, degrees, diff, action)
 
 

@@ -21,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .chains import ChainComplex, LinComb, build_complex, homology_all
+from .chains import (
+    ChainComplex,
+    LinComb,
+    _rank_and_torsion,
+    build_complex,
+    homology_all,
+)
 from .strings import (
     BAR,
     ColourMismatch,
@@ -344,15 +350,11 @@ def _component_name(opens, out_open) -> str:
 
 
 def _spans_full_lattice(vectors: list[list[int]], dim: int) -> bool:
-    if dim == 0:
-        return True
-    if not vectors:
-        return False
-    from .chains import smith_normal_form
-
-    d, _, _ = smith_normal_form(vectors)
-    diag = [d[t][t] for t in range(min(len(d), len(d[0])))]
-    return sum(1 for v in diag if v) == dim and all(abs(v) == 1 for v in diag if v)
+    """Whether the integer rows span Z^dim: rank dim and no torsion."""
+    rank, torsion = _rank_and_torsion(
+        [{j: c for j, c in enumerate(row) if c} for row in vectors]
+    )
+    return rank == dim and not torsion
 
 
 def _compose_linear(v: LinComb, i: int, w: LinComb) -> LinComb:

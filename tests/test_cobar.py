@@ -1,18 +1,22 @@
 """Cobar constructions: coalgebra layer, bialgebra layer, totalization ops."""
 
 import random
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operadix import cobar
-from operadix.chains import LinComb, homology
+from operadix.chains import LinComb, build_complex, homology
 from operadix.cobar import (
     Bialgebra,
     CobarTot,
     ComoduleAlgebra,
+    DGAlgebra,
     DGCoalgebra,
     DGComodule,
+    DGModule,
     NotOneReduced,
     cobar_algebra,
     diagonal_comodule,
@@ -76,6 +80,94 @@ def random_instance(rng: random.Random):
     return sample_coalgebra(
         a, b, c, with_w=rng.random() < 0.8, with_v=rng.random() < 0.8
     )
+
+
+def shifted_comodule(N: DGComodule, shift: int) -> DGComodule:
+    """N with every degree moved by ``shift``: still a dg-comodule."""
+    return DGComodule(
+        N.coalgebra,
+        {n: d + shift for n, d in N.degrees.items()},
+        N.differential,
+        N.coaction,
+    )
+
+
+def reference_diff_basis(cob, w) -> LinComb:
+    """The word differential computed letter by letter from the structure
+    maps of the coalgebra and comodule: the oracle for the tabulated,
+    memoized differential of ``CobarObject``."""
+    C = cob.coalgebra
+    word = w if cob.comodule is None else w[0]
+    tail = None if cob.comodule is None else w[1]
+
+    def elem(new_word, new_tail):
+        return new_word if cob.comodule is None else (new_word, new_tail)
+
+    def terms():
+        prefix = 0
+        for i, x in enumerate(word):
+            sign = -1 if prefix % 2 else 1
+            # internal differential: d(s^{-1} x) = - s^{-1}(d x)
+            for y, cy in C.d(LinComb.unit(x)):
+                if C.degree(y) >= 2:
+                    yield elem(word[:i] + (y,) + word[i + 1 :], tail), -sign * cy
+            # quadratic part: sum (-1)^{|c1|} [c1, c2]
+            for (a, b), cab in C.reduced_delta(x):
+                if C.degree(a) >= 2 and C.degree(b) >= 2:
+                    s2 = -1 if C.degree(a) % 2 else 1
+                    new_word = word[:i] + (a, b) + word[i + 1 :]
+                    yield elem(new_word, tail), sign * s2 * cab
+            prefix += cob.letter_degree(x)
+        if cob.comodule is not None:
+            sign = -1 if prefix % 2 else 1
+            for y, cy in cob.comodule.d(LinComb.unit(tail)):
+                yield elem(word, y), sign * cy
+            for (z, n2), czn in cob.comodule.reduced_rho(tail):
+                if C.degree(z) >= 2:
+                    yield elem(word + (z,), n2), sign * czn
+
+    return LinComb(
+        (e, c) for e, c in terms() if 0 <= cob.word_degree(e) <= cob.truncation
+    )
+
+
+def all_words(cob) -> list:
+    return [w for d in range(cob.truncation + 1) for w in cob.words(d)]
+
+
+def all_pairs_algebra(cob) -> DGAlgebra:
+    """The closed word algebra with its product table taken over all pairs
+    of words."""
+    words = all_words(cob)
+    degrees = {w: cob.word_degree(w) for w in words}
+    diff = {w: reference_diff_basis(cob, w) for w in words}
+    prod = {
+        (a, b): LinComb.unit(a + b) for a in words for b in words if a + b in degrees
+    }
+    return DGAlgebra(degrees, diff, prod, ())
+
+
+def all_pairs_module(rel, alg: DGAlgebra) -> DGModule:
+    """The relative word module with its action table taken over all (closed
+    word, relative word) pairs."""
+    words = all_words(rel)
+    degrees = {w: rel.word_degree(w) for w in words}
+    diff = {w: reference_diff_basis(rel, w) for w in words}
+    action = {
+        (a, (wb, n)): LinComb.unit((a + wb, n))
+        for a in alg.degrees
+        for wb, n in words
+        if (a + wb, n) in degrees
+    }
+    return DGModule(alg, degrees, diff, action)
+
+
+SAMPLE_FAMILY = [
+    (a, b, c, with_w, with_v)
+    for a, b, c, with_w, with_v in iproduct(
+        (2, 3), (2, 3), (-2, 1, 3), (False, True), (False, True)
+    )
+]
 
 
 class TestCoalgebraLayer:
@@ -177,6 +269,127 @@ class TestTwisting:
             # the universal pair itself must pass
             assert twisting_check(C, A, f)
             assert relative_twisting_check(C, A, N, M, f, g)
+
+
+class TestMemoizedConstructions:
+    """The tabulated, memoized word complexes against the letter-by-letter
+    formula and the all-pairs tables they replace."""
+
+    @staticmethod
+    def constructions(params):
+        C = sample_coalgebra(*params)
+        N = diagonal_dg_comodule(C)
+        window = max(C.degrees.values()) + 2
+        cob = cobar.cobar(C, truncation=window)
+        # a comodule with a tail in negative degree as well
+        rels = [
+            relative_cobar(C, N, truncation=window),
+            relative_cobar(C, shifted_comodule(N, -1), truncation=window),
+        ]
+        return cob, rels
+
+    def test_differential_matches_formula(self):
+        for params in SAMPLE_FAMILY:
+            cob, rels = self.constructions(params)
+            for con in [cob] + rels:
+                for w in all_words(con):
+                    expected = list(reference_diff_basis(con, w))
+                    assert list(con.differential(LinComb.unit(w))) == expected
+                    # the second reading comes from the memo
+                    assert list(con.differential(LinComb.unit(w))) == expected
+            # the shifted comodule is left out: its word basis misses the
+            # words whose tail has negative degree, so no complex is built
+            for con in (cob, rels[0]):
+                bases = {d: con.words(d) for d in range(con.truncation + 1)}
+                reference = build_complex(
+                    {d: b for d, b in bases.items() if b},
+                    lambda w: reference_diff_basis(con, w),
+                )
+                assert con.chain_complex().boundary == reference.boundary
+
+    def test_words_are_fresh_lists(self):
+        cob = cobar.cobar(sample_coalgebra(), truncation=5)
+        first = cob.words(4)
+        first.append("junk")
+        assert "junk" not in cob.words(4)
+        assert cob.words(4) is not cob.words(4)
+
+    def test_tables_match_all_pairs_construction(self):
+        for params in SAMPLE_FAMILY:
+            cob, rels = self.constructions(params)
+            A, A_ref = cobar_algebra(cob), all_pairs_algebra(cob)
+            assert A.degrees == A_ref.degrees
+            assert A.differential == A_ref.differential
+            assert A.product.keys() == A_ref.product.keys()
+            assert A.product == A_ref.product
+            for rel in rels:
+                M, M_ref = relative_cobar_module(rel, A), all_pairs_module(rel, A)
+                assert M.degrees == M_ref.degrees
+                assert M.differential == M_ref.differential
+                assert M.action.keys() == M_ref.action.keys()
+                assert M.action == M_ref.action
+
+    def test_structure_maps_read_once_per_construction(self, monkeypatch):
+        delta_calls, rho_calls = Counter(), Counter()
+        reduced_delta = DGCoalgebra.reduced_delta
+        reduced_rho = DGComodule.reduced_rho
+
+        def counted_delta(self, name):
+            delta_calls[name] += 1
+            return reduced_delta(self, name)
+
+        def counted_rho(self, name):
+            rho_calls[name] += 1
+            return reduced_rho(self, name)
+
+        monkeypatch.setattr(DGCoalgebra, "reduced_delta", counted_delta)
+        monkeypatch.setattr(DGComodule, "reduced_rho", counted_rho)
+        C = sample_coalgebra()
+        N = diagonal_dg_comodule(C)
+        window = max(C.degrees.values()) + 2
+        cob = cobar.cobar(C, truncation=window)
+        rel = relative_cobar(C, N, truncation=window)
+        cob.chain_complex().validate()
+        rel.chain_complex().validate()
+        A = cobar_algebra(cob)
+        M = relative_cobar_module(rel, A)
+        f = universal_twisting(cob)
+        g = {n: LinComb.unit(((), n)) for n in N.degrees}
+        f_bad = dict(f)
+        f_bad["v"] = -f["v"]
+        g_bad = dict(g)
+        g_bad["v"] = LinComb()
+        verdicts = [
+            dg_map_check(rel, M, overline_fg(rel, A, M, fc, gc))
+            for fc, gc in ((f, g), (f_bad, g), (f, g_bad))
+        ]
+        assert verdicts == [True, False, False]
+        # one call per cogenerator in each of the two constructions, one
+        # per tail name in the relative one, and none afterwards
+        letters = [x for x in C.degrees if x != C.unit]
+        assert delta_calls == Counter(dict.fromkeys(letters, 2))
+        assert rho_calls == Counter(dict.fromkeys(N.degrees, 1))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    a=st.sampled_from((2, 3)),
+    b=st.sampled_from((2, 3)),
+    c=st.integers(-3, 3),
+    with_w=st.booleans(),
+    with_v=st.booleans(),
+)
+def test_memoized_differential_property(a, b, c, with_w, with_v):
+    C = sample_coalgebra(a, b, c, with_w, with_v)
+    window = max(C.degrees.values()) + 2
+    cob = cobar.cobar(C, truncation=window)
+    rel = relative_cobar(C, diagonal_dg_comodule(C), truncation=window)
+    for con in (cob, rel):
+        for w in all_words(con):
+            assert list(con.differential(LinComb.unit(w))) == list(
+                reference_diff_basis(con, w)
+            )
+        con.chain_complex().validate()
 
 
 Z2 = FiniteMonoid.cyclic(2)

@@ -123,6 +123,23 @@ class TestGenerators:
             info["spanned"] for info in report["components"].values()
         )
 
+    @pytest.mark.parametrize(
+        "vectors, dim, spanned",
+        [
+            # unimodular: det = 1, with a redundant third row
+            ([[2, 1], [1, 1], [3, 2]], 2, True),
+            ([], 0, True),
+            # rank deficient: rank 1 in Z^2
+            ([[1, 2], [2, 4]], 2, False),
+            ([], 2, False),
+            # full rank with torsion: index 2, and index 3 in a 2 x 2 block
+            ([[2]], 1, False),
+            ([[1, 1], [1, -2]], 2, False),
+        ],
+    )
+    def test_spans_full_lattice(self, vectors, dim, spanned):
+        assert surjections._spans_full_lattice(vectors, dim) is spanned
+
 
 class TestHomology:
     def test_two_closed_inputs(self):
