@@ -313,6 +313,12 @@ class CobarObject:
             tails = (
                 [None] if self.comodule is None else list(self.comodule.degrees)
             )
+            # a tail of negative degree lets the letters exceed the target;
+            # letters have degree >= 1, so the walk still ends
+            bound = degree - min(
+                [0] + [self.comodule.degree(n) for n in tails if n is not None]
+            )
+
             def extend(word, deg):
                 for tail in tails:
                     extra = 0 if tail is None else self.comodule.degree(tail)
@@ -320,7 +326,7 @@ class CobarObject:
                         out.append(word if tail is None else (word, tail))
                 for x in self._letters:
                     d2 = deg + self.letter_degree(x)
-                    if d2 <= degree:
+                    if d2 <= bound:
                         extend(word + (x,), d2)
             extend((), 0)
             self._words[degree] = sorted(set(out))

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .strings import (
-    IntegerString,
-    arity,
-    c_count,
-    _first_occurrence,
-    _is_open,
-)
+from .strings import BAR, IntegerString, _moved, _top_label
 
 __all__ = [
     "GraphElement",
@@ -47,11 +41,13 @@ class GraphElement:
     output_open: bool
 
     def __init__(self, vertex_open, edges, output_open):
-        vertex_open = tuple(bool(v) for v in vertex_open)
+        vertex_open = tuple(map(bool, vertex_open))
         n = len(vertex_open)
-        edict = dict(edges.items()) if isinstance(edges, dict) else dict(edges)
-        expected = set(combinations(range(1, n + 1), 2))
-        if set(edict) != expected:
+        edict = dict(edges)
+        # distinct keys, as many as the pairs i < j, each one of them
+        if len(edict) != n * (n - 1) // 2 or not all(
+            _is_pair(p, n) for p in edict
+        ):
             raise ValueError("edges must cover exactly the pairs i < j")
         for (i, j), (mu, orient) in edict.items():
             if mu < 1 or orient not in (1, -1):
@@ -75,6 +71,32 @@ class GraphElement:
             return self.edge_dict()[(i, j)]
         mu, orient = self.edge_dict()[(j, i)]
         return mu, -orient
+
+
+def _is_pair(p, n: int) -> bool:
+    """Whether ``p`` is a pair ``(i, j)`` of integers with 1 <= i < j <= n."""
+    return (
+        isinstance(p, tuple)
+        and len(p) == 2
+        and isinstance(p[0], int)
+        and isinstance(p[1], int)
+        and 1 <= p[0] < p[1] <= n
+    )
+
+
+def _unchecked(
+    vertex_open: tuple[bool, ...], edges: frozenset, output_open: bool
+) -> GraphElement:
+    """Build a GraphElement from its fields without re-running validation.
+
+    Only for internal use on fields valid by construction: ``edges`` holds
+    one ``((i, j), (mu, orient))`` for every pair i < j, with mu >= 1 and
+    orient +1 or -1."""
+    alpha = object.__new__(GraphElement)
+    object.__setattr__(alpha, "vertex_open", vertex_open)
+    object.__setattr__(alpha, "edges", edges)
+    object.__setattr__(alpha, "output_open", output_open)
+    return alpha
 
 
 def validate(alpha: GraphElement) -> bool:
@@ -148,25 +170,27 @@ def compose(alpha: GraphElement, betas: list[GraphElement]) -> GraphElement:
     for beta in betas:
         offsets.append(offsets[-1] + beta.n)
     vertex_open = tuple(o for beta in betas for o in beta.vertex_open)
-    edges: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, beta in enumerate(betas, start=1):
-        for (i, j), dec in beta.edges:
-            edges[(i + offsets[v - 1], j + offsets[v - 1])] = dec
-    ea = alpha.edge_dict()
-    for v in range(1, alpha.n + 1):
-        for w in range(v + 1, alpha.n + 1):
-            dec = ea[(v, w)]
-            for a in range(offsets[v - 1] + 1, offsets[v] + 1):
-                for b in range(offsets[w - 1] + 1, offsets[w] + 1):
-                    edges[(a, b)] = dec
-    return GraphElement(vertex_open, edges, alpha.output_open)
+    # the intra-block and the cross-block pairs together are every pair
+    # a < b of the result, each once
+    edges = [
+        ((i + off, j + off), dec)
+        for beta, off in zip(betas, offsets)
+        for (i, j), dec in beta.edges
+    ]
+    for (v, w), dec in alpha.edges:
+        edges.extend(
+            ((a, b), dec)
+            for a in range(offsets[v - 1] + 1, offsets[v] + 1)
+            for b in range(offsets[w - 1] + 1, offsets[w] + 1)
+        )
+    return _unchecked(vertex_open, frozenset(edges), alpha.output_open)
 
 
 def compose_at(alpha: GraphElement, i: int, beta: GraphElement) -> GraphElement:
     """Substitute ``beta`` into vertex ``i`` of ``alpha``, one-vertex graphs
     elsewhere."""
     betas = [
-        beta if v == i else GraphElement((opn,), {}, opn)
+        beta if v == i else _unchecked((opn,), frozenset(), opn)
         for v, opn in enumerate(alpha.vertex_open, start=1)
     ]
     return compose(alpha, betas)
@@ -191,16 +215,38 @@ def sym_act(sigma, alpha: GraphElement) -> GraphElement:
 
 
 def q(x: IntegerString) -> GraphElement:
-    """Pairwise complexities with first-occurrence-reversing orientations."""
-    k = arity(x)
-    vertex_open = tuple(_is_open(x, i) for i in range(1, k + 1))
-    edges = {}
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            mu = c_count(x, i, j)  # >= 1 since both letters occur
-            orient = 1 if _first_occurrence(x, i) > _first_occurrence(x, j) else -1
-            edges[(i, j)] = (mu, orient)
-    return GraphElement(vertex_open, edges, x.output_open)
+    """Pairwise complexities with first-occurrence-reversing orientations.
+
+    One walk over the letters counts, per pair, the direction changes of its
+    projection (``strings._moved``), and records where each label first
+    occurs and whether it is open.
+    """
+    k = _top_label(x.tokens)
+    last = [-1] * (k + 1)
+    first = [0] * (k + 1)
+    opens = [False] * (k + 1)
+    mu: dict[tuple[int, int], int] = {}
+    prev = BAR
+    for pos, t in enumerate(x.tokens):
+        # a repeated letter, even across a bar, moves no pair
+        if t == BAR or t == prev:
+            continue
+        prev = t
+        a = t if t > 0 else -t
+        if last[a] < 0:
+            first[a] = pos
+            opens[a] = t < 0
+        for b in _moved(last, a):
+            pair = (a, b) if a < b else (b, a)
+            mu[pair] = mu.get(pair, 0) + 1
+        last[a] = pos
+    # each pair i < j changed direction when its second label first
+    # occurred, so every pair is present with mu >= 1
+    edges = frozenset(
+        ((i, j), (c, 1 if first[i] > first[j] else -1))
+        for (i, j), c in mu.items()
+    )
+    return _unchecked(tuple(opens[1:]), edges, x.output_open)
 
 
 # The most decorations enumerate_graphs walks: at the 40-70 us per decoration

@@ -223,6 +223,18 @@ def _unchecked(tokens: tuple[int, ...], output_open: bool) -> IntegerString:
     return s
 
 
+def _top_label(tokens: tuple[int, ...]) -> int:
+    """The largest label among ``tokens``: the arity, since the labels of a
+    valid string are exactly 1..k."""
+    k = 0
+    for t in tokens:
+        if t > k:
+            k = t
+        elif -t > k:
+            k = -t
+    return k
+
+
 def compose(f: IntegerString, i: int, g: IntegerString) -> IntegerString:
     """Operadic composition ``f o_i g`` by segment substitution.
 
@@ -230,39 +242,49 @@ def compose(f: IntegerString, i: int, g: IntegerString) -> IntegerString:
     replaces the r-th occurrence of letter ``i`` in ``f``, after the usual
     relabelling of both factors.
     """
-    k = arity(f)
-    if not 1 <= i <= k:
-        raise LabelOutOfRange(f"slot {i} not in 1..{k}")
-    slot_occ = 0
+    # one pass over each factor reads what composition needs; as in
+    # _top_label, an arity is the largest label
+    k = slot_occ = 0
     slot_open = False
     for t in f.tokens:
-        if t != BAR and (t == i or t == -i):
+        a = t if t > 0 else -t
+        if a > k:
+            k = a
+        if a == i:
             slot_occ += 1
             slot_open = t < 0
-    _, g_out = colours(g)
-    if g_out.index != slot_occ - 1 or g_out.open != slot_open:
-        raise ColourMismatch(
-            f"slot {i} has colour {Colour(slot_occ - 1, slot_open)}, "
-            f"got output colour {g_out}"
-        )
-    lg = arity(g)
+    if not 1 <= i <= k:
+        raise LabelOutOfRange(f"slot {i} not in 1..{k}")
     up = i - 1
-    segs: list[list[int]] = [[]]
+    lg = 0
+    seg: list[int] = []
+    segs = [seg]
     for t in g.tokens:
         if t == BAR:
-            segs.append([])
+            seg = []
+            segs.append(seg)
+        elif t > 0:
+            if t > lg:
+                lg = t
+            seg.append(t + up)
         else:
-            segs[-1].append(t + up if t > 0 else t - up)
+            if -t > lg:
+                lg = -t
+            seg.append(t - up)
+    if len(segs) != slot_occ or g.output_open != slot_open:
+        raise ColourMismatch(
+            f"slot {i} has colour {Colour(slot_occ - 1, slot_open)}, "
+            f"got output colour {Colour(len(segs) - 1, g.output_open)}"
+        )
     down = lg - 1
     result: list[int] = []
     r = 0
     for t in f.tokens:
-        if -i <= t <= i:
-            if t == i or t == -i:
-                result.extend(segs[r])
-                r += 1
-            else:
-                result.append(t)
+        if t == i or t == -i:
+            result += segs[r]
+            r += 1
+        elif -i < t < i:
+            result.append(t)
         else:
             result.append(t + down if t > 0 else t - down)
     return _unchecked(tuple(result), f.output_open)
@@ -273,14 +295,11 @@ def sym_act(sigma: Sequence[int], x: IntegerString) -> IntegerString:
 
     Token order and openness flags are unchanged.
     """
-    k = arity(x)
+    k = _top_label(x.tokens)
     if len(sigma) != k or sorted(sigma) != list(range(1, k + 1)):
         raise StringError(f"{sigma!r} is not a permutation of 1..{k}")
-    relabel = {i + 1: s for i, s in enumerate(sigma)}
-    tokens = tuple(
-        t if t == BAR else (relabel[t] if t > 0 else -relabel[-t])
-        for t in x.tokens
-    )
+    relabel = (BAR, *sigma)
+    tokens = tuple(relabel[t] if t >= 0 else -relabel[-t] for t in x.tokens)
     return _unchecked(tokens, x.output_open)
 
 
@@ -371,6 +390,19 @@ def c_dbl_prime(x: IntegerString, i: int, j: int) -> int:
     return _mixed_count(x, i, j, primed=True)
 
 
+def _moved(last: list[int], a: int) -> list[int]:
+    """The labels ``b`` whose pair {a, b} changes direction when ``a``
+    occurs next: those that occurred since ``a`` last did (when ``a`` is
+    new, every label seen so far, and that change activates the pair).
+
+    ``last[b]`` is the position of the latest ``b``, or -1 before it occurs;
+    entry 0 is unused and stays -1.  Counting these changes per pair over a
+    whole word gives :func:`c_count`.
+    """
+    old = last[a]
+    return [b for b, p in enumerate(last) if p > old]
+
+
 class _PairWalk:
     """A word of signed letters grown and shrunk one letter at a time, with
     the filtration state of every pair of labels ``1..k``.
@@ -409,9 +441,7 @@ class _PairWalk:
         a = abs(t)
         last, room = self.last, self.room
         old = last[a]
-        # the pairs {a, b} whose projection changes block: b occurred since
-        # a last did (when a is new, that change activates the pair)
-        moved = [b for b, p in enumerate(last) if p > old]
+        moved = _moved(last, a)
         row = room[a]
         if old < 0:
             oa = self.open[a] = t < 0
@@ -464,7 +494,7 @@ def in_filtration(x: IntegerString, m: int, variant: str = "standard") -> bool:
     use the adjusted counter (``variant="primed-variant"`` picks the
     swapped-case counter) with bound m.  Bars never change the verdict.
     """
-    walk = _PairWalk(max(map(abs, x.tokens), default=0), m, variant)
+    walk = _PairWalk(_top_label(x.tokens), m, variant)
     prev = BAR
     for t in x.tokens:
         # a repeated letter, even across a bar, moves no pair

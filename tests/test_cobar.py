@@ -297,15 +297,28 @@ class TestMemoizedConstructions:
                     assert list(con.differential(LinComb.unit(w))) == expected
                     # the second reading comes from the memo
                     assert list(con.differential(LinComb.unit(w))) == expected
-            # the shifted comodule is left out: its word basis misses the
-            # words whose tail has negative degree, so no complex is built
-            for con in (cob, rels[0]):
+            for con in [cob] + rels:
                 bases = {d: con.words(d) for d in range(con.truncation + 1)}
                 reference = build_complex(
                     {d: b for d, b in bases.items() if b},
                     lambda w: reference_diff_basis(con, w),
                 )
                 assert con.chain_complex().boundary == reference.boundary
+
+    def test_negative_tail_degree_builds(self):
+        # the words whose tail has negative degree carry letters of total
+        # degree above the target; the basis must keep them
+        C = sample_coalgebra()
+        N = shifted_comodule(diagonal_dg_comodule(C), -1)
+        N.validate()
+        rel = relative_cobar(C, N, truncation=5)
+        assert rel.words(0) == [(("x",), "1")]
+        assert (("x", "x"), "1") in rel.words(1)
+        cx = rel.chain_complex()
+        cx.validate()
+        assert {d: len(b) for d, b in cx.bases.items()} == {
+            0: 1, 1: 3, 2: 6, 3: 12, 4: 23, 5: 44,
+        }
 
     def test_words_are_fresh_lists(self):
         cob = cobar.cobar(sample_coalgebra(), truncation=5)
