@@ -15,6 +15,7 @@ switches every report to machine-readable JSON; the environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -403,11 +404,14 @@ def _suite_rs_operad(args) -> tuple[bool, dict]:
     basis = []
     for ins, out in comps:
         basis.extend(surjections.enumerate_component(ins, out, args.m))
-    failures += sum(
-        1
-        for s in basis
-        if surjections.linear_differential(surjections.differential(s))
-    )
+    # the first failing case: a basis element with d(d(s)) != 0, else a
+    # Leibniz triple (f, slot, g)
+    witness = None
+    for s in basis:
+        if surjections.linear_differential(surjections.differential(s)):
+            failures += 1
+            if witness is None:
+                witness = strings.text(s.underlying)
     by_out = {}
     for g in basis:
         by_out.setdefault(strings.colours(g.underlying)[1], []).append(g)
@@ -430,12 +434,17 @@ def _suite_rs_operad(args) -> tuple[bool, dict]:
         )
         if lhs != rhs:
             failures += 1
+            if witness is None:
+                witness = [strings.text(f.underlying), i, strings.text(g.underlying)]
         leibniz_cases += 1
-    return failures == 0, {
+    report = {
         "basisElements": len(basis),
         "leibnizCases": leibniz_cases,
         "failures": failures,
     }
+    if witness is not None:
+        report["witness"] = witness
+    return failures == 0, report
 
 
 def _suite_sc_geometry(args) -> tuple[bool, dict]:
@@ -536,6 +545,15 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, with ``--seed`` defaulting to ``OPERADIX_SEED`` as it is
+    set now."""
+    return _parser(_seed_default())
+
+
+@functools.cache
+def _parser(seed_default: int) -> argparse.ArgumentParser:
+    # built once per seed default: building takes milliseconds, parsing
+    # does not change the parser
     parser = argparse.ArgumentParser(
         prog="operadix",
         description="Exact-arithmetic workbench for lattice-path operads.",
@@ -546,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--m", type=int, default=2, help="filtration level")
         p.add_argument(
-            "--seed", type=int, default=_seed_default(), help="random seed"
+            "--seed", type=int, default=seed_default, help="random seed"
         )
         p.add_argument(
             "--variant",

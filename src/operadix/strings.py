@@ -403,29 +403,35 @@ def _moved(last: list[int], a: int) -> list[int]:
     return [b for b, p in enumerate(last) if p > old]
 
 
+def _pair_limits(m: int, variant: str) -> dict[tuple[bool, bool], int]:
+    """The most direction changes allowed to a pair of labels, keyed by
+    (first label open, second label open): ``m - 1`` when both labels are
+    open, or when they are mixed and (the first label is open) differs from
+    (the variant is ``primed-variant``), else ``m``.  This is the bound
+    ``m`` on :func:`c_prime` (or :func:`c_dbl_prime`) moved onto
+    :func:`c_count`."""
+    if m < 1:
+        raise ValueError("filtration level m must be >= 1")
+    if variant not in ("standard", "primed-variant"):
+        raise ValueError(f"unknown filtration variant {variant!r}")
+    primed = variant == "primed-variant"
+    return {
+        (f, s): m - ((f and s) or (f != s and f != primed))
+        for f in (False, True)
+        for s in (False, True)
+    }
+
+
 class _PairWalk:
     """A word of signed letters grown and shrunk one letter at a time, with
     the filtration state of every pair of labels ``1..k``.
 
     A pair becomes active when its second label first occurs, and its limit
-    on direction changes is fixed then: ``m - 1`` when both labels are open,
-    or when they are mixed and (the first label is open) differs from (the
-    variant is ``primed-variant``), else ``m``.  This is the bound ``m`` on
-    :func:`c_prime` (or :func:`c_dbl_prime`) moved onto :func:`c_count`.
+    on direction changes (:func:`_pair_limits`) is fixed then.
     """
 
     def __init__(self, k: int, m: int, variant: str) -> None:
-        if m < 1:
-            raise ValueError("filtration level m must be >= 1")
-        if variant not in ("standard", "primed-variant"):
-            raise ValueError(f"unknown filtration variant {variant!r}")
-        primed = variant == "primed-variant"
-        # limit[f, s]: a pair whose first label has openness f, second s
-        self.limit = {
-            (f, s): m - ((f and s) or (f != s and f != primed))
-            for f in (False, True)
-            for s in (False, True)
-        }
+        self.limit = _pair_limits(m, variant)
         # indexed by label, entry 0 unused; a pair's projection ends in
         # whichever of its labels occurred last
         self.open = [False] * (k + 1)
@@ -494,14 +500,32 @@ def in_filtration(x: IntegerString, m: int, variant: str = "standard") -> bool:
     use the adjusted counter (``variant="primed-variant"`` picks the
     swapped-case counter) with bound m.  Bars never change the verdict.
     """
-    walk = _PairWalk(_top_label(x.tokens), m, variant)
+    limit = _pair_limits(m, variant)
+    # _PairWalk.push without the undo log: the room of the pair {a, b},
+    # a < b, is room[a * size + b], set when the pair becomes active
+    size = _top_label(x.tokens) + 1
+    opens = [False] * size
+    last = [-1] * size
+    room = [0] * (size * size)
+    n = 0
     prev = BAR
     for t in x.tokens:
         # a repeated letter, even across a bar, moves no pair
-        if t != BAR and t != prev:
-            if not walk.push(t):
+        if t == BAR or t == prev:
+            continue
+        prev = t
+        a = t if t > 0 else -t
+        new = last[a] < 0
+        if new:
+            opens[a] = t < 0
+        for b in _moved(last, a):
+            key = a * size + b if a < b else b * size + a
+            left = limit[opens[b], opens[a]] if new else room[key]
+            if not left:
                 return False
-            prev = t
+            room[key] = left - 1
+        last[a] = n
+        n += 1
     return True
 
 

@@ -33,14 +33,15 @@ from .strings import (
     ColourMismatch,
     IntegerString,
     _PairWalk,
+    _top_label,
     arity,
     colours,
     compose,
-    occurrences,
     parse,
     sym_act,
     text,
 )
+from .strings import _unchecked as _unchecked_string
 
 __all__ = [
     "Surjection",
@@ -115,34 +116,48 @@ def _unwrap(u) -> IntegerString:
     return u
 
 
-def _wrap_like(u, x: IntegerString):
-    if isinstance(u, Surjection):
-        return Surjection(x)
-    if isinstance(u, BarredClass):
-        return BarredClass(x)
-    return x
+def _unchecked(cls, x: IntegerString):
+    """Wrap ``x`` in ``cls`` (``Surjection`` or ``BarredClass``) without
+    re-running its checks.
+
+    Only for internal use on strings that are valid by construction."""
+    s = object.__new__(cls)
+    object.__setattr__(s, "underlying", x)
+    return s
 
 
 def differential(u) -> LinComb:
     """Signed sum of single-occurrence deletions; degenerate results and
     deletions of a label's unique occurrence are dropped."""
     x = _unwrap(u)
-    k = arity(x)
-    occs = [occurrences(x, i) for i in range(1, k + 1)]
+    tokens = x.tokens
+    # a Surjection or BarredClass is nondegenerate, so a deletion is
+    # degenerate exactly when it makes two equal letters adjacent
+    wrap = None if x is u else type(u)
+    where: dict[int, list[int]] = {}
+    for pos, t in enumerate(tokens):
+        if t != BAR:
+            where.setdefault(t if t > 0 else -t, []).append(pos)
+    end = len(tokens) - 1
 
     def terms():
-        for i in range(1, k + 1):
-            if occs[i - 1] < 2:
+        prefix = 0  # n_1 + ... + n_{i-1}
+        for i in range(1, len(where) + 1):
+            found = where[i]
+            if len(found) < 2:
                 continue
-            prefix = sum(o - 1 for o in occs[: i - 1])
-            j = -1
-            for pos, t in enumerate(x.tokens):
-                if t != BAR and abs(t) == i:
-                    j += 1
-                    tokens = x.tokens[:pos] + x.tokens[pos + 1 :]
-                    if _nondegenerate(tokens):
-                        y = IntegerString(tokens, x.output_open)
-                        yield _wrap_like(u, y), (-1) ** ((prefix + j) % 2)
+            for j, pos in enumerate(found):
+                y = tokens[:pos] + tokens[pos + 1 :]
+                if wrap is None:
+                    if not _nondegenerate(y):
+                        continue
+                elif 0 < pos < end and tokens[pos - 1] == tokens[pos + 1] != BAR:
+                    continue
+                # deleting one of >= 2 occurrences keeps labels and openness
+                y = _unchecked_string(y, x.output_open)
+                sign = -1 if (prefix + j) & 1 else 1
+                yield (y if wrap is None else _unchecked(wrap, y)), sign
+            prefix += len(found) - 1
 
     return LinComb(terms())
 
@@ -177,7 +192,8 @@ def _vartheta_terms(x: IntegerString, n: int):
             for _ in range(cuts[p]):
                 tokens.append(BAR)
                 tokens.append(t)
-        yield cuts, IntegerString(tuple(tokens), x.output_open)
+        # cutting occurrences keeps labels and openness
+        yield cuts, _unchecked_string(tuple(tokens), x.output_open)
 
 
 def _compositions(n: int, parts: int):
@@ -193,22 +209,40 @@ def _compositions(n: int, parts: int):
 def rs_compose(f, i: int, g) -> LinComb:
     """Substitute ``g`` into slot ``i`` of ``f`` through the bar-insertion sum."""
     fx, gx = _unwrap(f), _unwrap(g)
-    k = arity(fx)
+    # one pass over f: as in strings._top_label, the arity is the largest
+    # label, and labels i+1..k occur ``above`` times in all
+    k = slot_occ = above = 0
+    slot_open = has_bar = False
+    for t in fx.tokens:
+        if t == BAR:
+            has_bar = True
+            continue
+        a = t if t > 0 else -t
+        if a > k:
+            k = a
+        if a > i:
+            above += 1
+        elif a == i:
+            slot_occ += 1
+            slot_open = t < 0
     if not 1 <= i <= k:
         raise ValueError(f"slot {i} out of range for arity {k}")
-    slot_open = any(t < 0 and abs(t) == i for t in fx.tokens)
-    _, g_out = colours(gx)
-    if g_out.open != slot_open:
+    if gx.output_open != slot_open:
         raise ColourMismatch(
             f"slot {i} is {'open' if slot_open else 'closed'}, argument is not"
         )
-    n = occurrences(fx, i) - 1
-    suffix = sum(occurrences(fx, t) - 1 for t in range(i + 1, k + 1))
-    r = len(gx.tokens) - arity(gx)  # degree of the bar-free argument
-    prefactor = (-1) ** ((r * suffix) % 2)
-    composites = (compose(fx, i, barred) for _, barred in _vartheta_terms(gx, n))
+    suffix = above - (k - i)  # n_{i+1} + ... + n_k
+    r = len(gx.tokens) - _top_label(gx.tokens)  # degree of the bar-free argument
+    prefactor = -1 if (r * suffix) & 1 else 1
+    composites = (
+        compose(fx, i, barred) for _, barred in _vartheta_terms(gx, slot_occ - 1)
+    )
+    # an f with bars is no basis element: its composites keep the bars, and
+    # the checked constructor rejects them
     return LinComb(
-        (Surjection(h), prefactor) for h in composites if _nondegenerate(h.tokens)
+        (Surjection(h) if has_bar else _unchecked(Surjection, h), prefactor)
+        for h in composites
+        if _nondegenerate(h.tokens)
     )
 
 
@@ -384,8 +418,13 @@ def enumerate_component(
     walk = _PairWalk(len(letters), m, variant)  # checks m and variant
     if not letters or (not output_open and any(t < 0 for t in letters)):
         return []
-    found = [Surjection(IntegerString(w, output_open)) for w in walk.words(letters)]
-    found.sort(key=lambda s: (s.degree, text(s.underlying)))
+    # the walk's words are bar-free, nondegenerate and use every label
+    found = [
+        _unchecked(Surjection, _unchecked_string(w, output_open))
+        for w in walk.words(letters)
+    ]
+    # with the arity fixed, the degree orders as the length
+    found.sort(key=lambda s: (len(s.underlying.tokens), text(s.underlying)))
     return found
 
 

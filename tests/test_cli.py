@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from operadix import cli
+from operadix import cli, strings, surjections
+from operadix.chains import LinComb
 
 from corpus import CORPUS
 
@@ -154,6 +155,19 @@ class TestSeededReports:
         )
         assert parser_seeded.seed == 3
 
+    def test_seed_env_read_on_every_call(self, capsys, monkeypatch):
+        argv = ("cells", "--closed", "2", "--open", "1", "--json")
+        monkeypatch.setenv("OPERADIX_SEED", "3")
+        _, from_env, _ = run(capsys, *argv)
+        _, seed3, _ = run(capsys, *argv, "--seed", "3")
+        assert from_env == seed3
+        monkeypatch.delenv("OPERADIX_SEED")
+        _, unset, _ = run(capsys, *argv)
+        _, seed0, _ = run(capsys, *argv, "--seed", "0")
+        assert unset == seed0 != seed3
+        _, again, _ = run(capsys, *argv)
+        assert again == unset
+
     def test_verify_byte_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "chain-core",
                          "--samples", "20", "--json")
@@ -171,6 +185,45 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", suite, "--samples", "30")
         assert code == 0
         assert "ok" in out
+
+    def test_rs_operad_failure_names_a_witness(self, capsys, monkeypatch):
+        argv = ("verify", "--suite", "rs-operad", "--samples", "30", "--json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "witness" not in json.loads(out)["rs-operad"]
+        rs_compose = surjections.rs_compose
+
+        def wrong_sign(f, i, g):
+            return (-1) ** (g.degree % 2) * rs_compose(f, i, g)
+
+        monkeypatch.setattr(surjections, "rs_compose", wrong_sign)
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)["rs-operad"]
+        assert code == 1 and report["failures"] > 0
+        f, i, g = report["witness"]
+        f = surjections.Surjection(strings.parse(f))
+        g = surjections.Surjection(strings.parse(g))
+        lhs = surjections.linear_differential(wrong_sign(f, i, g))
+        rhs = surjections._compose_linear(
+            surjections.differential(f), i, LinComb.unit(g)
+        ) + (-1) ** (f.degree % 2) * surjections._compose_linear(
+            LinComb.unit(f), i, surjections.differential(g)
+        )
+        assert lhs != rhs
+
+    def test_rs_operad_witness_of_a_nonzero_square(self, capsys, monkeypatch):
+        differential = surjections.differential
+
+        def unsigned(u):
+            return LinComb((b, 1) for b, _ in differential(u))
+
+        monkeypatch.setattr(surjections, "differential", unsigned)
+        code, out, _ = run(
+            capsys, "verify", "--suite", "rs-operad", "--m", "3", "--json"
+        )
+        witness = json.loads(out)["rs-operad"]["witness"]
+        assert code == 1
+        s = surjections.Surjection(strings.parse(witness))
+        assert surjections.linear_differential(unsigned(s))
 
     def test_sampled_string_suites_pass(self, capsys):
         for suite in ("rl-operad", "graph-operad"):

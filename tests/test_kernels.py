@@ -1,17 +1,26 @@
-"""The one-pass string and graph kernels against the code they replace.
+"""The one-pass string, graph and surjection kernels against the code they
+replace.
 
 ``reference_compose``, ``reference_sym_act`` and ``reference_q`` are the
 earlier bodies of ``strings.compose``, ``strings.sym_act`` and ``graphs.q``:
 they read arities and colours through the cached ``strings.arity`` and
 ``strings.colours``, count each pair with ``strings.c_count`` and build
-graphs through the validating ``GraphElement`` constructor.  They are kept
-here only as oracles for the fast paths.
+graphs through the validating ``GraphElement`` constructor.
+``reference_differential``, ``reference_rs_compose`` and
+``reference_enumerate_component`` are the earlier bodies of the
+``surjections`` kernels: they count occurrences label by label, rescan each
+deletion for degeneracy and build every string and surjection through the
+validating constructors.  All are kept here only as oracles for the fast
+paths.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operadix import graphs, strings
+from operadix import graphs, strings, surjections
+from operadix.chains import LinComb
 from operadix.graphs import GraphElement
 from operadix.strings import (
     BAR,
@@ -21,6 +30,7 @@ from operadix.strings import (
     LabelOutOfRange,
     StringError,
 )
+from operadix.surjections import BarredClass, Surjection
 
 
 def reference_compose(f, i, g):
@@ -87,11 +97,103 @@ def reference_q(x):
     return GraphElement(vertex_open, edges, x.output_open)
 
 
+def reference_differential(u):
+    x = surjections._unwrap(u)
+    k = strings.arity(x)
+    occs = [strings.occurrences(x, i) for i in range(1, k + 1)]
+
+    def wrap_like(y):
+        if isinstance(u, Surjection):
+            return Surjection(y)
+        if isinstance(u, BarredClass):
+            return BarredClass(y)
+        return y
+
+    def terms():
+        for i in range(1, k + 1):
+            if occs[i - 1] < 2:
+                continue
+            prefix = sum(o - 1 for o in occs[: i - 1])
+            j = -1
+            for pos, t in enumerate(x.tokens):
+                if t != BAR and abs(t) == i:
+                    j += 1
+                    tokens = x.tokens[:pos] + x.tokens[pos + 1 :]
+                    if surjections._nondegenerate(tokens):
+                        y = IntegerString(tokens, x.output_open)
+                        yield wrap_like(y), (-1) ** ((prefix + j) % 2)
+
+    return LinComb(terms())
+
+
+def reference_vartheta_terms(x, n):
+    word = x.tokens
+    if not word:
+        if n == 0:
+            yield (), x
+        return
+    for cuts in surjections._compositions(n, len(word)):
+        tokens = []
+        for p, t in enumerate(word):
+            tokens.append(t)
+            for _ in range(cuts[p]):
+                tokens.append(BAR)
+                tokens.append(t)
+        yield cuts, IntegerString(tuple(tokens), x.output_open)
+
+
+def reference_rs_compose(f, i, g):
+    fx, gx = surjections._unwrap(f), surjections._unwrap(g)
+    k = strings.arity(fx)
+    if not 1 <= i <= k:
+        raise ValueError(f"slot {i} out of range for arity {k}")
+    slot_open = any(t < 0 and abs(t) == i for t in fx.tokens)
+    _, g_out = strings.colours(gx)
+    if g_out.open != slot_open:
+        raise ColourMismatch(
+            f"slot {i} is {'open' if slot_open else 'closed'}, argument is not"
+        )
+    n = strings.occurrences(fx, i) - 1
+    suffix = sum(strings.occurrences(fx, t) - 1 for t in range(i + 1, k + 1))
+    r = len(gx.tokens) - strings.arity(gx)
+    prefactor = (-1) ** ((r * suffix) % 2)
+    composites = (
+        strings.compose(fx, i, barred)
+        for _, barred in reference_vartheta_terms(gx, n)
+    )
+    return LinComb(
+        (Surjection(h), prefactor)
+        for h in composites
+        if surjections._nondegenerate(h.tokens)
+    )
+
+
+def reference_enumerate_component(input_open, output_open, m, variant="standard"):
+    letters = [-a if o else a for a, o in enumerate(input_open, start=1)]
+    walk = strings._PairWalk(len(letters), m, variant)
+    if not letters or (not output_open and any(t < 0 for t in letters)):
+        return []
+    found = [Surjection(IntegerString(w, output_open)) for w in walk.words(letters)]
+    found.sort(key=lambda s: (s.degree, strings.text(s.underlying)))
+    return found
+
+
+def reference_in_filtration(x, m, variant="standard"):
+    walk = strings._PairWalk(strings._top_label(x.tokens), m, variant)
+    prev = BAR
+    for t in x.tokens:
+        if t != BAR and t != prev:
+            if not walk.push(t):
+                return False
+            prev = t
+    return True
+
+
 def outcome(fn, *args):
     """The result of ``fn(*args)``, or the type and message it raised."""
     try:
         return fn(*args)
-    except StringError as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -251,6 +353,16 @@ class TestNoCacheLookups:
         graphs.q(fg)
         assert (strings.arity.cache_info(), strings.colours.cache_info()) == before
 
+    def test_surjection_kernels_leave_the_caches_alone(self):
+        f = Surjection(IntegerString((1, -2, 1, -4, -2, 3, 1, -2, -4, 5), True))
+        g = Surjection(IntegerString((-1, 2, -1, -3, 2, -1), True))
+        before = strings.arity.cache_info(), strings.colours.cache_info()
+        surjections.differential(f)
+        surjections.differential(BarredClass(f.underlying))
+        surjections.rs_compose(f, 2, g)
+        surjections.enumerate_component((False, True, True), True, 3)
+        assert (strings.arity.cache_info(), strings.colours.cache_info()) == before
+
 
 class TestUncheckedGraphs:
     def test_results_equal_checked_construction(self):
@@ -284,3 +396,213 @@ class TestUncheckedGraphs:
         assert alpha.output_open is True
         assert alpha.edge_dict() == {(1, 2): (2, -1)}
         assert GraphElement(alpha.vertex_open, alpha.edges, True) == alpha
+
+
+VARIANTS = ("standard", "primed-variant")
+
+
+def ordered_terms(v):
+    """The terms of a combination in order, with their hashes."""
+    return [(b, hash(b), c) for b, c in v]
+
+
+def lin_outcome(fn, *args):
+    """``outcome`` with a combination read as its ordered terms."""
+    got = outcome(fn, *args)
+    return ordered_terms(got) if isinstance(got, LinComb) else got
+
+
+def same_as_checked(b):
+    """``b`` equals, and hashes like, the same string built through the
+    validating constructors."""
+    x = b.underlying if isinstance(b, (Surjection, BarredClass)) else b
+    checked_x = IntegerString(x.tokens, x.output_open)
+    checked = checked_x if b is x else type(b)(checked_x)
+    return (
+        b == checked
+        and hash(b) == hash(checked)
+        and type(x) is IntegerString
+        and type(x.tokens) is tuple
+    )
+
+
+_SURJ = {}
+
+
+def surjection_window():
+    """Every component of arity <= 4 at m=2 and of arity <= 3 at m=3 in the
+    standard variant, as (spec, basis) pairs; the arity <= 3 basis at m=2
+    (the benchmark's Leibniz basis); and bars cut into its elements."""
+    if not _SURJ:
+        components = []
+        for m, max_arity in ((2, 4), (3, 3)):
+            for k in range(max_arity + 1):
+                for opens in product((False, True), repeat=k):
+                    for out_open in (False, True):
+                        spec = (opens, out_open, m)
+                        basis = surjections.enumerate_component(opens, out_open, m)
+                        components.append((spec, basis))
+        small = [
+            s
+            for (opens, _, m), basis in components
+            if m == 2 and len(opens) <= 3
+            for s in basis
+        ]
+        barred = [
+            b for s in small for n in (1, 2) for b, _ in surjections.vartheta(s, n)
+        ]
+        _SURJ.update(components=components, small=small, barred=barred)
+    return _SURJ["components"], _SURJ["small"], _SURJ["barred"]
+
+
+class TestSurjectionsAgainstReference:
+    def test_window_sizes(self):
+        components, small, barred = surjection_window()
+        cells = sum(len(basis) for _, basis in components)
+        assert (len(components), cells, len(small), len(barred)) == (
+            92, 5022, 211, 2816
+        )
+
+    def test_enumerate_component_on_every_component(self):
+        components, _, _ = surjection_window()
+        for (opens, out_open, m), _ in components:
+            for variant in VARIANTS:
+                got = surjections.enumerate_component(opens, out_open, m, variant)
+                want = reference_enumerate_component(opens, out_open, m, variant)
+                assert [(s, hash(s)) for s in got] == [(s, hash(s)) for s in want]
+                assert all(
+                    type(s) is Surjection and same_as_checked(s) for s in got
+                )
+
+    def test_differential_on_every_cell(self):
+        components, _, barred = surjection_window()
+        elems, _, _ = window()  # raw strings, bars and degenerate ones included
+        cells = [s for _, basis in components for s in basis]
+        inputs = cells + [s.underlying for s in cells] + barred + elems
+        assert any(not surjections._nondegenerate(x.tokens) for x in elems)
+        for u in inputs:
+            got = surjections.differential(u)
+            assert ordered_terms(got) == ordered_terms(reference_differential(u))
+            assert all(type(b) is type(u) and same_as_checked(b) for b in got.terms)
+
+    def test_rs_compose_on_every_composable_triple(self):
+        _, small, _ = surjection_window()
+        triples = 0
+        for f in small:
+            x = f.underlying
+            for i in range(1, strings.arity(x) + 1):
+                slot_open = -i in x.tokens
+                for g in small:
+                    if g.underlying.output_open != slot_open:
+                        continue
+                    got = surjections.rs_compose(f, i, g)
+                    want = reference_rs_compose(f, i, g)
+                    assert ordered_terms(got) == ordered_terms(want)
+                    assert all(
+                        type(b) is Surjection and same_as_checked(b)
+                        for b in got.terms
+                    )
+                    triples += 1
+        assert triples == 48_916
+
+    def test_errors_match(self):
+        f = Surjection(strings.parse("(1u21u3)^o"))
+        g = Surjection(strings.parse("(u1u2u1)^o"))
+        closed = Surjection(strings.parse("(121)^c"))
+        barred = BarredClass(strings.parse("(u12|2u1)^o"))
+        cases = [
+            (f, 0, g),  # slot out of range
+            (f, -1, g),
+            (f, 4, g),
+            (Surjection(strings.parse("(1)^c")), 2, closed),
+            (f, 1, g),  # closed slot, open argument
+            (f, 2, closed),  # open slot, closed argument
+            (f, 2, barred),  # bars in the argument: compose's colour check
+            (f, 3, barred.underlying),
+            (barred, 1, g),  # bars in f: the Surjection check
+            (BarredClass(strings.parse("(1|1)^c")), 1, closed),
+            (strings.parse("(1|1)^c"), 1, closed),
+        ]
+        for args in cases:
+            got = lin_outcome(surjections.rs_compose, *args)
+            assert isinstance(got, tuple) and got == lin_outcome(
+                reference_rs_compose, *args
+            )
+        assert lin_outcome(surjections.rs_compose, f, 4, g) == (
+            ValueError, "slot 4 out of range for arity 3"
+        )
+        assert lin_outcome(surjections.rs_compose, f, 1, g) == (
+            ColourMismatch, "slot 1 is closed, argument is not"
+        )
+        assert lin_outcome(surjections.rs_compose, f, 2, barred) == (
+            ColourMismatch, "slot 2 has colour u0, got output colour u1"
+        )
+        assert lin_outcome(surjections.rs_compose, barred, 1, g) == (
+            ValueError, "a basis surjection has no bars"
+        )
+        # a degenerate raw argument: its degenerate composites are dropped
+        raw = strings.parse("(u1u12)^o")
+        for args in ((f, 2, raw), (raw, 1, g), (raw, 2, raw)):
+            got = lin_outcome(surjections.rs_compose, *args)
+            assert got == lin_outcome(reference_rs_compose, *args)
+
+    def test_in_filtration_errors_match(self):
+        # verdicts inside the window: tests/test_strings.py brute force
+        x = strings.parse("(12|21)^c")
+        for m, variant in ((0, "standard"), (-1, "primed-variant"), (2, "x"), (0, "x")):
+            got = outcome(strings.in_filtration, x, m, variant)
+            assert isinstance(got, tuple)
+            assert got == outcome(reference_in_filtration, x, m, variant)
+
+
+@st.composite
+def nondegenerate_strings(draw, bars=None, output_open=None, max_tokens=10):
+    """A valid string with no two equal letters side by side (a bar between
+    them is allowed): a ``BarredClass`` or, without bars, a ``Surjection``."""
+    x = draw(integer_strings(
+        bars=bars, output_open=output_open, max_labels=6, max_tokens=max_tokens
+    ))
+    tokens = []
+    for t in x.tokens:
+        if not (tokens and tokens[-1] == t != BAR):
+            tokens.append(t)
+    return IntegerString(tuple(tokens), x.output_open)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), fx=nondegenerate_strings(bars=0))
+def test_surjection_kernels_match_reference_beyond_the_window(data, fx):
+    f = Surjection(fx)
+    barred = BarredClass(data.draw(nondegenerate_strings()))
+    raw = data.draw(integer_strings(max_labels=6, max_tokens=10))
+    for u in (f, fx, barred, raw):
+        got = surjections.differential(u)
+        assert ordered_terms(got) == ordered_terms(reference_differential(u))
+    k = strings.arity(fx)
+    i = data.draw(st.integers(1, k))
+    gx = data.draw(
+        nondegenerate_strings(bars=0, output_open=-i in fx.tokens, max_tokens=6)
+    )
+    g = Surjection(gx)
+    got = surjections.rs_compose(f, i, g)
+    assert ordered_terms(got) == ordered_terms(reference_rs_compose(f, i, g))
+    assert all(same_as_checked(b) for b in got.terms)
+    # any slot and any argument: equal results or equal errors
+    j = data.draw(st.integers(-1, k + 1))
+    h = data.draw(st.sampled_from((g, gx, barred, raw)))
+    for left in (f, barred, raw):
+        assert lin_outcome(surjections.rs_compose, left, j, h) == lin_outcome(
+            reference_rs_compose, left, j, h
+        )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    x=integer_strings(),
+    m=st.integers(1, 3),
+    variant=st.sampled_from(VARIANTS),
+)
+def test_in_filtration_matches_reference_beyond_the_window(x, m, variant):
+    assert strings.in_filtration(x, m, variant) == reference_in_filtration(
+        x, m, variant
+    )
