@@ -2,8 +2,8 @@
 
 Formal Z-linear combinations over arbitrary hashable bases, their linear
 and bilinear extensions from structure-constant tables, graded chain
-complexes with integer boundary matrices, Smith normal form over Python's
-arbitrary-precision integers, and homology with torsion.
+complexes stored as sparse integer boundary columns, Smith normal form over
+Python's arbitrary-precision integers, and homology with torsion.
 
 Homology reduces each boundary once: unit-pivot sparse elimination takes
 every +-1 pivot it can (each an invariant factor 1), and the dense Smith
@@ -14,7 +14,7 @@ normal form runs only on the residue that has no unit entry left
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from typing import Hashable, Iterable
 
 __all__ = [
@@ -135,43 +135,42 @@ def _expand_terms(factors) -> list:
 
 
 class InvalidComplex(ValueError):
-    """The boundary matrices do not square to zero."""
+    """The boundary columns are malformed or do not square to zero."""
 
 
 @dataclass
 class ChainComplex:
-    """Graded free Z-modules with boundary matrices lowering degree by one.
+    """Graded free Z-modules with boundaries lowering degree by one.
 
-    ``boundary[d]`` has shape (len(bases[d-1]), len(bases[d])) and sends
-    degree-d basis columns to degree-(d-1) combinations.
+    ``columns[d][j]`` is the boundary of the j-th degree-d basis element as
+    a ``{row: nonzero coefficient}`` dict over the degree-(d-1) basis.
     """
 
     bases: dict[int, list]
-    boundary: dict[int, list[list[int]]] = field(default_factory=dict)
+    columns: dict[int, list[dict[int, int]]] = field(default_factory=dict)
 
     def dim(self, d: int) -> int:
         return len(self.bases.get(d, []))
 
     def matrix(self, d: int) -> list[list[int]]:
-        rows, cols = self.dim(d - 1), self.dim(d)
-        got = self.boundary.get(d)
-        if got is None:
-            return [[0] * cols for _ in range(rows)]
-        if len(got) != rows or any(len(r) != cols for r in got):
-            raise InvalidComplex(f"boundary matrix at degree {d} has wrong shape")
-        return got
+        """Boundary d as a dense (dim(d-1), dim(d)) matrix, built anew."""
+        mat = [[0] * self.dim(d) for _ in range(self.dim(d - 1))]
+        for j, col in enumerate(self.columns.get(d, ())):
+            for r, c in col.items():
+                mat[r][j] = c
+        return mat
 
     def validate(self) -> dict[int, list[dict[int, int]]]:
-        """Check d o d = 0 by a sparse product and return the sparse columns
-        (see ``sparse_columns``) of every boundary between two nonzero
-        degrees, keyed by degree."""
-        columns = {
-            d: self.sparse_columns(d)
-            for d in sorted(self.bases)
-            if self.dim(d) and self.dim(d - 1)
-        }
-        for d, cols in columns.items():
-            lower = columns.get(d - 1)
+        """Check the shapes and d o d = 0 on the stored columns and return
+        the columns of every boundary between two nonzero degrees, keyed by
+        degree."""
+        for d in sorted(self.columns):
+            cols, rows = self.columns[d], self.dim(d - 1)
+            if len(cols) != self.dim(d) or any(
+                not 0 <= r < rows for col in cols for r in col
+            ):
+                raise InvalidComplex(f"boundary at degree {d} has wrong shape")
+            lower = self.columns.get(d - 1)
             if lower is None:
                 continue
             for col in cols:
@@ -181,15 +180,11 @@ class ChainComplex:
                         square[t] = square.get(t, 0) + c * e
                 if any(square.values()):
                     raise InvalidComplex(f"d o d != 0 from degree {d}")
-        return columns
-
-    def sparse_columns(self, d: int) -> list[dict[int, int]]:
-        """Column j of ``boundary[d]`` as a {row: nonzero entry} dict."""
-        cols: list[dict[int, int]] = [{} for _ in range(self.dim(d))]
-        for r, row in enumerate(self.matrix(d)):
-            for j in compress(range(len(row)), row):
-                cols[j][r] = row[j]
-        return cols
+        return {
+            d: cols
+            for d, cols in sorted(self.columns.items())
+            if self.dim(d) and self.dim(d - 1)
+        }
 
     def degrees(self) -> list[int]:
         return sorted(self.bases)
@@ -198,25 +193,25 @@ class ChainComplex:
 def build_complex(bases: dict[int, list], image) -> ChainComplex:
     """The chain complex on ``bases`` whose boundary sends a basis element
     ``e`` of degree d to the combination ``image(e)`` of degree-(d-1) basis
-    elements; ``boundary[d]`` is filled wherever degrees d and d-1 are both
+    elements; ``columns[d]`` is filled wherever degrees d and d-1 are both
     present."""
-    boundary = {}
+    columns = {}
     for d, elems in bases.items():
         if d - 1 not in bases:
             continue
-        lower = bases[d - 1]
-        index = {e: r for r, e in enumerate(lower)}
-        mat = [[0] * len(elems) for _ in lower]
-        for col, e in enumerate(elems):
+        index = {e: r for r, e in enumerate(bases[d - 1])}
+        cols = columns[d] = []
+        for e in elems:
+            col: dict[int, int] = {}
             for t, c in image(e):
                 row = index.get(t)
                 if row is None:
                     raise ValueError(
                         f"boundary of {e!r} has the term {t!r} outside degree {d - 1}"
                     )
-                mat[row][col] += c
-        boundary[d] = mat
-    return ChainComplex(bases, boundary)
+                col[row] = col.get(row, 0) + c
+            cols.append({r: c for r, c in sorted(col.items()) if c})
+    return ChainComplex(bases, columns)
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -340,7 +335,7 @@ def _xgcd(p: int, q: int):
 
 
 def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """Unit-pivot elimination on sparse rows, which it consumes.
+    """Unit-pivot elimination on copies of the given sparse rows.
 
     Repeatedly takes a +-1 entry of the sparsest row, choosing among them the
     column held by the fewest rows to limit fill, clears that column from
@@ -348,7 +343,7 @@ def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, in
     that splits off an invariant factor 1.  Returns the number of pivots and
     the nonzero rows left, none of which has a unit entry.
     """
-    rows = [r for r in rows if r]
+    rows = [dict(r) for r in rows if r]
     holders: dict[int, set[int]] = {}  # column -> the rows with an entry there
     for i, row in enumerate(rows):
         for k in row:
@@ -388,9 +383,8 @@ def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, in
 
 
 def _rank_and_torsion(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
-    """Rank and invariant factors > 1 of the matrix with these sparse rows
-    (consumed): unit pivots first, then ``smith_normal_form`` on the
-    residue."""
+    """Rank and invariant factors > 1 of the matrix with these sparse rows:
+    unit pivots first, then ``smith_normal_form`` on the residue."""
     pivots, rest = _eliminate_units(rows)
     if not rest:
         return pivots, []

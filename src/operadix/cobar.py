@@ -1130,80 +1130,46 @@ def rs2_experimental_report(
         for n in levels
     }
 
-    # 1. concatenation is a chain map
-    ok, cases = True, 0
-    for df in range(max_level + 1):
-        for dg in range(max_level + 1):
-            if df + dg + 1 > truncation:
-                continue
-            for f in closed_reps[df]:
-                for g in closed_reps[dg]:
-                    lhs = closed.differential(cup_cobar(closed, f, g))
-                    rhs = cup_cobar(closed, closed.differential(f), g) + (
-                        (-1) ** (df % 2)
-                    ) * cup_cobar(closed, f, closed.differential(g))
-                    cases += 1
-                    if closed.conormal_project(lhs - rhs):
-                        ok = False
-    report["cup-chain-map"] = (ok, cases)
+    def sign(n):
+        return -1 if n % 2 else 1
 
-    # 2. closed insertion closes the concatenation commutator
-    ok, cases = True, 0
-    for df in range(1, max_level + 1):
-        for dg in range(1, max_level + 1):
-            if df + dg + 1 > truncation:
-                continue
-            for f in closed_reps[df]:
-                for g in closed_reps[dg]:
-                    lhs = (
-                        closed.differential(e_prime_1k(closed, f, [g]))
-                        + e_prime_1k(closed, closed.differential(f), [g])
-                        + ((-1) ** (df % 2))
-                        * e_prime_1k(closed, f, [closed.differential(g)])
-                    )
-                    rhs = cup_cobar(closed, f, g) - (
-                        (-1) ** ((df * dg) % 2)
-                    ) * cup_cobar(closed, g, f)
-                    cases += 1
-                    if closed.conormal_project(lhs - rhs):
-                        ok = False
-    report["e11-commutator-homotopy"] = (ok, cases)
-
-    # 3. twisted concatenation is a chain map
-    ok, cases = True, 0
-    for du in range(max_level + 1):
-        for dv in range(max_level + 1):
-            if du + dv + 1 > truncation:
-                continue
-            for u in rel_reps[du]:
-                for v in rel_reps[dv]:
-                    lhs = rel.differential(mu_prime_o(rel, u, v))
-                    rhs = mu_prime_o(rel, rel.differential(u), v) + (
-                        (-1) ** (du % 2)
-                    ) * mu_prime_o(rel, u, rel.differential(v))
-                    cases += 1
-                    if rel.conormal_project(lhs - rhs):
-                        ok = False
-    report["mu-o-chain-map"] = (ok, cases)
-
-    # 4. the one-argument relative insertion closes the twisted commutator
-    ok, cases = True, 0
-    for df in range(1, max_level + 1):
-        for du in range(max_level + 1):
-            if df + du + 1 > truncation:
-                continue
-            for f in closed_reps[df]:
-                for u in rel_reps[du]:
-                    lhs = (
-                        rel.differential(e_prime_j(rel, f, [u]))
-                        + e_prime_j(rel, closed.differential(f), [u])
-                        + ((-1) ** (df % 2)) * e_prime_j(rel, f, [rel.differential(u)])
-                    )
-                    rhs = mu_prime_o(rel, inc_cobar(rel, f), u) - (
-                        (-1) ** ((df * du) % 2)
-                    ) * mu_prime_o(rel, u, inc_cobar(rel, f))
-                    cases += 1
-                    if rel.conormal_project(lhs - rhs):
-                        ok = False
-    report["ej-commutator-homotopy"] = (ok, cases)
+    d_closed, d_rel = closed.differential, rel.differential
+    relations = [
+        # concatenation is a chain map
+        ("cup-chain-map", closed, closed_reps, closed_reps, 0, 0,
+         lambda f, g, df, dg: d_closed(cup_cobar(closed, f, g))
+         - cup_cobar(closed, d_closed(f), g)
+         - sign(df) * cup_cobar(closed, f, d_closed(g))),
+        # closed insertion closes the concatenation commutator
+        ("e11-commutator-homotopy", closed, closed_reps, closed_reps, 1, 1,
+         lambda f, g, df, dg: d_closed(e_prime_1k(closed, f, [g]))
+         + e_prime_1k(closed, d_closed(f), [g])
+         + sign(df) * e_prime_1k(closed, f, [d_closed(g)])
+         - cup_cobar(closed, f, g)
+         + sign(df * dg) * cup_cobar(closed, g, f)),
+        # twisted concatenation is a chain map
+        ("mu-o-chain-map", rel, rel_reps, rel_reps, 0, 0,
+         lambda u, v, du, dv: d_rel(mu_prime_o(rel, u, v))
+         - mu_prime_o(rel, d_rel(u), v)
+         - sign(du) * mu_prime_o(rel, u, d_rel(v))),
+        # the one-argument relative insertion closes the twisted commutator
+        ("ej-commutator-homotopy", rel, closed_reps, rel_reps, 1, 0,
+         lambda f, u, df, du: d_rel(e_prime_j(rel, f, [u]))
+         + e_prime_j(rel, d_closed(f), [u])
+         + sign(df) * e_prime_j(rel, f, [d_rel(u)])
+         - mu_prime_o(rel, inc_cobar(rel, f), u)
+         + sign(df * du) * mu_prime_o(rel, u, inc_cobar(rel, f))),
+    ]
+    for name, tot, left, right, low_left, low_right, defect in relations:
+        ok, cases = True, 0
+        for df in range(low_left, max_level + 1):
+            for dg in range(low_right, max_level + 1):
+                if df + dg + 1 > truncation:
+                    continue
+                for f in left[df]:
+                    for g in right[dg]:
+                        cases += 1
+                        if tot.conormal_project(defect(f, g, df, dg)):
+                            ok = False
+        report[name] = (ok, cases)
     return report

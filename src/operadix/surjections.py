@@ -6,14 +6,19 @@ occurrences, composition substitutes one surjection into a slot of another
 after cutting it with bar-insertion maps, and each component (fixed openness
 pattern) is a finite chain complex whose homology is computed exactly.
 
-Sign conventions (verified mechanically: squared differential vanishes,
-Leibniz holds on >25000 exhaustive pairs, sequential and parallel
-associativity hold on thousands of sampled triples, and the unit laws hold):
+Sign conventions:
 
 - differential: deleting the j-th occurrence (0-based) of label i carries
   the sign (-1)^{n_1 + ... + n_{i-1} + j} where n_l = occurrences(l) - 1;
 - bar insertion: every cut pattern enters with coefficient +1;
 - composition f o_i g: global prefactor (-1)^{deg(g) * (n_{i+1}+...+n_k)}.
+
+Verified mechanically: the squared differential vanishes, sequential and
+parallel associativity hold on thousands of sampled triples, and the unit
+laws hold.  The Leibniz rule for f o_i g holds over Z only when the letter i
+occurs once in f.  When it occurs more than once the rule holds only mod 2:
+every cut pattern of the bar insertion enters with +1, where the
+Berger-Fresse composition gives each pattern its own sign.
 """
 
 from __future__ import annotations
@@ -352,16 +357,12 @@ def is_generated_up_to(max_labels: int = 3, max_length: int = 6, m: int = 2) -> 
                 if not basis:
                     continue
                 index = {s: t for t, s in enumerate(basis)}
-                vectors = []
-                for v in reachable:
-                    some = next(iter(v.terms))
-                    if all(s in index for s in v.terms) and _component_of(
-                        some
-                    ) == (tuple(opens), out_open):
-                        row = [0] * len(basis)
-                        for s, c in v:
-                            row[index[s]] = c
-                        vectors.append(row)
+                vectors = [
+                    {index[s]: c for s, c in v}
+                    for v in reachable
+                    if all(s in index for s in v.terms)
+                    and _component_of(next(iter(v.terms))) == (tuple(opens), out_open)
+                ]
                 spanned = _spans_full_lattice(vectors, len(basis))
                 key = _component_name(opens, out_open)
                 report["components"][key] = {
@@ -383,11 +384,10 @@ def _component_name(opens, out_open) -> str:
     return ",".join("o" if o else "c" for o in opens) + ":" + ("o" if out_open else "c")
 
 
-def _spans_full_lattice(vectors: list[list[int]], dim: int) -> bool:
-    """Whether the integer rows span Z^dim: rank dim and no torsion."""
-    rank, torsion = _rank_and_torsion(
-        [{j: c for j, c in enumerate(row) if c} for row in vectors]
-    )
+def _spans_full_lattice(vectors: list[dict[int, int]], dim: int) -> bool:
+    """Whether the sparse integer rows ({coordinate: nonzero entry}) span
+    Z^dim: rank dim and no torsion."""
+    rank, torsion = _rank_and_torsion(vectors)
     return rank == dim and not torsion
 
 

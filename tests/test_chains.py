@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Smith normal form and homology."""
 
+import copy
 import random
 
 import pytest
@@ -15,9 +16,17 @@ from operadix.chains import (
     build_complex,
     linear,
 )
-from operadix.cobar import group_bialgebra, unreduced_cobar
+from operadix.cobar import (
+    CobarTot,
+    diagonal_comodule,
+    dual_group_bialgebra,
+    group_bialgebra,
+    unreduced_cobar,
+)
 from operadix.loops import FiniteMonoid, TotComplex
-from operadix.surjections import component_complex, component_homology
+from operadix.surjections import component_complex, component_homology, differential
+
+import test_cobar
 
 
 class TestLinComb:
@@ -84,20 +93,29 @@ class TestSmithNormalForm:
             assert abs(sympy.Matrix(right).det()) == 1
 
 
+def from_dense(bases, boundary) -> ChainComplex:
+    """The complex on ``bases`` whose boundary d is the dense matrix
+    ``boundary[d]``."""
+    columns = {
+        d: [{r: row[j] for r, row in enumerate(mat) if row[j]} for j in range(len(bases[d]))]
+        for d, mat in boundary.items()
+    }
+    return ChainComplex(bases, columns)
+
+
+def matrices(cx: ChainComplex) -> dict:
+    """The dense view of every stored boundary."""
+    return {d: cx.matrix(d) for d in cx.columns}
+
+
 def circle_complex():
     """Two vertices, two parallel edges: the circle."""
-    return ChainComplex(
-        bases={0: ["v0", "v1"], 1: ["a", "b"]},
-        boundary={1: [[-1, -1], [1, 1]]},
-    )
+    return from_dense({0: ["v0", "v1"], 1: ["a", "b"]}, {1: [[-1, -1], [1, 1]]})
 
 
 def projective_plane_complex():
     """Minimal CW model with a degree-2 attaching map."""
-    return ChainComplex(
-        bases={0: ["v"], 1: ["e"], 2: ["f"]},
-        boundary={1: [[0]], 2: [[2]]},
-    )
+    return from_dense({0: ["v"], 1: ["e"], 2: ["f"]}, {1: [[0]], 2: [[2]]})
 
 
 class TestHomology:
@@ -115,10 +133,7 @@ class TestHomology:
         assert chains.homology(cx, 2) == (0, [])
 
     def test_invalid_complex_rejected(self):
-        bad = ChainComplex(
-            bases={0: ["v"], 1: ["e"], 2: ["f"]},
-            boundary={1: [[1]], 2: [[1]]},
-        )
+        bad = from_dense({0: ["v"], 1: ["e"], 2: ["f"]}, {1: [[1]], 2: [[1]]})
         with pytest.raises(InvalidComplex):
             bad.validate()
         with pytest.raises(InvalidComplex, match="from degree 2"):
@@ -127,13 +142,42 @@ class TestHomology:
             chains.homology(bad, 0)
 
     def test_sparse_columns(self):
-        cx = ChainComplex(
-            bases={0: ["v", "w"], 1: ["a", "b", "c"]},
-            boundary={1: [[-1, 0, 2], [1, 0, 0]]},
-        )
-        assert cx.sparse_columns(1) == [{0: -1, 1: 1}, {}, {0: 2}]
+        cx = from_dense({0: ["v", "w"], 1: ["a", "b", "c"]}, {1: [[-1, 0, 2], [1, 0, 0]]})
+        assert cx.columns == {1: [{0: -1, 1: 1}, {}, {0: 2}]}
+        assert cx.matrix(1) == [[-1, 0, 2], [1, 0, 0]]
+        assert cx.matrix(2) == [[], [], []]  # an absent boundary is zero
+        assert cx.matrix(0) == []
         assert cx.validate() == {1: [{0: -1, 1: 1}, {}, {0: 2}]}
         assert chains.homology_all(cx) == {0: (0, [2]), 1: (1, [])}
+
+    def test_malformed_columns_rejected(self):
+        bases = {0: ["v", "w"], 1: ["a", "b"]}
+        wrong_count = ChainComplex(bases, {1: [{0: 1, 1: -1}]})
+        beyond_last_row = ChainComplex(bases, {1: [{0: 1, 1: -1}, {2: 1}]})
+        negative_row = ChainComplex(bases, {1: [{-1: 1}, {}]})
+        for bad in (wrong_count, beyond_last_row, negative_row):
+            with pytest.raises(InvalidComplex, match="at degree 1 has wrong shape"):
+                bad.validate()
+            with pytest.raises(InvalidComplex, match="at degree 1 has wrong shape"):
+                chains.homology_all(bad)
+
+    def test_homology_leaves_columns_unchanged(self):
+        rng = random.Random(5)
+        samples = [random_complex(rng) for _ in range(20)] + [
+            component_complex(opens, out_open, m)
+            for opens, out_open, m in components([(2, 3), (3, 3)])
+        ]
+        residues = 0
+        for cx in samples:
+            before = copy.deepcopy(cx.columns)
+            chains.homology_all(cx)
+            assert cx.columns == before
+            residues += any(
+                chains._eliminate_units(cols)[1] for cols in cx.validate().values()
+            )
+        # the residue path, which hands the leftover rows to the dense SNF,
+        # is taken as well
+        assert residues
 
 
 def dense_homology(cx: ChainComplex, d: int) -> tuple[int, list[int]]:
@@ -199,7 +243,7 @@ def random_complex(rng: random.Random) -> ChainComplex:
             chains.mat_mul(changes[d - 1][0], normal), changes[d][1]
         )
     bases = {d: [f"e{d}_{i}" for i in range(n)] for d, n in enumerate(dims)}
-    return ChainComplex(bases, boundary)
+    return from_dense(bases, boundary)
 
 
 class TestSparseHomology:
@@ -311,7 +355,81 @@ class TestReach:
         assert betti(hom) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
+def reference_boundaries(bases: dict[int, list], image) -> dict:
+    """Dense boundary matrices filled entry by entry from ``image``: the
+    dense ``build_complex`` that the sparse columns replaced."""
+    boundary = {}
+    for d, elems in bases.items():
+        if d - 1 not in bases:
+            continue
+        lower = bases[d - 1]
+        index = {e: r for r, e in enumerate(lower)}
+        mat = [[0] * len(elems) for _ in lower]
+        for col, e in enumerate(elems):
+            for t, c in image(e):
+                row = index.get(t)
+                if row is None:
+                    raise ValueError(
+                        f"boundary of {e!r} has the term {t!r} outside degree {d - 1}"
+                    )
+                mat[row][col] += c
+        boundary[d] = mat
+    return boundary
+
+
+def reference_cases():
+    """(label, complex, dense reference boundaries) for the surjection
+    components, the word complexes of the cobar constructions and the raw
+    and quotient totalizations."""
+    for variant in ("standard", "primed-variant"):
+        for opens, out_open, m in components([(2, 4), (3, 3)]):
+            cx = component_complex(opens, out_open, m, variant)
+            want = reference_boundaries(cx.bases, differential)
+            yield (opens, out_open, m, variant), cx, want
+    for params in test_cobar.SAMPLE_FAMILY:
+        cob, rels = test_cobar.TestMemoizedConstructions.constructions(params)
+        for con in [cob] + rels:
+            cx = con.chain_complex()
+            want = reference_boundaries(
+                cx.bases, lambda w: test_cobar.reference_diff_basis(con, w)
+            )
+            yield params, cx, want
+    Z2, Z3 = FiniteMonoid.cyclic(2), FiniteMonoid.cyclic(3)
+    for B in (group_bialgebra(Z2), group_bialgebra(Z3), dual_group_bialgebra(Z2)):
+        for C in (None, diagonal_comodule(B)):
+            tot = CobarTot(B, C, 4)
+            cx = tot.chain_complex()
+            want = reference_boundaries(
+                cx.bases, lambda e: tot.differential(LinComb.unit(e))
+            )
+            yield ("raw", B.basis, C is None), cx, want
+    for M, subs in ((Z2, [(0,), (0, 1)]), (Z3, [(0,), (0, 1, 2)])):
+        for sub in subs:
+            for kind in ("closed", "open"):
+                tot = TotComplex(M, sub, 4, kind)
+                cx = tot.chain_complex()
+
+                def image(e):
+                    return [
+                        (b, c)
+                        for b, c in tot.differential(LinComb.unit(e))
+                        if tot._normal(tot._split(b)[0])
+                    ]
+
+                want = reference_boundaries(cx.bases, image)
+                yield ("quotient", M.elements, sub, kind), cx, want
+
+
 class TestBuildComplex:
+    def test_columns_match_dense_reference(self):
+        cases = 0
+        for label, cx, want in reference_cases():
+            assert matrices(cx) == want, label
+            assert all(0 not in col.values() for cols in cx.columns.values() for col in cols)
+            cx.validate()
+            cases += 1
+        assert cases == 60 + 3 * len(test_cobar.SAMPLE_FAMILY) + 6 + 8
+
     def test_stray_image_term_names_the_element(self):
         bases = {0: ["v"], 1: ["e", "f"]}
         images = {"e": LinComb.unit("v"), "f": LinComb({"v": 1, "w": -1})}
@@ -323,8 +441,14 @@ class TestBuildComplex:
         bases = {0: ["v", "w"], 1: ["e"], 3: ["t"]}
         images = {"e": LinComb({"w": 1, "v": -1}), "t": LinComb.unit("missing")}
         cx = build_complex(bases, images.__getitem__)
-        assert cx.boundary == {1: [[-1], [1]]}
+        assert matrices(cx) == {1: [[-1], [1]]}
         assert cx.bases == bases
+
+    def test_repeated_image_terms_are_summed(self):
+        bases = {0: ["v", "w"], 1: ["e"]}
+        image = {"e": [("w", 2), ("v", 1), ("w", 1), ("v", -1)]}
+        cx = build_complex(bases, image.__getitem__)
+        assert cx.columns == {1: [{1: 3}]}
 
     def test_surjection_component_matrices_frozen(self):
         cx = component_complex((False, False), False, 2)
@@ -332,16 +456,16 @@ class TestBuildComplex:
             ["(12)^c", "(21)^c"],
             ["(121)^c", "(212)^c"],
         ]
-        assert cx.boundary == {1: [[-1, 1], [1, -1]]}
-        assert component_complex((True, False), True, 2).boundary == {1: [[-1], [1]]}
+        assert matrices(cx) == {1: [[-1, 1], [1, -1]]}
+        assert matrices(component_complex((True, False), True, 2)) == {1: [[-1], [1]]}
 
     def test_totalization_matrices_frozen(self):
         Z2 = FiniteMonoid.cyclic(2)
         raw = unreduced_cobar(group_bialgebra(Z2), 2)
-        assert raw.boundary == {0: [[0], [0]], -1: [[1, 0], [0, 1], [0, 1], [0, -1]]}
+        assert matrices(raw) == {0: [[0], [0]], -1: [[1, 0], [0, 1], [0, 1], [0, -1]]}
         quotient = TotComplex(Z2, (0, 1), 3, "open").chain_complex()
         assert quotient.bases[-3] == [((1, 0, 1), 0), ((1, 0, 1), 1)]
-        assert quotient.boundary == {
+        assert matrices(quotient) == {
             0: [[0, 0], [0, -1]],
             -1: [[1, 0], [0, 0]],
             -2: [[0, 0], [0, -1]],

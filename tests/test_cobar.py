@@ -303,7 +303,7 @@ class TestMemoizedConstructions:
                     {d: b for d, b in bases.items() if b},
                     lambda w: reference_diff_basis(con, w),
                 )
-                assert con.chain_complex().boundary == reference.boundary
+                assert con.chain_complex().columns == reference.columns
 
     def test_negative_tail_degree_builds(self):
         # the words whose tail has negative degree carry letters of total

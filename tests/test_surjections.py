@@ -127,14 +127,14 @@ class TestGenerators:
         "vectors, dim, spanned",
         [
             # unimodular: det = 1, with a redundant third row
-            ([[2, 1], [1, 1], [3, 2]], 2, True),
+            ([{0: 2, 1: 1}, {0: 1, 1: 1}, {0: 3, 1: 2}], 2, True),
             ([], 0, True),
             # rank deficient: rank 1 in Z^2
-            ([[1, 2], [2, 4]], 2, False),
+            ([{0: 1, 1: 2}, {0: 2, 1: 4}], 2, False),
             ([], 2, False),
             # full rank with torsion: index 2, and index 3 in a 2 x 2 block
-            ([[2]], 1, False),
-            ([[1, 1], [1, -2]], 2, False),
+            ([{0: 2}], 1, False),
+            ([{0: 1, 1: 1}, {0: 1, 1: -2}], 2, False),
         ],
     )
     def test_spans_full_lattice(self, vectors, dim, spanned):
