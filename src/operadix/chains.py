@@ -59,10 +59,6 @@ class LinComb:
     def unit(cls, basis, coeff: int = 1) -> "LinComb":
         return cls({basis: coeff})
 
-    @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
-
     def __add__(self, other: "LinComb") -> "LinComb":
         return LinComb(chain(self.terms.items(), other.terms.items()))
 

@@ -5,6 +5,9 @@ Three layers:
 1. Graded dg-coalgebras and comodules with explicit structure constants,
    their (relative) cobar constructions as word complexes, twisting and
    relative-twisting cochain checks, and the induced word-to-module map.
+   ``DGComodule.validate`` checks the structure laws; a coalgebra, and a
+   bialgebra's coalgebra, validates as a comodule over itself plus the
+   right counit law.
 
 2. Ungraded bialgebras (e.g. monoid algebras) with the unreduced (relative)
    cobar complexes, the multiplicative operad with components the tensor
@@ -13,7 +16,8 @@ Three layers:
 
 3. The truncated totalization of the unreduced (relative) cobar complex
    with its kernel conormalization, carrying the experimental homotopy
-   operations (insertion sums, the twisted concatenation, and the
+   operations (the closed and open insertion sums, two placements in one
+   signed sum ``_insertion_sum``, the twisted concatenation, and the
    closed/relative inclusions); relation checks are reported, not assumed.
 
 Conventions: the desuspension shifts degree down by one and anti-commutes
@@ -26,7 +30,7 @@ coproduct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, combinations, product
 
 from .chains import (
@@ -63,7 +67,6 @@ __all__ = [
     "unreduced_relative_cobar",
     "mb_compose",
     "lambda_prime_B",
-    "lambda_i_B",
     "rho_B",
     "z_coface",
     "CobarTot",
@@ -118,51 +121,17 @@ class DGCoalgebra:
         )
 
     def validate(self) -> None:
-        names = list(self.degrees)
+        """The coalgebra is a comodule over itself with coaction the
+        coproduct: the comodule laws cover every law but the right counit."""
         if self.degrees.get(self.unit) != 0:
             raise ValueError("coaugmentation must sit in degree zero")
-        for x in names:
-            # homogeneity
-            for y, _ in self.differential.get(x, LinComb()):
-                if self.degree(y) != self.degree(x) - 1:
-                    raise ValueError(f"differential is not degree -1 at {x}")
-            for (a, b), _ in self.delta(x):
-                if self.degree(a) + self.degree(b) != self.degree(x):
-                    raise ValueError(f"coproduct is not degree-preserving at {x}")
-            # counit law
-            left = LinComb(
-                [(b, c * self.counit.get(a, 0)) for (a, b), c in self.delta(x)]
-            )
+        DGComodule(self, self.degrees, self.differential, self.coproduct).validate()
+        for x in self.degrees:
             right = LinComb(
-                [(a, c * self.counit.get(b, 0)) for (a, b), c in self.delta(x)]
+                (a, c * self.counit.get(b, 0)) for (a, b), c in self.delta(x)
             )
-            if left != LinComb.unit(x) or right != LinComb.unit(x):
-                raise ValueError(f"counit law fails at {x}")
-            # coassociativity
-            lhs = LinComb(
-                ((a1, a2, b), c * c2)
-                for (a, b), c in self.delta(x)
-                for (a1, a2), c2 in self.delta(a)
-            )
-            rhs = LinComb(
-                ((a, b1, b2), c * c2)
-                for (a, b), c in self.delta(x)
-                for (b1, b2), c2 in self.delta(b)
-            )
-            if lhs != rhs:
-                raise ValueError(f"coassociativity fails at {x}")
-            # d^2 = 0
-            if self.d(self.d(LinComb.unit(x))):
-                raise ValueError(f"differential does not square to zero at {x}")
-            # co-Leibniz: delta d = (d ox 1 + (-1)^{|a|} 1 ox d) delta
-            lhs = LinComb(
-                (t, c * ct)
-                for y, c in self.d(LinComb.unit(x))
-                for t, ct in self.delta(y)
-            )
-            rhs = LinComb(_leibniz_terms(self, self, self.delta(x)))
-            if lhs != rhs:
-                raise ValueError(f"co-Leibniz fails at {x}")
+            if right != LinComb.unit(x):
+                raise ValueError(f"right counit law fails at {x}")
 
     def check_one_reduced(self) -> None:
         for name, deg in self.degrees.items():
@@ -170,15 +139,16 @@ class DGCoalgebra:
                 raise NotOneReduced(f"basis element {name} in degree {deg}")
 
 
-def _leibniz_terms(C: DGCoalgebra, right, pairs: LinComb):
-    """Terms of (d ox 1 + (-1)^{|a|} 1 ox d) on a combination of pairs (a, b):
-    ``a`` lies in the coalgebra C and ``b`` in ``right`` (C or a comodule)."""
-    for (a, b), c in pairs:
+def _leibniz_terms(N: DGComodule, pairs: LinComb):
+    """Terms of (d ox 1 + (-1)^{|a|} 1 ox d) on a combination of pairs (a, n):
+    ``a`` lies in the coalgebra of N and ``n`` in N."""
+    C = N.coalgebra
+    for (a, n), c in pairs:
         for a2, c2 in C.d(LinComb.unit(a)):
-            yield (a2, b), c * c2
+            yield (a2, n), c * c2
         sign = -1 if C.degree(a) % 2 else 1
-        for b2, c2 in right.d(LinComb.unit(b)):
-            yield (a, b2), sign * c * c2
+        for n2, c2 in N.d(LinComb.unit(n)):
+            yield (a, n2), sign * c * c2
 
 
 @dataclass
@@ -204,22 +174,20 @@ class DGComodule:
         return self.rho(name) - LinComb.unit((self.coalgebra.unit, name))
 
     def validate(self) -> None:
+        """Check the degrees of d and the coaction, the left counit law,
+        coassociativity, d^2 = 0 and co-Leibniz at every basis element."""
         C = self.coalgebra
         for x in self.degrees:
             # homogeneity
             for y, _ in self.differential.get(x, LinComb()):
                 if self.degree(y) != self.degree(x) - 1:
-                    raise ValueError(f"module differential is not degree -1 at {x}")
+                    raise ValueError(f"differential is not degree -1 at {x}")
             for (a, n), _ in self.rho(x):
                 if C.degree(a) + self.degree(n) != self.degree(x):
                     raise ValueError(f"coaction is not degree-preserving at {x}")
-            # counit law
-            left = LinComb(
-                [(n, c * C.counit.get(a, 0)) for (a, n), c in self.rho(x)]
-            )
+            left = LinComb((n, c * C.counit.get(a, 0)) for (a, n), c in self.rho(x))
             if left != LinComb.unit(x):
-                raise ValueError(f"comodule counit law fails at {x}")
-            # coassociativity of the coaction
+                raise ValueError(f"left counit law fails at {x}")
             lhs = LinComb(
                 ((a1, a2, n), c * c2)
                 for (a, n), c in self.rho(x)
@@ -231,18 +199,18 @@ class DGComodule:
                 for (b, n2), c2 in self.rho(n)
             )
             if lhs != rhs:
-                raise ValueError(f"coaction coassociativity fails at {x}")
+                raise ValueError(f"coassociativity fails at {x}")
             if self.d(self.d(LinComb.unit(x))):
-                raise ValueError(f"module differential squares to {x}")
-            # co-Leibniz for the coaction
+                raise ValueError(f"differential does not square to zero at {x}")
+            # co-Leibniz: rho d = (d ox 1 + (-1)^{|a|} 1 ox d) rho
             lhs = LinComb(
                 (t, c * ct)
                 for y, c in self.d(LinComb.unit(x))
                 for t, ct in self.rho(y)
             )
-            rhs = LinComb(_leibniz_terms(C, self, self.rho(x)))
+            rhs = LinComb(_leibniz_terms(self, self.rho(x)))
             if lhs != rhs:
-                raise ValueError(f"coaction co-Leibniz fails at {x}")
+                raise ValueError(f"co-Leibniz fails at {x}")
 
 
 @dataclass
@@ -597,29 +565,15 @@ class Bialgebra:
             va = LinComb.unit(a)
             if self.mul(one, va) != va or self.mul(va, one) != va:
                 raise ValueError(f"unit law fails at {a}")
-            left = LinComb(
-                [(y, c * self.counit.get(x, 0)) for (x, y), c in self.coproduct[a]]
-            )
-            if left != va:
-                raise ValueError(f"counit law fails at {a}")
         for a, b, c in product(self.basis, repeat=3):
             lhs = self.mul(self.mul(LinComb.unit(a), LinComb.unit(b)), LinComb.unit(c))
             rhs = self.mul(LinComb.unit(a), self.mul(LinComb.unit(b), LinComb.unit(c)))
             if lhs != rhs:
                 raise ValueError(f"associativity fails at {(a, b, c)}")
-        for a in self.basis:
-            lhs = LinComb(
-                ((x1, x2, y), c * c2)
-                for (x, y), c in self.coproduct[a]
-                for (x1, x2), c2 in self.coproduct[x]
-            )
-            rhs = LinComb(
-                ((x, y1, y2), c * c2)
-                for (x, y), c in self.coproduct[a]
-                for (y1, y2), c2 in self.coproduct[y]
-            )
-            if lhs != rhs:
-                raise ValueError(f"coassociativity fails at {a}")
+        # the counit and coassociativity laws: the coalgebra in degree zero
+        DGCoalgebra(
+            dict.fromkeys(self.basis, 0), {}, self.coproduct, self.counit, self.unit
+        ).validate()
         # the coproduct is an algebra map (bialgebra axiom)
         for a, b in product(self.basis, repeat=2):
             ab = self.mul(LinComb.unit(a), LinComb.unit(b))
@@ -749,15 +703,22 @@ def mb_compose(B: Bialgebra, a: LinComb, i: int, b: LinComb) -> LinComb:
     )
 
 
+def _gamma_terms(B: Bialgebra, a: tuple, fills) -> list:
+    """gamma(a; t_1, ..., t_k) on basis tuples: the i-th letter of ``a``
+    left-translates the tuple t_i, and the blocks are concatenated; (tuple,
+    coefficient) pairs."""
+    blocks = [_left_terms(B, x, t) for x, t in zip(a, fills)]
+    return [(sum(body, ()), c) for body, c in _expand_terms(blocks)]
+
+
 def gamma_B(B: Bialgebra, f: LinComb, gs: list[LinComb]) -> LinComb:
     if any(len(gs) != len(tf) for tf, _ in f):
         raise ValueError("need one argument per tensor factor")
     return LinComb(
-        (sum(blocks, ()), cf * c)
+        (t, cf * cg * c)
         for tf, cf in f
-        for blocks, c in _expand_terms(
-            [left_translate_B(B, a_name, g) for a_name, g in zip(tf, gs)]
-        )
+        for fills, cg in _expand_terms(gs)
+        for t, c in _gamma_terms(B, tf, fills)
     )
 
 
@@ -813,10 +774,6 @@ def _wide_terms(B: Bialgebra, C: ComoduleAlgebra, beta, tf: tuple, us: tuple):
                 yield (sum(body, ()), cn), coeff * cb * cc
 
 
-def lambda_i_B(B: Bialgebra, C: ComoduleAlgebra, f: LinComb, i: int, u: LinComb) -> LinComb:
-    return lambda_prime_B(B, C, (i,), f, [u])
-
-
 def rho_B(B: Bialgebra, u: LinComb, gs: list[LinComb]) -> LinComb:
     return LinComb(
         ((tb, cname), c * cb)
@@ -833,9 +790,9 @@ def z_coface(B: Bialgebra, C: ComoduleAlgebra, i: int, u: LinComb) -> LinComb:
     l = lengths.pop()
     mu = LinComb.unit((B.unit, B.unit))
     if i == 0:
-        return lambda_i_B(B, C, mu, 2, u)
+        return lambda_prime_B(B, C, (2,), mu, [u])
     if i == l + 1:
-        return lambda_i_B(B, C, mu, 1, u)
+        return lambda_prime_B(B, C, (1,), mu, [u])
     gs = [LinComb.unit((B.unit,))] * l
     gs[i - 1] = mu
     return rho_B(B, u, gs)
@@ -1011,29 +968,39 @@ def _insertion_sign(positions, arg_degrees, n) -> int:
     return (-1) ** (total % 2)
 
 
+def _insertion_sum(tot: CobarTot, f: LinComb, args: list[LinComb], place) -> LinComb:
+    """The insertion sum of the arguments into the closed combination f: for
+    each tuple a of f, each choice of len(args) letters of a and each term
+    of the arguments, ``place(positions, a, term)`` gives the inserted
+    terms, signed by ``_insertion_sign``; the sum is truncated and
+    conormally projected."""
+    terms = [(t, c, [len(tot._split(b)[0]) for b in t]) for t, c in _expand_terms(args)]
+
+    def inserted():
+        for a, cf in f:
+            for positions in combinations(range(1, len(a) + 1), len(args)):
+                for term, cterm, levels in terms:
+                    c = cf * cterm * _insertion_sign(positions, levels, len(a))
+                    for t, ct in place(positions, a, term):
+                        yield t, c * ct
+
+    return tot.conormal_project(tot.truncate(LinComb(inserted())))
+
+
 def e_prime_1k(tot: CobarTot, f: LinComb, gs: list[LinComb]) -> LinComb:
     """Insertion sum on the closed part: each argument word enters a chosen
-    letter by diagonal left translation."""
+    letter by diagonal left translation, the other letters take the unit."""
     if tot.C is not None:
         raise ValueError("the closed insertion sum lives on the closed part")
-    B = tot.B
+    unit = (tot.B.unit,)
 
-    def insert(a, positions, term):
-        fills = [(B.unit,)] * len(a)
+    def place(positions, a, term):
+        fills = [unit] * len(a)
         for p, b in zip(positions, term):
             fills[p - 1] = b
-        sign = _insertion_sign(positions, [len(b) for b in term], len(a))
-        blocks = [_left_terms(B, x, t) for x, t in zip(a, fills)]
-        return ((sum(body, ()), sign * c) for body, c in _expand_terms(blocks))
+        return _gamma_terms(tot.B, a, fills)
 
-    out = LinComb(
-        (t, cf * csign * ct)
-        for a, cf in f
-        for positions in combinations(range(1, len(a) + 1), len(gs))
-        for term, csign in _expand_terms(gs)
-        for t, ct in insert(a, positions, term)
-    )
-    return tot.conormal_project(tot.truncate(out))
+    return _insertion_sum(tot, f, gs, place)
 
 
 def e_prime_j(tot: CobarTot, f: LinComb, hs: list[LinComb]) -> LinComb:
@@ -1043,20 +1010,7 @@ def e_prime_j(tot: CobarTot, f: LinComb, hs: list[LinComb]) -> LinComb:
     multiply onto the output coefficient (the wide left action)."""
     if tot.C is None:
         raise ValueError("the open insertion sum lives on the relative part")
-    B, C = tot.B, tot.C
-
-    def insert(a, positions, term):
-        sign = _insertion_sign(positions, [len(b[0]) for b in term], len(a))
-        return ((e, sign * c) for e, c in _wide_terms(B, C, positions, a, term))
-
-    out = LinComb(
-        (t, cf * csign * ct)
-        for a, cf in f
-        for positions in combinations(range(1, len(a) + 1), len(hs))
-        for term, csign in _expand_terms(hs)
-        for t, ct in insert(a, positions, term)
-    )
-    return tot.conormal_project(tot.truncate(out))
+    return _insertion_sum(tot, f, hs, partial(_wide_terms, tot.B, tot.C))
 
 
 def dual_group_bialgebra(M) -> Bialgebra:

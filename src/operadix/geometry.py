@@ -139,6 +139,18 @@ def cell_contains(alpha: GraphElement, x: CubeConfig) -> bool:
     return True
 
 
+def _separating_axis(c1: Box, c2: Box) -> tuple[int, int] | None:
+    """The least axis on which the boxes' intervals are strictly disjoint,
+    with 1 when ``c1`` lies below there and -1 when above; None when every
+    pair of intervals meets."""
+    for h, ((a1, b1), (a2, b2)) in enumerate(zip(c1.intervals, c2.intervals), 1):
+        if b1 < a2:
+            return h, 1
+        if b2 < a1:
+            return h, -1
+    return None
+
+
 def cell_index(x: CubeConfig) -> GraphElement:
     """The least cell containing the configuration: per pair, the least
     strictly separating axis, oriented from the lower box to the upper."""
@@ -146,15 +158,7 @@ def cell_index(x: CubeConfig) -> GraphElement:
     edges = {}
     for i in range(1, x.n + 1):
         for j in range(i + 1, x.n + 1):
-            found = None
-            for h in range(x.m):
-                (a1, b1), (a2, b2) = boxes[i - 1].intervals[h], boxes[j - 1].intervals[h]
-                if b1 < a2:
-                    found = (h + 1, 1)
-                    break
-                if b2 < a1:
-                    found = (h + 1, -1)
-                    break
+            found = _separating_axis(boxes[i - 1], boxes[j - 1])
             if found is None:
                 raise NoSeparation(f"boxes {i} and {j} share every coordinate interval")
             edges[(i, j)] = found
@@ -233,19 +237,13 @@ def random_config(
             ivs.append((Fraction(lo, denominator), Fraction(hi, denominator)))
         return Box(tuple(ivs))
 
-    def separated(b1: Box, b2: Box) -> bool:
-        return any(
-            y1 < x2 or y2 < x1
-            for (x1, y1), (x2, y2) in zip(b1.intervals, b2.intervals)
-        )
-
     plan = [False] * n_closed + [True] * n_open
     for _ in range(max_tries):
         boxes.clear()
         for open_ in plan:
             for _ in range(200):
                 cand = draw(open_)
-                if all(separated(cand, b) for b, _ in boxes):
+                if all(_separating_axis(cand, b) is not None for b, _ in boxes):
                     boxes.append((cand, open_))
                     break
             else:

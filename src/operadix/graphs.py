@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .strings import BAR, IntegerString, _moved, _top_label
+from .strings import BAR, IntegerString, _moved, _pair_limits, _top_label
 
 __all__ = [
     "GraphElement",
@@ -64,13 +64,6 @@ class GraphElement:
 
     def edge_dict(self) -> dict[tuple[int, int], tuple[int, int]]:
         return {p: d for p, d in self.edges}
-
-    def decoration(self, i: int, j: int) -> tuple[int, int]:
-        """(mu, orient) for the ordered pair (i, j), any order of arguments."""
-        if i < j:
-            return self.edge_dict()[(i, j)]
-        mu, orient = self.edge_dict()[(j, i)]
-        return mu, -orient
 
 
 def _is_pair(p, n: int) -> bool:
@@ -140,20 +133,14 @@ def leq(alpha: GraphElement, beta: GraphElement) -> bool:
 
 
 def in_filtration(alpha: GraphElement, m: int) -> bool:
-    """Level bounds: closed pairs m, open pairs m-1, mixed pairs m or m-1
-    according to whether the edge leaves the open vertex or enters it."""
-    if m < 1:
-        raise ValueError("filtration level m must be >= 1")
+    """Whether every level is within the string rule's pair limit
+    (``strings._pair_limits``, standard variant), where an edge's target is
+    the pair's first label and its source the second."""
+    limit = _pair_limits(m, "standard")
+    vertex_open = alpha.vertex_open
     for (i, j), (mu, orient) in alpha.edges:
-        oi, oj = alpha.vertex_open[i - 1], alpha.vertex_open[j - 1]
-        if not oi and not oj:
-            bound = m
-        elif oi and oj:
-            bound = m - 1
-        else:
-            source_open = oi if orient == 1 else oj
-            bound = m if source_open else m - 1
-        if mu > bound:
+        source, target = (i, j) if orient == 1 else (j, i)
+        if mu > limit[vertex_open[target - 1], vertex_open[source - 1]]:
             return False
     return True
 

@@ -95,10 +95,6 @@ class BarredClass:
         if not _nondegenerate(self.underlying.tokens):
             raise ValueError("degenerate string: adjacent equal letters")
 
-    @property
-    def cosimplicial_degree(self) -> int:
-        return sum(1 for t in self.underlying.tokens if t == BAR)
-
     def __repr__(self) -> str:
         return f"BarredClass({text(self.underlying)})"
 

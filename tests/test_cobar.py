@@ -162,6 +162,39 @@ def all_pairs_module(rel, alg: DGAlgebra) -> DGModule:
     return DGModule(alg, degrees, diff, action)
 
 
+def law_coalgebra(degrees, differential=None, reduced=None, coproduct=None):
+    """A coalgebra on U and ``degrees``: each element's coproduct is the two
+    primitive terms plus ``reduced[x]``, unless ``coproduct[x]`` replaces it."""
+    reduced, coproduct = reduced or {}, coproduct or {}
+    delta = {U: LinComb.unit((U, U))}
+    for x in degrees:
+        delta[x] = LinComb(
+            coproduct.get(x, {(x, U): 1, (U, x): 1, **reduced.get(x, {})})
+        )
+    return DGCoalgebra(
+        degrees={U: 0, **degrees},
+        differential={x: LinComb(d) for x, d in (differential or {}).items()},
+        coproduct=delta,
+        counit={U: 1},
+        unit=U,
+    )
+
+
+def law_comodule(C, degrees, differential=None, reduced=None, coaction=None):
+    """A comodule over C on ``degrees``: each coaction is U (x) n plus
+    ``reduced[n]``, unless ``coaction[n]`` replaces it."""
+    reduced, coaction = reduced or {}, coaction or {}
+    return DGComodule(
+        C,
+        dict(degrees),
+        {n: LinComb(d) for n, d in (differential or {}).items()},
+        {
+            n: LinComb(coaction.get(n, {(U, n): 1, **reduced.get(n, {})}))
+            for n in degrees
+        },
+    )
+
+
 SAMPLE_FAMILY = [
     (a, b, c, with_w, with_v)
     for a, b, c, with_w, with_v in iproduct(
@@ -188,8 +221,68 @@ class TestCoalgebraLayer:
             counit={U: 1},
             unit=U,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not degree-preserving"):
             bad.validate()
+
+    # each structure breaks one law of a one-reduced coalgebra or of a
+    # comodule over the sample coalgebra; validate must name that law
+    @pytest.mark.parametrize(
+        "spec, law",
+        [
+            (dict(degrees={"p": 3, "q": 3}, differential={"p": {"q": 1}}),
+             "differential is not degree -1"),
+            (dict(degrees={"x": 2}, coproduct={"x": {("x", U): 1}}),
+             "counit law fails"),
+            (dict(degrees={"x": 2}, coproduct={"x": {(U, "x"): 1}}),
+             "counit law fails"),
+            (dict(degrees={"x": 2, "y": 2, "z": 2, "s": 4, "t": 6},
+                  reduced={"s": {("y", "z"): 1}, "t": {("x", "s"): 1}}),
+             "coassociativity fails"),
+            (dict(degrees={"a": 4, "b": 3, "c": 2},
+                  differential={"a": {"b": 1}, "b": {"c": 1}}),
+             "squares? to"),
+            (dict(degrees={"x": 2, "z": 2, "v": 4, "w": 5},
+                  reduced={"v": {("x", "z"): 1}}, differential={"w": {"v": 1}}),
+             "co-Leibniz fails"),
+        ],
+        ids=["d-degree", "left-counit", "right-counit", "coassociativity",
+             "d-squared", "co-leibniz"],
+    )
+    def test_broken_coalgebra_law_named(self, spec, law):
+        with pytest.raises(ValueError, match=law):
+            law_coalgebra(**spec).validate()
+
+    def test_coaugmentation_degree_named(self):
+        C = law_coalgebra({"x": 2})
+        C.degrees[U] = 2
+        with pytest.raises(ValueError, match="degree zero"):
+            C.validate()
+
+    @pytest.mark.parametrize(
+        "spec, law",
+        [
+            (dict(degrees={"n1": 3, "n2": 3}, differential={"n1": {"n2": 1}}),
+             "differential is not degree -1"),
+            (dict(degrees={"n": 3}, reduced={"n": {("x", "n"): 1}}),
+             "not degree-preserving"),
+            (dict(degrees={"n": 3}, coaction={"n": {}}), "counit law fails"),
+            (dict(degrees={"n": 5, "m": 0}, reduced={"n": {("v", "m"): 1}}),
+             "coassociativity fails"),
+            (dict(degrees={"a": 4, "b": 3, "c": 2},
+                  differential={"a": {"b": 1}, "b": {"c": 1}}),
+             "squares? to"),
+            (dict(degrees={"n": 6, "n2": 5, "m": 3},
+                  reduced={"n2": {("x", "m"): 1}}, differential={"n": {"n2": 1}}),
+             "co-Leibniz fails"),
+        ],
+        ids=["d-degree", "coaction-degree", "counit", "coassociativity",
+             "d-squared", "co-leibniz"],
+    )
+    def test_broken_comodule_law_named(self, spec, law):
+        C = sample_coalgebra()
+        C.validate()
+        with pytest.raises(ValueError, match=law):
+            law_comodule(C, **spec).validate()
 
     def test_not_one_reduced_detected(self):
         odd = DGCoalgebra(
@@ -413,6 +506,30 @@ class TestBialgebraLayer:
         group_bialgebra(Z2).validate()
         dual_group_bialgebra(Z2).validate()
         group_bialgebra(FiniteMonoid.cyclic(3)).validate()
+
+    # each edit breaks one bialgebra law of Z[Z/2] or Z[Z/3]; validate must
+    # name that law
+    @pytest.mark.parametrize(
+        "order, table, key, value, law",
+        [
+            (2, "product", ("0", "1"), {}, "^unit law fails"),
+            (3, "product", ("1", "1"), {"1": 1}, "^associativity fails"),
+            (2, "coproduct", "1", {("1", "0"): 1}, "counit law fails"),
+            (2, "coproduct", "1", {("0", "1"): 1}, "counit law fails"),
+            (3, "coproduct", "1",
+             {("1", "1"): 1, ("1", "2"): 1, ("1", "0"): -1, ("0", "2"): -1,
+              ("0", "0"): 1},
+             "coassociativity fails"),
+            (2, "product", ("1", "1"), {"0": 2}, "not multiplicative"),
+        ],
+        ids=["unit", "associativity", "left-counit", "right-counit",
+             "coassociativity", "multiplicativity"],
+    )
+    def test_broken_bialgebra_law_named(self, order, table, key, value, law):
+        B = group_bialgebra(FiniteMonoid.cyclic(order))
+        getattr(B, table)[key] = LinComb(value)
+        with pytest.raises(ValueError, match=law):
+            B.validate()
 
     def test_incomplete_tables_rejected(self):
         B = group_bialgebra(Z2)

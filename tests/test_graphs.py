@@ -67,6 +67,17 @@ class TestQ:
         for x in small_strings(5, 3, m=2):
             assert graphs.in_filtration(graphs.q(x), 2)
 
+    def test_q_reflects_and_preserves_filtration(self):
+        # a string and its graph lie in the same filtration levels
+        mismatches = [
+            (strings.text(x), m)
+            for x in small_strings(6, 3, m=3)
+            for alpha in [graphs.q(x)]
+            for m in (1, 2, 3)
+            if strings.in_filtration(x, m) != graphs.in_filtration(alpha, m)
+        ]
+        assert not mismatches
+
     def test_q_is_a_lax_morphism(self):
         rng = random.Random(9)
         elems = small_strings(5, 3, m=2)

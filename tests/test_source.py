@@ -30,3 +30,39 @@ def test_one_chain_complex_builder():
                 if name == "ChainComplex":
                     callers.append(f"{path.name}:{node.lineno}")
     assert [c.split(":")[0] for c in callers] == ["chains.py"], callers
+
+
+def _referenced_names(root: Path) -> set:
+    """Every name a file under ``root`` reads: Name and Attribute nodes,
+    import aliases, and identifier-shaped strings (``"Class.method"`` counts
+    for both parts)."""
+    names = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    names.update(parts)
+    return names
+
+
+def test_every_definition_is_referenced():
+    # a function, method or class nothing reads is dead code; the library,
+    # the tests, the benchmark harness and the demos count as readers
+    repo = Path(__file__).resolve().parent.parent
+    trees = ("src", "tests", "perfbench", "demos")
+    used = set().union(*(_referenced_names(repo / tree) for tree in trees))
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, f"definitions nothing references: {unused}"
