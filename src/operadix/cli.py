@@ -162,12 +162,18 @@ def _cmd_q(args) -> int:
     return 0
 
 
+def _require_standard(args, reason: str) -> None:
+    if args.variant != "standard":
+        raise ValueError(f"{reason}; --variant {args.variant} does not apply")
+
+
 def _cmd_enumerate(args) -> int:
     if args.kind == "component":
         ins, out = _parse_component(args.component)
         basis = surjections.enumerate_component(ins, out, args.m, args.variant)
         texts = [strings.text(b.underlying) for b in basis]
     elif args.kind == "graphs":
+        _require_standard(args, "graphs have only the standard filtration")
         ins, out = _parse_component(args.component)
         basis = graphs.enumerate_graphs(ins, out, args.m)
         texts = [
@@ -524,6 +530,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    _require_standard(args, "the verify suites check the standard filtration only")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     overall = True
     report = {}

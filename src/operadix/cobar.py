@@ -7,7 +7,9 @@ Three layers:
    relative-twisting cochain checks, and the induced word-to-module map.
    ``DGComodule.validate`` checks the structure laws; a coalgebra, and a
    bialgebra's coalgebra, validates as a comodule over itself plus the
-   right counit law.
+   right counit law.  The closed construction is the word algebra and the
+   relative one the word module: both products are the truncated
+   concatenation ``CobarObject.action``, with the empty word as unit.
 
 2. Ungraded bialgebras (e.g. monoid algebras) with the unreduced (relative)
    cobar complexes, the multiplicative operad with components the tensor
@@ -46,8 +48,6 @@ __all__ = [
     "NotOneReduced",
     "DGCoalgebra",
     "DGComodule",
-    "DGAlgebra",
-    "DGModule",
     "CobarObject",
     "cobar",
     "relative_cobar",
@@ -174,9 +174,20 @@ class DGComodule:
         return self.rho(name) - LinComb.unit((self.coalgebra.unit, name))
 
     def validate(self) -> None:
-        """Check the degrees of d and the coaction, the left counit law,
-        coassociativity, d^2 = 0 and co-Leibniz at every basis element."""
+        """Check that every basis element has a coaction entry and every
+        element that d or the coaction names has a degree, then the degrees
+        of d and the coaction, the left counit law, coassociativity, d^2 = 0
+        and co-Leibniz at every basis element."""
         C = self.coalgebra
+        for x in self.degrees:
+            if x not in self.coaction:
+                raise ValueError(f"coaction table has no entry for {x!r}")
+            named = [(y, self.degrees) for y, _ in self.d(LinComb.unit(x))]
+            for (a, n), _ in self.rho(x):
+                named += [(a, C.degrees), (n, self.degrees)]
+            for y, degrees in named:
+                if y not in degrees:
+                    raise ValueError(f"{y!r}, named at {x!r}, has no degree")
         for x in self.degrees:
             # homogeneity
             for y, _ in self.differential.get(x, LinComb()):
@@ -219,7 +230,12 @@ class CobarObject:
     total degree.
 
     Closed words are tuples of positive-degree cogenerator names; relative
-    words carry a comodule tail: ``(word, module name)``.
+    words carry a comodule tail: ``(word, module name)``.  The closed
+    construction is the word dg-algebra and the relative one the word
+    dg-module over it: ``action`` concatenates closed words onto words, the
+    empty word ``()`` is the unit, and ``differential`` is the word
+    differential.  A word outside the window ``0..truncation`` reads as
+    zero, on input and on output.
 
     The coalgebra and the comodule are read once, at construction, into
     per-letter and per-tail differential tables; each degree's words and
@@ -304,13 +320,13 @@ class CobarObject:
     def differential(self, v: LinComb) -> LinComb:
         return LinComb((t, c * ct) for w, c in v for t, ct in self._diff_basis(w))
 
+    def _in_window(self, w) -> bool:
+        return 0 <= self.word_degree(w) <= self.truncation
+
     def _diff_basis(self, w) -> LinComb:
         if w not in self._diffs:
-            self._diffs[w] = LinComb(
-                (e, c)
-                for e, c in self._diff_terms(w)
-                if 0 <= self.word_degree(e) <= self.truncation
-            )
+            terms = self._diff_terms(w) if self._in_window(w) else ()
+            self._diffs[w] = LinComb((e, c) for e, c in terms if self._in_window(e))
         return self._diffs[w]
 
     def _diff_terms(self, w):
@@ -330,13 +346,18 @@ class CobarObject:
                 yield (word + letters, n), sign * c
 
     def action(self, a: LinComb, u: LinComb) -> LinComb:
-        """Concatenation action of closed words on relative words."""
-        if self.comodule is None:
-            raise ValueError("the action lives on the relative construction")
-        terms = (((wa + wb, n), ca * cb) for wa, ca in a for (wb, n), cb in u)
-        return LinComb(
-            (e, c) for e, c in terms if self.word_degree(e) <= self.truncation
-        )
+        """Concatenation of the closed words of ``a`` onto the words of
+        ``u``: the product of the closed word algebra, or its action on the
+        relative word module.  Terms outside the window read as zero."""
+        right = [(w, c, self.word_degree(w)) for w, c in u]
+        terms = []
+        for wa, ca in a:
+            room = self.truncation - sum(map(self.letter_degree, wa))
+            for w, c, d in right:
+                if 0 <= d <= room:
+                    e = wa + w if self.comodule is None else (wa + w[0], w[1])
+                    terms.append((e, ca * c))
+        return LinComb(terms)
 
     def chain_complex(self) -> ChainComplex:
         bases = {d: self.words(d) for d in range(self.truncation + 1)}
@@ -353,81 +374,23 @@ def relative_cobar(C: DGCoalgebra, N: DGComodule, truncation: int = 5) -> CobarO
     return CobarObject(C, N, truncation)
 
 
-# --- algebras, modules, twisting -------------------------------------------
+# --- the word algebra and module, twisting ---------------------------------
 
 
-@dataclass
-class DGAlgebra:
-    """Finite-rank graded associative algebra (possibly truncated: products
-    escaping the listed basis are treated as zero)."""
-
-    degrees: dict
-    differential: dict
-    product: dict  # (a, b) -> LinComb
-    unit: str
-
-    def degree(self, name) -> int:
-        return self.degrees[name]
-
-    def d(self, v: LinComb) -> LinComb:
-        return linear(self.differential, v)
-
-    def mul(self, u: LinComb, v: LinComb) -> LinComb:
-        return bilinear(self.product, u, v)
-
-
-@dataclass
-class DGModule:
-    """Finite-rank left dg-module; ``action[(a, m)]`` a combination of
-    module names."""
-
-    algebra: DGAlgebra
-    degrees: dict
-    differential: dict
-    action: dict
-
-    def degree(self, name) -> int:
-        return self.degrees[name]
-
-    def d(self, v: LinComb) -> LinComb:
-        return linear(self.differential, v)
-
-    def act(self, a: LinComb, m: LinComb) -> LinComb:
-        return bilinear(self.action, a, m)
-
-
-def cobar_algebra(cob: CobarObject) -> DGAlgebra:
+def cobar_algebra(cob: CobarObject) -> CobarObject:
     """The word complex of the closed cobar construction as a dg-algebra
-    under concatenation (truncated)."""
+    under truncated concatenation: the construction itself."""
     if cob.comodule is not None:
         raise ValueError("use the closed construction")
-    words = [w for d in range(cob.truncation + 1) for w in cob.words(d)]
-    degrees = {w: cob.word_degree(w) for w in words}
-    diff = {w: cob._diff_basis(w) for w in words}
-    # letters have positive degree, so both pieces of every cut of a word
-    # are words of the window
-    prod = {
-        (w[:cut], w[cut:]): LinComb.unit(w)
-        for w in words
-        for cut in range(len(w) + 1)
-    }
-    return DGAlgebra(degrees, diff, prod, ())
+    return cob
 
 
-def relative_cobar_module(cob: CobarObject, alg: DGAlgebra) -> DGModule:
-    """The relative word complex as a module over the closed word algebra."""
+def relative_cobar_module(cob: CobarObject, alg: CobarObject) -> CobarObject:
+    """The relative word complex as a dg-module over the closed word algebra
+    ``alg`` under truncated concatenation: the construction itself."""
     if cob.comodule is None:
         raise ValueError("use the relative construction")
-    words = [w for d in range(cob.truncation + 1) for w in cob.words(d)]
-    degrees = {w: cob.word_degree(w) for w in words}
-    diff = {w: cob._diff_basis(w) for w in words}
-    action = {
-        (word[:cut], (word[cut:], n)): LinComb.unit((word, n))
-        for word, n in words
-        for cut in range(len(word) + 1)
-        if word[:cut] in alg.degrees and (word[cut:], n) in degrees
-    }
-    return DGModule(alg, degrees, diff, action)
+    return cob
 
 
 def universal_twisting(cob: CobarObject):
@@ -440,7 +403,7 @@ def universal_twisting(cob: CobarObject):
     }
 
 
-def twisting_check(C: DGCoalgebra, A: DGAlgebra, f: dict) -> bool:
+def twisting_check(C: DGCoalgebra, A: CobarObject, f: dict) -> bool:
     """Whether f cup f equals the Hom-complex differential of f (degree -1
     convention: the two differential terms enter with the same sign)."""
 
@@ -452,16 +415,16 @@ def twisting_check(C: DGCoalgebra, A: DGAlgebra, f: dict) -> bool:
             # the degree -1 cochain crossing a gives the sign
             (t, (-1 if C.degree(a) % 2 else 1) * c * ct)
             for (a, b), c in C.delta(x)
-            for t, ct in A.mul(fmap(a), fmap(b))
+            for t, ct in A.action(fmap(a), fmap(b))
         )
-        boundary = A.d(fmap(x)) + linear(f, C.d(LinComb.unit(x)))
+        boundary = A.differential(fmap(x)) + linear(f, C.d(LinComb.unit(x)))
         if cup != boundary:
             return False
     return True
 
 
 def relative_twisting_check(
-    C: DGCoalgebra, A: DGAlgebra, N: DGComodule, M: DGModule, f: dict, g: dict
+    C: DGCoalgebra, A: CobarObject, N: DGComodule, M: CobarObject, f: dict, g: dict
 ) -> bool:
     """Whether (f, g) is a relative twisting pair: the Hom differential of g
     equals the coaction twisted by f."""
@@ -478,17 +441,17 @@ def relative_twisting_check(
         twist = LinComb(
             (t, c * ct)
             for (a, n2), c in N.rho(n)
-            for t, ct in M.act(fmap(a), gmap(n2))
+            for t, ct in M.action(fmap(a), gmap(n2))
         )
         # g has degree zero
-        boundary = M.d(gmap(n)) - linear(g, N.d(LinComb.unit(n)))
+        boundary = M.differential(gmap(n)) - linear(g, N.d(LinComb.unit(n)))
         if twist != boundary:
             return False
     return True
 
 
 def overline_fg(
-    cob: CobarObject, A: DGAlgebra, M: DGModule, f: dict, g: dict
+    cob: CobarObject, A: CobarObject, M: CobarObject, f: dict, g: dict
 ):
     """The induced map from the relative word complex to M: multiply the
     letterwise images of f and act on the image of the tail."""
@@ -500,8 +463,8 @@ def overline_fg(
         return g.get(name, LinComb())
 
     def image(word, n) -> LinComb:
-        letters = reduce(A.mul, map(fmap, word), LinComb.unit(A.unit))
-        return M.act(letters, gmap(n))
+        letters = reduce(A.action, map(fmap, word), LinComb.unit(()))
+        return M.action(letters, gmap(n))
 
     def phi(v: LinComb) -> LinComb:
         return LinComb(
@@ -511,13 +474,13 @@ def overline_fg(
     return phi
 
 
-def dg_map_check(cob: CobarObject, M: DGModule, phi) -> bool:
+def dg_map_check(cob: CobarObject, M: CobarObject, phi) -> bool:
     """Whether a word-complex map commutes with the differentials on every
     basis word strictly inside the truncation window."""
     for d in range(1, cob.truncation):
         for w in cob.words(d):
             lhs = phi(cob.differential(LinComb.unit(w)))
-            rhs = M.d(phi(LinComb.unit(w)))
+            rhs = M.differential(phi(LinComb.unit(w)))
             if lhs != rhs:
                 return False
     return True
@@ -601,12 +564,6 @@ class ComoduleAlgebra:
 
     def __post_init__(self):
         _check_complete(self.basis, self.product, self.coaction, "coaction")
-
-    def mul(self, u: LinComb, v: LinComb) -> LinComb:
-        return bilinear(self.product, u, v)
-
-    def rho(self, v: LinComb) -> LinComb:
-        return linear(self.coaction, v)
 
 
 def monoid_bialgebra(M, name) -> Bialgebra:
@@ -870,9 +827,6 @@ class CobarTot:
         if self.C is None:
             return [(w + (B.unit,), 1)]
         return [((w + (z,), c2), c) for (z, c2), c in self.C.coaction[tail]]
-
-    def coface(self, i: int, v: LinComb) -> LinComb:
-        return LinComb((e, c * ce) for b, c in v for e, ce in self._coface_basis(i, b))
 
     def codegeneracy(self, i: int, v: LinComb) -> LinComb:
         B = self.B

@@ -107,10 +107,6 @@ class IntegerString:
     def __str__(self) -> str:
         return text(self)
 
-    @property
-    def arity(self) -> int:
-        return arity(self)
-
 
 def _validate(tokens: Sequence[int], output_open: bool) -> None:
     seen_open: dict[int, bool] = {}

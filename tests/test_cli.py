@@ -134,6 +134,21 @@ class TestEnumerateAndTree:
         assert code == 2
         assert not out and "m must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--kind", "graphs", "--component", "c,c:c", "--m", "1"),
+            ("verify", "--suite", "chain-core", "--samples", "5"),
+        ],
+    )
+    def test_primed_variant_rejected_where_absent(self, capsys, argv):
+        # graphs, and the verify suites, have only the standard filtration
+        code, out, err = run(capsys, *argv, "--variant", "primed-variant")
+        assert code == 2
+        assert not out and "standard filtration" in err
+        code, out, _ = run(capsys, *argv, "--variant", "standard")
+        assert code == 0 and out == run(capsys, *argv)[1]
+
     def test_tree(self, capsys):
         code, out, _ = run(capsys, "tree", "(12|21)^c")
         assert code == 0

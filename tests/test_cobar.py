@@ -13,10 +13,8 @@ from operadix.cobar import (
     Bialgebra,
     CobarTot,
     ComoduleAlgebra,
-    DGAlgebra,
     DGCoalgebra,
     DGComodule,
-    DGModule,
     NotOneReduced,
     cobar_algebra,
     diagonal_comodule,
@@ -135,42 +133,36 @@ def all_words(cob) -> list:
     return [w for d in range(cob.truncation + 1) for w in cob.words(d)]
 
 
-def all_pairs_algebra(cob) -> DGAlgebra:
-    """The closed word algebra with its product table taken over all pairs
-    of words."""
-    words = all_words(cob)
-    degrees = {w: cob.word_degree(w) for w in words}
-    diff = {w: reference_diff_basis(cob, w) for w in words}
-    prod = {
-        (a, b): LinComb.unit(a + b) for a in words for b in words if a + b in degrees
-    }
-    return DGAlgebra(degrees, diff, prod, ())
+def all_pairs_product(cob) -> dict:
+    """The closed word product as a table over all pairs of window words:
+    a pair whose concatenation leaves the window has no entry."""
+    words = set(all_words(cob))
+    return {(a, b): a + b for a in words for b in words if a + b in words}
 
 
-def all_pairs_module(rel, alg: DGAlgebra) -> DGModule:
-    """The relative word module with its action table taken over all (closed
-    word, relative word) pairs."""
-    words = all_words(rel)
-    degrees = {w: rel.word_degree(w) for w in words}
-    diff = {w: reference_diff_basis(rel, w) for w in words}
-    action = {
-        (a, (wb, n)): LinComb.unit((a + wb, n))
-        for a in alg.degrees
+def all_pairs_action(rel, cob) -> dict:
+    """The action of the closed window words on the relative window words
+    as a table over all pairs: a pair whose concatenation leaves the window
+    has no entry."""
+    words = set(all_words(rel))
+    return {
+        (a, (wb, n)): (a + wb, n)
+        for a in all_words(cob)
         for wb, n in words
-        if (a + wb, n) in degrees
+        if (a + wb, n) in words
     }
-    return DGModule(alg, degrees, diff, action)
 
 
 def law_coalgebra(degrees, differential=None, reduced=None, coproduct=None):
     """A coalgebra on U and ``degrees``: each element's coproduct is the two
-    primitive terms plus ``reduced[x]``, unless ``coproduct[x]`` replaces it."""
+    primitive terms plus ``reduced[x]``, unless ``coproduct[x]`` replaces it
+    (``None`` leaves x without a coproduct entry)."""
     reduced, coproduct = reduced or {}, coproduct or {}
     delta = {U: LinComb.unit((U, U))}
     for x in degrees:
-        delta[x] = LinComb(
-            coproduct.get(x, {(x, U): 1, (U, x): 1, **reduced.get(x, {})})
-        )
+        table = coproduct.get(x, {(x, U): 1, (U, x): 1, **reduced.get(x, {})})
+        if table is not None:
+            delta[x] = LinComb(table)
     return DGCoalgebra(
         degrees={U: 0, **degrees},
         differential={x: LinComb(d) for x, d in (differential or {}).items()},
@@ -182,16 +174,15 @@ def law_coalgebra(degrees, differential=None, reduced=None, coproduct=None):
 
 def law_comodule(C, degrees, differential=None, reduced=None, coaction=None):
     """A comodule over C on ``degrees``: each coaction is U (x) n plus
-    ``reduced[n]``, unless ``coaction[n]`` replaces it."""
+    ``reduced[n]``, unless ``coaction[n]`` replaces it (``None`` leaves n
+    without a coaction entry)."""
     reduced, coaction = reduced or {}, coaction or {}
+    tables = {n: coaction.get(n, {(U, n): 1, **reduced.get(n, {})}) for n in degrees}
     return DGComodule(
         C,
         dict(degrees),
         {n: LinComb(d) for n, d in (differential or {}).items()},
-        {
-            n: LinComb(coaction.get(n, {(U, n): 1, **reduced.get(n, {})}))
-            for n in degrees
-        },
+        {n: LinComb(t) for n, t in tables.items() if t is not None},
     )
 
 
@@ -244,9 +235,18 @@ class TestCoalgebraLayer:
             (dict(degrees={"x": 2, "z": 2, "v": 4, "w": 5},
                   reduced={"v": {("x", "z"): 1}}, differential={"w": {"v": 1}}),
              "co-Leibniz fails"),
+            # a structure map naming an element with no degree, or an element
+            # with no coproduct entry, is named, not a KeyError
+            (dict(degrees={"x": 2}, reduced={"x": {("q", "q"): 1}}),
+             "'q', named at 'x', has no degree"),
+            (dict(degrees={"x": 3}, differential={"x": {"q": 1}}),
+             "'q', named at 'x', has no degree"),
+            (dict(degrees={"x": 2, "y": 3}, coproduct={"y": None}),
+             "coaction table has no entry for 'y'"),
         ],
         ids=["d-degree", "left-counit", "right-counit", "coassociativity",
-             "d-squared", "co-leibniz"],
+             "d-squared", "co-leibniz", "coproduct-names-unknown",
+             "d-names-unknown", "no-coproduct-entry"],
     )
     def test_broken_coalgebra_law_named(self, spec, law):
         with pytest.raises(ValueError, match=law):
@@ -274,9 +274,16 @@ class TestCoalgebraLayer:
             (dict(degrees={"n": 6, "n2": 5, "m": 3},
                   reduced={"n2": {("x", "m"): 1}}, differential={"n": {"n2": 1}}),
              "co-Leibniz fails"),
+            (dict(degrees={"n": 3}, reduced={"n": {("q", "n"): 1}}),
+             "'q', named at 'n', has no degree"),
+            (dict(degrees={"n": 3}, reduced={"n": {("x", "q"): 1}}),
+             "'q', named at 'n', has no degree"),
+            (dict(degrees={"n": 3}, coaction={"n": None}),
+             "coaction table has no entry for 'n'"),
         ],
         ids=["d-degree", "coaction-degree", "counit", "coassociativity",
-             "d-squared", "co-leibniz"],
+             "d-squared", "co-leibniz", "coalgebra-term-unknown",
+             "module-term-unknown", "no-coaction-entry"],
     )
     def test_broken_comodule_law_named(self, spec, law):
         C = sample_coalgebra()
@@ -363,6 +370,35 @@ class TestTwisting:
             assert twisting_check(C, A, f)
             assert relative_twisting_check(C, A, N, M, f, g)
 
+    def test_equivalence_on_shifted_comodules(self):
+        # comodules shifted by -1, 0 and +1: shifted down, the unit's tail
+        # ((), 1) sits in degree -1, outside the window, and the module
+        # action and differential read it as zero
+        cases = twisting = 0
+        for params in SAMPLE_FAMILY:
+            C = sample_coalgebra(*params)
+            window = max(C.degrees.values()) + 2
+            cob = cobar.cobar(C, truncation=window)
+            A = cobar_algebra(cob)
+            f = universal_twisting(cob)
+            for shift in (-1, 0, 1):
+                N = shifted_comodule(diagonal_dg_comodule(C), shift)
+                rel = relative_cobar(C, N, truncation=window)
+                M = relative_cobar_module(rel, A)
+                g = {n: LinComb.unit(((), n)) for n in N.degrees}
+                f_bad = {**f, "x": -f["x"]}
+                g_bad = {**g, "x": LinComb()}
+                for fc, gc in ((f, g), (f_bad, g), (f, g_bad)):
+                    twist = twisting_check(C, A, fc) and relative_twisting_check(
+                        C, A, N, M, fc, gc
+                    )
+                    phi = overline_fg(rel, A, M, fc, gc)
+                    assert twist == dg_map_check(rel, M, phi)
+                    cases += 1
+                    twisting += twist
+        # the universal pair twists for shifts 0 and +1, nothing else does
+        assert (cases, twisting) == (432, 96)
+
 
 class TestMemoizedConstructions:
     """The tabulated, memoized word complexes against the letter-by-letter
@@ -421,19 +457,33 @@ class TestMemoizedConstructions:
         assert cob.words(4) is not cob.words(4)
 
     def test_tables_match_all_pairs_construction(self):
+        # the concatenation action against the all-pairs tables on every pair
+        # of window words, and on words just outside the window (one degree
+        # above it, or a tail of negative degree), which read as zero
         for params in SAMPLE_FAMILY:
             cob, rels = self.constructions(params)
-            A, A_ref = cobar_algebra(cob), all_pairs_algebra(cob)
-            assert A.degrees == A_ref.degrees
-            assert A.differential == A_ref.differential
-            assert A.product.keys() == A_ref.product.keys()
-            assert A.product == A_ref.product
+            C, top = cob.coalgebra, cob.truncation + 1
+            above = cobar.cobar(C, truncation=top).words(top)
+            closed = all_words(cob) + above
+            cases = [(cob, all_pairs_product(cob), above)]
             for rel in rels:
-                M, M_ref = relative_cobar_module(rel, A), all_pairs_module(rel, A)
-                assert M.degrees == M_ref.degrees
-                assert M.differential == M_ref.differential
-                assert M.action.keys() == M_ref.action.keys()
-                assert M.action == M_ref.action
+                N = rel.comodule
+                outside = relative_cobar(C, N, truncation=top).words(top) + [
+                    ((), n) for n in N.degrees if N.degree(n) < 0
+                ]
+                cases.append((rel, all_pairs_action(rel, cob), outside))
+            # one call per construction checks each pair: the i-th right word
+            # carries the coefficient 2**i, and a word e has at most one cut
+            # with a given right part, so the coefficient of e spells out the
+            # pairs that produced it
+            left = LinComb(dict.fromkeys(closed, 1))
+            for con, table, outside in cases:
+                right = all_words(con) + outside
+                bit = {w: 2**i for i, w in enumerate(right)}
+                expected = LinComb((e, bit[w]) for (_, w), e in table.items())
+                assert con.action(left, LinComb(bit)) == expected
+                for w in outside:
+                    assert con.differential(LinComb.unit(w)) == LinComb()
 
     def test_structure_maps_read_once_per_construction(self, monkeypatch):
         delta_calls, rho_calls = Counter(), Counter()

@@ -1,6 +1,7 @@
 """Source-level checks on the library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import operadix
@@ -66,3 +67,17 @@ def test_every_definition_is_referenced():
                 if not dunder and node.name not in used:
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"definitions nothing references: {unused}"
+
+
+def test_every_exported_name_exists():
+    # a name left in ``__all__`` after its definition is deleted breaks
+    # ``from operadix.<module> import *``
+    missing = []
+    for path in sorted(SOURCE.glob("*.py")):
+        module = importlib.import_module(f"operadix.{path.stem}")
+        missing += [
+            f"{path.stem}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert not missing, f"names in __all__ with no definition: {missing}"
