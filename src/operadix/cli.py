@@ -573,6 +573,10 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
         p.add_argument(
             "--seed", type=int, default=seed_default, help="random seed"
         )
+        return p
+
+    def with_variant(p):
+        # only the subcommands that read it take --variant
         p.add_argument(
             "--variant",
             choices=("standard", "primed-variant"),
@@ -596,7 +600,9 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     p.add_argument("string")
     p.set_defaults(func=_cmd_act)
 
-    p = common(sub.add_parser("filtration", help="filtration membership and complexities"))
+    p = with_variant(common(
+        sub.add_parser("filtration", help="filtration membership and complexities")
+    ))
     p.add_argument("string")
     p.set_defaults(func=_cmd_filtration)
 
@@ -604,7 +610,9 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     p.add_argument("string")
     p.set_defaults(func=_cmd_q)
 
-    p = common(sub.add_parser("enumerate", help="enumerate a component basis"))
+    p = with_variant(common(
+        sub.add_parser("enumerate", help="enumerate a component basis")
+    ))
     p.add_argument(
         "--kind", choices=("component", "graphs", "strings"), default="component"
     )
@@ -616,7 +624,9 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     p.add_argument("string")
     p.set_defaults(func=_cmd_tree)
 
-    p = common(sub.add_parser("homology", help="integral homology of a component"))
+    p = with_variant(common(
+        sub.add_parser("homology", help="integral homology of a component")
+    ))
     p.add_argument("--component", required=True, help="like 'c,c:c'")
     p.set_defaults(func=_cmd_homology)
 
@@ -641,7 +651,9 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=1)
     p.set_defaults(func=_cmd_cobar)
 
-    p = common(sub.add_parser("verify", help="run a module invariant suite"))
+    p = with_variant(common(
+        sub.add_parser("verify", help="run a module invariant suite")
+    ))
     p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
     p.add_argument("--max-tokens", type=int, default=5)
     p.add_argument("--samples", type=int, default=100)

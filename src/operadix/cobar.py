@@ -174,10 +174,11 @@ class DGComodule:
         return self.rho(name) - LinComb.unit((self.coalgebra.unit, name))
 
     def validate(self) -> None:
-        """Check that every basis element has a coaction entry and every
-        element that d or the coaction names has a degree, then the degrees
-        of d and the coaction, the left counit law, coassociativity, d^2 = 0
-        and co-Leibniz at every basis element."""
+        """Check that every basis element has a coaction entry, every
+        element that d or the coaction names has a degree and every
+        coalgebra element the coaction names has a coproduct entry, then
+        the degrees of d and the coaction, the left counit law,
+        coassociativity, d^2 = 0 and co-Leibniz at every basis element."""
         C = self.coalgebra
         for x in self.degrees:
             if x not in self.coaction:
@@ -188,6 +189,11 @@ class DGComodule:
             for y, degrees in named:
                 if y not in degrees:
                     raise ValueError(f"{y!r}, named at {x!r}, has no degree")
+            for (a, _), _ in self.rho(x):
+                if a not in C.coproduct:
+                    raise ValueError(
+                        f"{a!r}, named at {x!r}, has no coproduct entry"
+                    )
         for x in self.degrees:
             # homogeneity
             for y, _ in self.differential.get(x, LinComb()):
@@ -387,9 +393,23 @@ def cobar_algebra(cob: CobarObject) -> CobarObject:
 
 def relative_cobar_module(cob: CobarObject, alg: CobarObject) -> CobarObject:
     """The relative word complex as a dg-module over the closed word algebra
-    ``alg`` under truncated concatenation: the construction itself."""
+    ``alg`` under truncated concatenation: the construction itself.
+
+    ``alg`` must be the closed construction over the same coalgebra with the
+    same truncation, since ``cob.action`` is what concatenates."""
     if cob.comodule is None:
         raise ValueError("use the relative construction")
+    if alg.comodule is not None:
+        raise ValueError("the algebra must be the closed construction")
+    if alg.coalgebra is not cob.coalgebra:
+        raise ValueError(
+            "the algebra and the module are over different coalgebras"
+        )
+    if alg.truncation != cob.truncation:
+        raise ValueError(
+            f"the algebra is truncated at {alg.truncation}, "
+            f"the module at {cob.truncation}"
+        )
     return cob
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .graphs import GraphElement
+from .graphs import GraphElement, _pairs
+from .graphs import _unchecked as _unchecked_graph
 
 __all__ = [
     "Box",
@@ -132,9 +133,12 @@ def cell_contains(alpha: GraphElement, x: CubeConfig) -> bool:
     if alpha.output_open != x.output_open:
         raise ValueError("graph and configuration output colours do not match")
     boxes = x.boxes
-    for (i, j), (mu, orient) in alpha.edges:
-        lo, hi = (i, j) if orient == 1 else (j, i)
-        if not box_sep(boxes[lo - 1], boxes[hi - 1], mu):
+    for (i, j), lev in zip(_pairs(alpha.n), alpha.levels):
+        if lev > 0:
+            sep = box_sep(boxes[i], boxes[j], lev)
+        else:
+            sep = box_sep(boxes[j], boxes[i], -lev)
+        if not sep:
             return False
     return True
 
@@ -155,14 +159,16 @@ def cell_index(x: CubeConfig) -> GraphElement:
     """The least cell containing the configuration: per pair, the least
     strictly separating axis, oriented from the lower box to the upper."""
     boxes = x.boxes
-    edges = {}
-    for i in range(1, x.n + 1):
-        for j in range(i + 1, x.n + 1):
-            found = _separating_axis(boxes[i - 1], boxes[j - 1])
-            if found is None:
-                raise NoSeparation(f"boxes {i} and {j} share every coordinate interval")
-            edges[(i, j)] = found
-    return GraphElement(x.vertex_open(), edges, x.output_open)
+    levels = []
+    for i, j in _pairs(x.n):
+        found = _separating_axis(boxes[i], boxes[j])
+        if found is None:
+            raise NoSeparation(
+                f"boxes {i + 1} and {j + 1} share every coordinate interval"
+            )
+        axis, orient = found
+        levels.append(axis * orient)
+    return _unchecked_graph(x.vertex_open(), tuple(levels), x.output_open)
 
 
 def sc_compose(x: CubeConfig, i: int, y: CubeConfig) -> CubeConfig:

@@ -6,14 +6,20 @@ acyclicity.  Vertices are closed or open; the filtration bounds levels per
 the colour pattern of each pair.  The morphism ``q`` sends an integer-string
 to the graph of its pairwise complexities, orienting each edge towards the
 letter whose first occurrence comes earlier.
+
+Storage: a graph on n vertices keeps one signed level per pair i < j, in
+``itertools.combinations`` order ((1, 2), (1, 3), ..., (1, n), (2, 3), ...):
+``mu * orient``, so a positive level means ``i -> j`` and a negative one
+``j -> i``.  The kernels below read and write that tuple directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
-from .strings import BAR, IntegerString, _moved, _pair_limits, _top_label
+from .strings import BAR, IntegerString, _pair_limits, _top_label
 
 __all__ = [
     "GraphElement",
@@ -28,16 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphElement:
     """Vertex colours plus one (level, orientation) per vertex pair.
 
-    ``edges[(i, j)] = (mu, orient)`` for ``i < j``, with ``orient = +1``
-    meaning ``i -> j`` and ``-1`` meaning ``j -> i``.
+    Built from ``edges[(i, j)] = (mu, orient)`` for ``i < j``, with
+    ``orient = +1`` meaning ``i -> j`` and ``-1`` meaning ``j -> i``, and
+    stored as ``levels``: ``mu * orient`` per pair, in
+    ``itertools.combinations`` order.
     """
 
     vertex_open: tuple[bool, ...]
-    edges: "frozenset[tuple[tuple[int, int], tuple[int, int]]]"
+    levels: tuple[int, ...]
     output_open: bool
 
     def __init__(self, vertex_open, edges, output_open):
@@ -52,18 +60,40 @@ class GraphElement:
         for (i, j), (mu, orient) in edict.items():
             if mu < 1 or orient not in (1, -1):
                 raise ValueError(f"bad decoration on edge {(i, j)}")
-        object.__setattr__(self, "vertex_open", vertex_open)
-        object.__setattr__(
-            self, "edges", frozenset((p, tuple(d)) for p, d in edict.items())
-        )
-        object.__setattr__(self, "output_open", bool(output_open))
+        levels = []
+        for i, j in _pairs(n):
+            mu, orient = edict[(i + 1, j + 1)]
+            levels.append(mu * orient)
+        _set_vertex_open(self, vertex_open)
+        _set_levels(self, tuple(levels))
+        _set_output_open(self, bool(output_open))
 
     @property
     def n(self) -> int:
         return len(self.vertex_open)
 
+    @property
+    def edges(self) -> "frozenset[tuple[tuple[int, int], tuple[int, int]]]":
+        """The decorations as ``((i, j), (mu, orient))`` items."""
+        return frozenset(self.edge_dict().items())
+
     def edge_dict(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return {p: d for p, d in self.edges}
+        return {
+            (i + 1, j + 1): (lev, 1) if lev > 0 else (-lev, -1)
+            for (i, j), lev in zip(_pairs(self.n), self.levels)
+        }
+
+
+_set_vertex_open = GraphElement.__dict__["vertex_open"].__set__
+_set_levels = GraphElement.__dict__["levels"].__set__
+_set_output_open = GraphElement.__dict__["output_open"].__set__
+
+
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The 0-based vertex pairs i < j of n vertices, in the order of
+    ``levels``."""
+    return tuple(combinations(range(n), 2))
 
 
 def _is_pair(p, n: int) -> bool:
@@ -78,17 +108,17 @@ def _is_pair(p, n: int) -> bool:
 
 
 def _unchecked(
-    vertex_open: tuple[bool, ...], edges: frozenset, output_open: bool
+    vertex_open: tuple[bool, ...], levels: tuple[int, ...], output_open: bool
 ) -> GraphElement:
     """Build a GraphElement from its fields without re-running validation.
 
-    Only for internal use on fields valid by construction: ``edges`` holds
-    one ``((i, j), (mu, orient))`` for every pair i < j, with mu >= 1 and
-    orient +1 or -1."""
+    Only for internal use on fields valid by construction: ``levels`` holds
+    one nonzero signed level for every pair i < j, in
+    ``itertools.combinations`` order."""
     alpha = object.__new__(GraphElement)
-    object.__setattr__(alpha, "vertex_open", vertex_open)
-    object.__setattr__(alpha, "edges", edges)
-    object.__setattr__(alpha, "output_open", output_open)
+    _set_vertex_open(alpha, vertex_open)
+    _set_levels(alpha, levels)
+    _set_output_open(alpha, output_open)
     return alpha
 
 
@@ -97,17 +127,20 @@ def validate(alpha: GraphElement) -> bool:
     if not alpha.output_open and any(alpha.vertex_open):
         return False
     by_level: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), (mu, orient) in alpha.edges:
-        arc = (i, j) if orient == 1 else (j, i)
-        by_level.setdefault(mu, []).append(arc)
+    for (i, j), lev in zip(_pairs(alpha.n), alpha.levels):
+        if lev > 0:
+            by_level.setdefault(lev, []).append((i, j))
+        else:
+            by_level.setdefault(-lev, []).append((j, i))
     return all(_acyclic(arcs, alpha.n) for arcs in by_level.values())
 
 
 def _acyclic(arcs: list[tuple[int, int]], n: int) -> bool:
-    succ: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    """Whether the arcs between vertices 0..n-1 form no directed cycle."""
+    succ: list[list[int]] = [[] for _ in range(n)]
     for a, b in arcs:
         succ[a].append(b)
-    state = {v: 0 for v in succ}  # 0 new, 1 on stack, 2 done
+    state = [0] * n  # 0 new, 1 on stack, 2 done
 
     def dfs(v: int) -> bool:
         state[v] = 1
@@ -117,17 +150,15 @@ def _acyclic(arcs: list[tuple[int, int]], n: int) -> bool:
         state[v] = 2
         return True
 
-    return all(state[v] != 0 or dfs(v) for v in succ)
+    return all(state[v] != 0 or dfs(v) for v in range(n))
 
 
 def leq(alpha: GraphElement, beta: GraphElement) -> bool:
     """Poset order: every pair agrees or has strictly smaller level in alpha."""
     if alpha.vertex_open != beta.vertex_open or alpha.output_open != beta.output_open:
         raise ValueError("poset order needs identical colours")
-    eb = beta.edge_dict()
-    for pair, (mu, orient) in alpha.edge_dict().items():
-        mu2, orient2 = eb[pair]
-        if (mu, orient) != (mu2, orient2) and not mu < mu2:
+    for a, b in zip(alpha.levels, beta.levels):
+        if a != b and not (a if a > 0 else -a) < (b if b > 0 else -b):
             return False
     return True
 
@@ -138,9 +169,11 @@ def in_filtration(alpha: GraphElement, m: int) -> bool:
     the pair's first label and its source the second."""
     limit = _pair_limits(m, "standard")
     vertex_open = alpha.vertex_open
-    for (i, j), (mu, orient) in alpha.edges:
-        source, target = (i, j) if orient == 1 else (j, i)
-        if mu > limit[vertex_open[target - 1], vertex_open[source - 1]]:
+    for (i, j), lev in zip(_pairs(alpha.n), alpha.levels):
+        if lev > 0:  # i -> j
+            if lev > limit[vertex_open[j]][vertex_open[i]]:
+                return False
+        elif -lev > limit[vertex_open[i]][vertex_open[j]]:
             return False
     return True
 
@@ -148,71 +181,84 @@ def in_filtration(alpha: GraphElement, m: int) -> bool:
 def compose(alpha: GraphElement, betas: list[GraphElement]) -> GraphElement:
     """Blockwise substitution: intra-block pairs copy the block, cross-block
     pairs copy the corresponding edge of ``alpha``."""
-    if len(betas) != alpha.n:
+    n = alpha.n
+    if len(betas) != n:
         raise ValueError("need one argument per vertex")
-    for v, beta in enumerate(betas, start=1):
-        if beta.output_open != alpha.vertex_open[v - 1]:
-            raise ValueError(f"slot {v} openness does not match argument {v}")
-    offsets = [0]
-    for beta in betas:
-        offsets.append(offsets[-1] + beta.n)
-    vertex_open = tuple(o for beta in betas for o in beta.vertex_open)
-    # the intra-block and the cross-block pairs together are every pair
-    # a < b of the result, each once
-    edges = [
-        ((i + off, j + off), dec)
-        for beta, off in zip(betas, offsets)
-        for (i, j), dec in beta.edges
-    ]
-    for (v, w), dec in alpha.edges:
-        edges.extend(
-            ((a, b), dec)
-            for a in range(offsets[v - 1] + 1, offsets[v] + 1)
-            for b in range(offsets[w - 1] + 1, offsets[w] + 1)
-        )
-    return _unchecked(vertex_open, frozenset(edges), alpha.output_open)
+    vertex_open: list[bool] = []
+    sizes = []
+    for v, beta in enumerate(betas):
+        if beta.output_open != alpha.vertex_open[v]:
+            raise ValueError(
+                f"slot {v + 1} openness does not match argument {v + 1}"
+            )
+        vertex_open += beta.vertex_open
+        sizes.append(len(beta.vertex_open))
+    # in combinations order, the pairs of a vertex of block v are the rest
+    # of its row in the block, then every vertex of the later blocks, each
+    # carrying alpha's level of (v, w); alpha's row v is one slice
+    levels: list[int] = []
+    row = 0
+    for v, beta in enumerate(betas):
+        cross = [
+            lev
+            for lev, size in zip(alpha.levels[row : row + n - 1 - v], sizes[v + 1 :])
+            for _ in range(size)
+        ]
+        row += n - 1 - v
+        inner = beta.levels
+        start = 0
+        for s in range(sizes[v] - 1, -1, -1):
+            levels += inner[start : start + s]
+            levels += cross
+            start += s
+    return _unchecked(tuple(vertex_open), tuple(levels), alpha.output_open)
 
 
 def compose_at(alpha: GraphElement, i: int, beta: GraphElement) -> GraphElement:
     """Substitute ``beta`` into vertex ``i`` of ``alpha``, one-vertex graphs
     elsewhere."""
     betas = [
-        beta if v == i else _unchecked((opn,), frozenset(), opn)
+        beta if v == i else _unchecked((opn,), (), opn)
         for v, opn in enumerate(alpha.vertex_open, start=1)
     ]
     return compose(alpha, betas)
 
 
 def sym_act(sigma, alpha: GraphElement) -> GraphElement:
-    """Relabel vertex ``i`` to ``sigma[i-1]``, decorations unchanged."""
+    """Relabel vertex ``i`` to ``sigma[i-1]``, decorations unchanged.
+
+    Relabelling keeps every level and acyclicity, so the result is built
+    unchecked."""
     n = alpha.n
     if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"{sigma!r} is not a permutation of 1..{n}")
     vertex_open = [False] * n
-    for i in range(1, n + 1):
-        vertex_open[sigma[i - 1] - 1] = alpha.vertex_open[i - 1]
-    edges = {}
-    for (i, j), (mu, orient) in alpha.edges:
-        a, b = sigma[i - 1], sigma[j - 1]
-        if a < b:
-            edges[(a, b)] = (mu, orient)
-        else:
-            edges[(b, a)] = (mu, -orient)
-    return GraphElement(tuple(vertex_open), edges, alpha.output_open)
+    for i, opn in enumerate(alpha.vertex_open):
+        vertex_open[sigma[i] - 1] = opn
+    # the pair a < b (0-based) sits at a * (2n - a - 1) / 2 + b - a - 1
+    levels = [0] * len(alpha.levels)
+    for (i, j), lev in zip(_pairs(n), alpha.levels):
+        a, b = sigma[i] - 1, sigma[j] - 1
+        if a > b:
+            a, b, lev = b, a, -lev
+        levels[a * (2 * n - a - 1) // 2 + b - a - 1] = lev
+    return _unchecked(tuple(vertex_open), tuple(levels), alpha.output_open)
 
 
 def q(x: IntegerString) -> GraphElement:
     """Pairwise complexities with first-occurrence-reversing orientations.
 
     One walk over the letters counts, per pair, the direction changes of its
-    projection (``strings._moved``), and records where each label first
-    occurs and whether it is open.
+    projection (the pair rule of ``strings._moved``, run inline), and
+    records where each label first occurs and whether it is open.
     """
-    k = _top_label(x.tokens)
-    last = [-1] * (k + 1)
-    first = [0] * (k + 1)
-    opens = [False] * (k + 1)
-    mu: dict[tuple[int, int], int] = {}
+    size = _top_label(x.tokens) + 1
+    last = [-1] * size
+    first = [0] * size
+    opens = [False] * size
+    # changes[a * size + b]: the direction changes of the pair {a, b} made
+    # by an occurrence of a
+    changes = [0] * (size * size)
     prev = BAR
     for pos, t in enumerate(x.tokens):
         # a repeated letter, even across a bar, moves no pair
@@ -220,31 +266,40 @@ def q(x: IntegerString) -> GraphElement:
             continue
         prev = t
         a = t if t > 0 else -t
-        if last[a] < 0:
+        old = last[a]
+        if old < 0:
             first[a] = pos
             opens[a] = t < 0
-        for b in _moved(last, a):
-            pair = (a, b) if a < b else (b, a)
-            mu[pair] = mu.get(pair, 0) + 1
+        row = a * size
+        # the pair rule of strings._moved, inline: b moves when last[b] > old
+        for b, p in enumerate(last):
+            if p > old:
+                changes[row + b] += 1
         last[a] = pos
     # each pair i < j changed direction when its second label first
-    # occurred, so every pair is present with mu >= 1
-    edges = frozenset(
-        ((i, j), (c, 1 if first[i] > first[j] else -1))
-        for (i, j), c in mu.items()
-    )
-    return _unchecked(tuple(opens[1:]), edges, x.output_open)
+    # occurred, so every level is nonzero
+    levels = []
+    for i in range(1, size):
+        fi, row = first[i], i * size
+        for j in range(i + 1, size):
+            mu = changes[row + j] + changes[j * size + i]
+            levels.append(mu if fi > first[j] else -mu)
+    return _unchecked(tuple(opens[1:]), tuple(levels), x.output_open)
 
 
-# The most decorations enumerate_graphs walks: at the 40-70 us per decoration
-# measured on a 2-vCPU x86-64 machine, about a minute of work.
+# The most decorations enumerate_graphs walks: at the 4-20 us per decoration
+# measured on a shared 2-vCPU x86-64 machine (the upper end when every
+# decoration is in the filtration and reaches the acyclicity check), at most
+# about twenty seconds of work.
 MAX_DECORATIONS = 10**6
 
 
 def enumerate_graphs(
     vertex_open, output_open: bool, m: int
 ) -> list[GraphElement]:
-    """All valid filtration-m elements on the given coloured vertices.
+    """All valid filtration-m elements on the given coloured vertices, in
+    the order of their signed levels 1, -1, 2, -2, ..., the last pair
+    varying fastest.
 
     Raises ValueError when m < 1, or when the (2m)^(k choose 2) candidate
     decorations of k vertices exceed ``MAX_DECORATIONS``.
@@ -254,16 +309,18 @@ def enumerate_graphs(
     vertex_open = tuple(bool(v) for v in vertex_open)
     if not output_open and any(vertex_open):
         return []
-    pairs = list(combinations(range(1, len(vertex_open) + 1), 2))
-    count = (2 * m) ** len(pairs)
+    n_pairs = len(_pairs(len(vertex_open)))
+    count = (2 * m) ** n_pairs
     if count > MAX_DECORATIONS:
         raise ValueError(
             f"{len(vertex_open)} vertices at m={m} give {count} decorations, "
             f"more than the enumeration limit {MAX_DECORATIONS}"
         )
+    output_open = bool(output_open)
+    signed = [lev for mu in range(1, m + 1) for lev in (mu, -mu)]
     out = []
-    for decs in product(product(range(1, m + 1), (1, -1)), repeat=len(pairs)):
-        alpha = GraphElement(vertex_open, dict(zip(pairs, decs)), output_open)
-        if validate(alpha) and in_filtration(alpha, m):
+    for levels in product(signed, repeat=n_pairs):
+        alpha = _unchecked(vertex_open, levels, output_open)
+        if in_filtration(alpha, m) and validate(alpha):
             out.append(alpha)
     return out

@@ -94,7 +94,7 @@ class Colour(NamedTuple):
         return ("u" if self.open else "") + str(self.index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegerString:
     """An integer-string: a token tuple plus the output open/closed tag."""
 
@@ -209,13 +209,18 @@ def colours(x: IntegerString) -> tuple[tuple[Colour, ...], Colour]:
     return inputs, Colour(bars, x.output_open)
 
 
+_set_tokens = IntegerString.__dict__["tokens"].__set__
+_set_output_open = IntegerString.__dict__["output_open"].__set__
+
+
 def _unchecked(tokens: tuple[int, ...], output_open: bool) -> IntegerString:
-    """Build an IntegerString without re-running validation.
+    """Build an IntegerString without re-running validation, setting its
+    fields through the class's slots.
 
     Only for internal use on token tuples that are valid by construction."""
     s = object.__new__(IntegerString)
-    object.__setattr__(s, "tokens", tokens)
-    object.__setattr__(s, "output_open", output_open)
+    _set_tokens(s, tokens)
+    _set_output_open(s, output_open)
     return s
 
 
@@ -238,19 +243,16 @@ def compose(f: IntegerString, i: int, g: IntegerString) -> IntegerString:
     replaces the r-th occurrence of letter ``i`` in ``f``, after the usual
     relabelling of both factors.
     """
-    # one pass over each factor reads what composition needs; as in
-    # _top_label, an arity is the largest label
-    k = slot_occ = 0
-    slot_open = False
-    for t in f.tokens:
-        a = t if t > 0 else -t
-        if a > k:
-            k = a
-        if a == i:
-            slot_occ += 1
-            slot_open = t < 0
-    if not 1 <= i <= k:
-        raise LabelOutOfRange(f"slot {i} not in 1..{k}")
+    # the labels of a valid string are exactly 1..k, so i is a slot exactly
+    # when i >= 1 occurs, as a closed or an open letter; the arity is the
+    # largest label (_top_label), needed only for the message
+    ft = f.tokens
+    slot_occ = ft.count(i) if i > 0 else 0
+    slot_open = not slot_occ
+    if slot_open:
+        slot_occ = ft.count(-i) if i > 0 else 0
+        if not slot_occ:
+            raise LabelOutOfRange(f"slot {i} not in 1..{_top_label(ft)}")
     up = i - 1
     lg = 0
     seg: list[int] = []
@@ -275,7 +277,7 @@ def compose(f: IntegerString, i: int, g: IntegerString) -> IntegerString:
     down = lg - 1
     result: list[int] = []
     r = 0
-    for t in f.tokens:
+    for t in ft:
         if t == i or t == -i:
             result += segs[r]
             r += 1
@@ -295,8 +297,8 @@ def sym_act(sigma: Sequence[int], x: IntegerString) -> IntegerString:
     if len(sigma) != k or sorted(sigma) != list(range(1, k + 1)):
         raise StringError(f"{sigma!r} is not a permutation of 1..{k}")
     relabel = (BAR, *sigma)
-    tokens = tuple(relabel[t] if t >= 0 else -relabel[-t] for t in x.tokens)
-    return _unchecked(tokens, x.output_open)
+    tokens = [relabel[t] if t >= 0 else -relabel[-t] for t in x.tokens]
+    return _unchecked(tuple(tokens), x.output_open)
 
 
 def block_perm(sigma: Sequence[int], i: int, l: int) -> list[int]:
@@ -388,34 +390,37 @@ def c_dbl_prime(x: IntegerString, i: int, j: int) -> int:
 
 def _moved(last: list[int], a: int) -> list[int]:
     """The labels ``b`` whose pair {a, b} changes direction when ``a``
-    occurs next: those that occurred since ``a`` last did (when ``a`` is
-    new, every label seen so far, and that change activates the pair).
+    occurs next: those with ``last[b] > last[a]``, that is those that
+    occurred since ``a`` last did (when ``a`` is new, every label seen so
+    far, and that change activates the pair).
 
     ``last[b]`` is the position of the latest ``b``, or -1 before it occurs;
     entry 0 is unused and stays -1.  Counting these changes per pair over a
-    whole word gives :func:`c_count`.
+    whole word gives :func:`c_count`.  This is the one statement of the pair
+    rule: :func:`in_filtration` and ``graphs.q`` run it inline.
     """
     old = last[a]
     return [b for b, p in enumerate(last) if p > old]
 
 
-def _pair_limits(m: int, variant: str) -> dict[tuple[bool, bool], int]:
-    """The most direction changes allowed to a pair of labels, keyed by
-    (first label open, second label open): ``m - 1`` when both labels are
-    open, or when they are mixed and (the first label is open) differs from
-    (the variant is ``primed-variant``), else ``m``.  This is the bound
-    ``m`` on :func:`c_prime` (or :func:`c_dbl_prime`) moved onto
-    :func:`c_count`."""
+@lru_cache(maxsize=64)
+def _pair_limits(m: int, variant: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The most direction changes allowed to a pair of labels, as
+    ``limit[first label open][second label open]``: ``m - 1`` when both
+    labels are open, or when they are mixed and (the first label is open)
+    differs from (the variant is ``primed-variant``), else ``m``.  This is
+    the bound ``m`` on :func:`c_prime` (or :func:`c_dbl_prime`) moved onto
+    :func:`c_count`.  The table is immutable, so one table per (m, variant)
+    is shared by every caller."""
     if m < 1:
         raise ValueError("filtration level m must be >= 1")
     if variant not in ("standard", "primed-variant"):
         raise ValueError(f"unknown filtration variant {variant!r}")
     primed = variant == "primed-variant"
-    return {
-        (f, s): m - ((f and s) or (f != s and f != primed))
+    return tuple(
+        tuple(m - ((f and s) or (f != s and f != primed)) for s in (False, True))
         for f in (False, True)
-        for s in (False, True)
-    }
+    )
 
 
 class _PairWalk:
@@ -448,7 +453,7 @@ class _PairWalk:
         if old < 0:
             oa = self.open[a] = t < 0
             for b in moved:
-                row[b] = room[b][a] = self.limit[self.open[b], oa]
+                row[b] = room[b][a] = self.limit[self.open[b]][oa]
         for b in moved:
             if not row[b]:
                 return False
@@ -497,31 +502,33 @@ def in_filtration(x: IntegerString, m: int, variant: str = "standard") -> bool:
     swapped-case counter) with bound m.  Bars never change the verdict.
     """
     limit = _pair_limits(m, variant)
-    # _PairWalk.push without the undo log: the room of the pair {a, b},
-    # a < b, is room[a * size + b], set when the pair becomes active
-    size = _top_label(x.tokens) + 1
+    # _PairWalk.push without the undo log: room[a * size + b] and
+    # room[b * size + a] both hold the changes left to the pair {a, b},
+    # set when the pair becomes active
+    tokens = x.tokens
+    size = _top_label(tokens) + 1
     opens = [False] * size
     last = [-1] * size
     room = [0] * (size * size)
-    n = 0
     prev = BAR
-    for t in x.tokens:
+    for pos, t in enumerate(tokens):
         # a repeated letter, even across a bar, moves no pair
         if t == BAR or t == prev:
             continue
         prev = t
         a = t if t > 0 else -t
-        new = last[a] < 0
-        if new:
+        old = last[a]
+        if old < 0:
             opens[a] = t < 0
-        for b in _moved(last, a):
-            key = a * size + b if a < b else b * size + a
-            left = limit[opens[b], opens[a]] if new else room[key]
-            if not left:
-                return False
-            room[key] = left - 1
-        last[a] = n
-        n += 1
+        row = a * size
+        # the pair rule of _moved, inline: b moves when last[b] > old
+        for b, p in enumerate(last):
+            if p > old:
+                left = room[row + b] if old >= 0 else limit[opens[b]][opens[a]]
+                if not left:
+                    return False
+                room[row + b] = room[b * size + a] = left - 1
+        last[a] = pos
     return True
 
 

@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Surjection:
     """A bar-free nondegenerate surjective string (a chain-level basis element)."""
 
@@ -84,7 +84,7 @@ class Surjection:
         return f"Surjection({text(self.underlying)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BarredClass:
     """A normalized-chain class: bars allowed, no adjacent equal letters
     without a bar between them."""
@@ -117,13 +117,18 @@ def _unwrap(u) -> IntegerString:
     return u
 
 
+_SET_UNDERLYING = {
+    cls: cls.__dict__["underlying"].__set__ for cls in (Surjection, BarredClass)
+}
+
+
 def _unchecked(cls, x: IntegerString):
     """Wrap ``x`` in ``cls`` (``Surjection`` or ``BarredClass``) without
-    re-running its checks.
+    re-running its checks, setting the field through the class's slot.
 
     Only for internal use on strings that are valid by construction."""
     s = object.__new__(cls)
-    object.__setattr__(s, "underlying", x)
+    _SET_UNDERLYING[cls](s, x)
     return s
 
 

@@ -149,6 +149,29 @@ class TestEnumerateAndTree:
         code, out, _ = run(capsys, *argv, "--variant", "standard")
         assert code == 0 and out == run(capsys, *argv)[1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("parse", "(12|21)^c"),
+            ("compose", "(12)^c", "(1)^c", "--at", "1"),
+            ("act", "2,1", "(12|21)^c"),
+            ("q", "(12|21)^c"),
+            ("tree", "(12|21)^c"),
+            ("cells",),
+            ("loops",),
+            ("cobar",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_variant_refused_where_unread(self, capsys, argv):
+        # only filtration, enumerate, homology and verify read --variant;
+        # elsewhere it is a usage error, not a silently ignored option
+        assert run(capsys, *argv)[0] == 0
+        for variant in ("standard", "primed-variant"):
+            code, out, err = run(capsys, *argv, "--variant", variant)
+            assert code == 2
+            assert not out and "unrecognized arguments: --variant" in err
+
     def test_tree(self, capsys):
         code, out, _ = run(capsys, "tree", "(12|21)^c")
         assert code == 0

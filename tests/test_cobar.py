@@ -280,14 +280,22 @@ class TestCoalgebraLayer:
              "'q', named at 'n', has no degree"),
             (dict(degrees={"n": 3}, coaction={"n": None}),
              "coaction table has no entry for 'n'"),
+            # ``no_coproduct`` deletes coalgebra entries after C validates
+            (dict(degrees={"n": 5, "m": 3}, reduced={"n": {("x", "m"): 1}},
+                  no_coproduct=("x",)),
+             "'x', named at 'n', has no coproduct entry"),
         ],
         ids=["d-degree", "coaction-degree", "counit", "coassociativity",
              "d-squared", "co-leibniz", "coalgebra-term-unknown",
-             "module-term-unknown", "no-coaction-entry"],
+             "module-term-unknown", "no-coaction-entry",
+             "coalgebra-term-no-coproduct"],
     )
     def test_broken_comodule_law_named(self, spec, law):
         C = sample_coalgebra()
         C.validate()
+        spec = dict(spec)
+        for x in spec.pop("no_coproduct", ()):
+            del C.coproduct[x]
         with pytest.raises(ValueError, match=law):
             law_comodule(C, **spec).validate()
 
@@ -338,6 +346,21 @@ class TestCobarComplexes:
 
 
 class TestTwisting:
+    def test_module_needs_its_own_algebra(self):
+        # the closed construction must be over the module's coalgebra, with
+        # the module's truncation
+        C, C2 = sample_coalgebra(), sample_coalgebra()
+        rel = relative_cobar(C2, diagonal_dg_comodule(C2), 6)
+        with pytest.raises(ValueError, match="different coalgebras"):
+            relative_cobar_module(rel, cobar.cobar(C, 3))
+        with pytest.raises(ValueError, match="different coalgebras"):
+            relative_cobar_module(rel, cobar.cobar(C, 6))
+        with pytest.raises(ValueError, match="truncated at 3, the module at 6"):
+            relative_cobar_module(rel, cobar.cobar(C2, 3))
+        with pytest.raises(ValueError, match="must be the closed construction"):
+            relative_cobar_module(rel, rel)
+        assert relative_cobar_module(rel, cobar.cobar(C2, 6)) is rel
+
     def test_equivalence_on_random_instances(self):
         rng = random.Random(7)
         for trial in range(100):

@@ -10,11 +10,20 @@ graphs through the validating ``GraphElement`` constructor.
 ``reference_enumerate_component`` are the earlier bodies of the
 ``surjections`` kernels: they count occurrences label by label, rescan each
 deletion for degeneracy and build every string and surjection through the
-validating constructors.  All are kept here only as oracles for the fast
+validating constructors.  ``reference_q_walk``, ``reference_graph_compose``,
+``reference_leq``, ``reference_graph_in_filtration``,
+``reference_validate``, ``reference_graph_sym_act`` and
+``reference_enumerate_graphs`` are the earlier bodies of the ``graphs``
+kernels, which read and wrote the decorations as a frozenset of
+``((i, j), (mu, orient))`` items (here through ``GraphElement.edges`` and the
+validating constructor).  All are kept here only as oracles for the fast
 paths.
 """
 
-from itertools import product
+import copy
+import pickle
+import random
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +104,136 @@ def reference_q(x):
             orient = 1 if first(x, i) > first(x, j) else -1
             edges[(i, j)] = (mu, orient)
     return GraphElement(vertex_open, edges, x.output_open)
+
+
+def reference_q_walk(x):
+    k = strings._top_label(x.tokens)
+    last = [-1] * (k + 1)
+    first = [0] * (k + 1)
+    opens = [False] * (k + 1)
+    mu = {}
+    prev = BAR
+    for pos, t in enumerate(x.tokens):
+        if t == BAR or t == prev:
+            continue
+        prev = t
+        a = t if t > 0 else -t
+        if last[a] < 0:
+            first[a] = pos
+            opens[a] = t < 0
+        for b in strings._moved(last, a):
+            pair = (a, b) if a < b else (b, a)
+            mu[pair] = mu.get(pair, 0) + 1
+        last[a] = pos
+    edges = frozenset(
+        ((i, j), (c, 1 if first[i] > first[j] else -1))
+        for (i, j), c in mu.items()
+    )
+    return GraphElement(tuple(opens[1:]), edges, x.output_open)
+
+
+def reference_graph_compose(alpha, betas):
+    if len(betas) != alpha.n:
+        raise ValueError("need one argument per vertex")
+    for v, beta in enumerate(betas, start=1):
+        if beta.output_open != alpha.vertex_open[v - 1]:
+            raise ValueError(f"slot {v} openness does not match argument {v}")
+    offsets = [0]
+    for beta in betas:
+        offsets.append(offsets[-1] + beta.n)
+    vertex_open = tuple(o for beta in betas for o in beta.vertex_open)
+    edges = [
+        ((i + off, j + off), dec)
+        for beta, off in zip(betas, offsets)
+        for (i, j), dec in beta.edges
+    ]
+    for (v, w), dec in alpha.edges:
+        edges.extend(
+            ((a, b), dec)
+            for a in range(offsets[v - 1] + 1, offsets[v] + 1)
+            for b in range(offsets[w - 1] + 1, offsets[w] + 1)
+        )
+    return GraphElement(vertex_open, edges, alpha.output_open)
+
+
+def reference_leq(alpha, beta):
+    if alpha.vertex_open != beta.vertex_open or alpha.output_open != beta.output_open:
+        raise ValueError("poset order needs identical colours")
+    eb = beta.edge_dict()
+    for pair, (mu, orient) in alpha.edge_dict().items():
+        mu2, orient2 = eb[pair]
+        if (mu, orient) != (mu2, orient2) and not mu < mu2:
+            return False
+    return True
+
+
+def reference_graph_in_filtration(alpha, m):
+    limit = strings._pair_limits(m, "standard")
+    vertex_open = alpha.vertex_open
+    for (i, j), (mu, orient) in alpha.edges:
+        source, target = (i, j) if orient == 1 else (j, i)
+        if mu > limit[vertex_open[target - 1]][vertex_open[source - 1]]:
+            return False
+    return True
+
+
+def reference_acyclic(arcs, n):
+    succ = {v: [] for v in range(1, n + 1)}
+    for a, b in arcs:
+        succ[a].append(b)
+    state = {v: 0 for v in succ}
+
+    def dfs(v):
+        state[v] = 1
+        for w in succ[v]:
+            if state[w] == 1 or (state[w] == 0 and not dfs(w)):
+                return False
+        state[v] = 2
+        return True
+
+    return all(state[v] != 0 or dfs(v) for v in succ)
+
+
+def reference_validate(alpha):
+    if not alpha.output_open and any(alpha.vertex_open):
+        return False
+    by_level = {}
+    for (i, j), (mu, orient) in alpha.edges:
+        arc = (i, j) if orient == 1 else (j, i)
+        by_level.setdefault(mu, []).append(arc)
+    return all(reference_acyclic(arcs, alpha.n) for arcs in by_level.values())
+
+
+def reference_graph_sym_act(sigma, alpha):
+    n = alpha.n
+    if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"{sigma!r} is not a permutation of 1..{n}")
+    vertex_open = [False] * n
+    for i in range(1, n + 1):
+        vertex_open[sigma[i - 1] - 1] = alpha.vertex_open[i - 1]
+    edges = {}
+    for (i, j), (mu, orient) in alpha.edges:
+        a, b = sigma[i - 1], sigma[j - 1]
+        if a < b:
+            edges[(a, b)] = (mu, orient)
+        else:
+            edges[(b, a)] = (mu, -orient)
+    return GraphElement(tuple(vertex_open), edges, alpha.output_open)
+
+
+def reference_enumerate_graphs(vertex_open, output_open, m):
+    if m < 1:
+        raise ValueError("filtration level m must be >= 1")
+    vertex_open = tuple(bool(v) for v in vertex_open)
+    if not output_open and any(vertex_open):
+        return []
+    pairs = list(combinations(range(1, len(vertex_open) + 1), 2))
+    out = []
+    for decs in product(product(range(1, m + 1), (1, -1)), repeat=len(pairs)):
+        alpha = GraphElement(vertex_open, dict(zip(pairs, decs)), output_open)
+        if reference_validate(alpha) and reference_graph_in_filtration(alpha, m):
+            out.append(alpha)
+    return out
 
 
 def reference_differential(u):
@@ -396,6 +535,138 @@ class TestUncheckedGraphs:
         assert alpha.output_open is True
         assert alpha.edge_dict() == {(1, 2): (2, -1)}
         assert GraphElement(alpha.vertex_open, alpha.edges, True) == alpha
+
+
+def window_graphs():
+    """The distinct graphs q gives on the window's elements and composites
+    (4,401 of them, from 11,595 distinct strings), in first-seen order."""
+    elems, _, composites = window()
+    return list(dict.fromkeys(graphs.q(x) for x in dict.fromkeys(elems + composites)))
+
+
+class TestGraphLevelsAgainstReference:
+    """The signed-level kernels against the frozenset-based bodies they
+    replace, on the window."""
+
+    def test_q_on_every_element_and_composite(self):
+        elems, _, composites = window()
+        strings_seen = dict.fromkeys(elems + composites)
+        for x in strings_seen:
+            assert same_graph(graphs.q(x), reference_q_walk(x))
+        assert (len(strings_seen), len(window_graphs())) == (11_595, 4_401)
+
+    def test_compose_and_leq_on_every_composable_pair(self):
+        elems, pairs, composites = window()
+        q = {x: graphs.q(x) for x in elems}
+        # the graph cases the composable pairs give, each once
+        cases = dict.fromkeys(
+            (q[f], i, q[g], graphs.q(fg))
+            for (f, i, g), fg in zip(pairs, composites)
+        )
+        for qf, i, qg, qfg in cases:
+            betas = [
+                qg if v == i else GraphElement((o,), {}, o)
+                for v, o in enumerate(qf.vertex_open, start=1)
+            ]
+            got = graphs.compose(qf, betas)
+            assert same_graph(got, reference_graph_compose(qf, betas))
+            assert same_graph(graphs.compose_at(qf, i, qg), got)
+            assert graphs.leq(qfg, got) == reference_leq(qfg, got)
+            assert graphs.leq(got, qfg) == reference_leq(got, qfg)
+        assert len(cases) == 8_560
+
+    def test_in_filtration_validate_and_sym_act(self):
+        for alpha in window_graphs():
+            for m in (1, 2, 3):
+                assert graphs.in_filtration(alpha, m) == (
+                    reference_graph_in_filtration(alpha, m)
+                )
+            assert graphs.validate(alpha) == reference_validate(alpha)
+            n = alpha.n
+            for sigma in adjacent_transpositions(n) + [list(range(n, 0, -1))]:
+                assert same_graph(
+                    graphs.sym_act(sigma, alpha),
+                    reference_graph_sym_act(sigma, alpha),
+                )
+
+    def test_every_decoration_of_up_to_three_vertices(self):
+        # invalid and out-of-filtration graphs too, every permutation
+        cases = 0
+        for n in range(4):
+            pairs = list(combinations(range(1, n + 1), 2))
+            decorations = list(product(product((1, 2, 3), (1, -1)), repeat=len(pairs)))
+            for opens in product((False, True), repeat=n):
+                for out_open in (False, True):
+                    for decs in decorations:
+                        alpha = GraphElement(opens, dict(zip(pairs, decs)), out_open)
+                        assert graphs.validate(alpha) == reference_validate(alpha)
+                        for m in (1, 2, 3):
+                            assert graphs.in_filtration(alpha, m) == (
+                                reference_graph_in_filtration(alpha, m)
+                            )
+                        for sigma in permutations(range(1, n + 1)):
+                            assert same_graph(
+                                graphs.sym_act(sigma, alpha),
+                                reference_graph_sym_act(sigma, alpha),
+                            )
+                        cases += 1
+        assert cases == 2 * (1 + 2 + 4 * 6 + 8 * 6**3)
+
+    def test_leq_on_every_pair_of_a_component(self):
+        cases = 0
+        for opens in ((False, False, False), (False, True, True)):
+            elems = graphs.enumerate_graphs(opens, any(opens), 2)
+            for a in elems:
+                for b in elems:
+                    assert graphs.leq(a, b) == reference_leq(a, b)
+                    cases += 1
+        assert cases == 60**2 + 16**2
+
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in range(4) for m in (1, 2, 3)] + [(4, 2)]
+    )
+    def test_enumerate_graphs_same_list_and_order(self, n, m):
+        for opens in product((False, True), repeat=n):
+            for out_open in (False, True):
+                got = graphs.enumerate_graphs(opens, out_open, m)
+                want = reference_enumerate_graphs(opens, out_open, m)
+                assert [(a, hash(a)) for a in got] == [(a, hash(a)) for a in want]
+                assert all(same_graph(a, b) for a, b in zip(got, want))
+
+    def test_constructor_from_shuffled_dict_equals_q(self):
+        rng = random.Random(12)
+        for alpha in window_graphs():
+            items = list(alpha.edge_dict().items())
+            rng.shuffle(items)
+            assert same_graph(
+                GraphElement(alpha.vertex_open, dict(items), alpha.output_open), alpha
+            )
+
+    def test_edges_view(self):
+        alpha = graphs.q(strings.parse("(1u2|1u4u231||u2u4)^o"))
+        assert alpha.levels == (-5, -2, -3, -2, -3, 2)
+        assert alpha.edges == frozenset(alpha.edge_dict().items())
+        assert list(alpha.edge_dict()) == list(combinations(range(1, 5), 2))
+        assert alpha.edge_dict()[(1, 2)] == (5, -1)
+
+
+class TestValueClassCopies:
+    def test_pickle_and_deepcopy_round_trips(self):
+        x = strings.parse("(1u2|1u4u231||u2u4)^o")
+        values = [
+            x,
+            Surjection(strings.parse("(1u21u3)^o")),
+            BarredClass(strings.parse("(u12|2u1)^o")),
+            graphs.q(x),
+            strings.compose(x, 2, strings.parse("(1u3|21u3|u31)^o")),
+        ]
+        for v in values:
+            copies = [copy.deepcopy(v), copy.copy(v)] + [
+                pickle.loads(pickle.dumps(v, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for c in copies:
+                assert type(c) is type(v) and c == v and hash(c) == hash(v)
 
 
 VARIANTS = ("standard", "primed-variant")

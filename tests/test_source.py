@@ -81,3 +81,30 @@ def test_every_exported_name_exists():
             if not hasattr(module, name)
         ]
     assert not missing, f"names in __all__ with no definition: {missing}"
+
+
+def test_value_classes_are_slotted_frozen_dataclasses():
+    # one construction idiom for the operad values: slotted frozen
+    # dataclasses whose unchecked constructors set fields through the slots
+    import dataclasses
+
+    from operadix.graphs import GraphElement
+    from operadix.strings import IntegerString
+    from operadix.surjections import BarredClass, Surjection
+
+    for cls in (IntegerString, Surjection, BarredClass, GraphElement):
+        assert dataclasses.is_dataclass(cls), cls
+        assert cls.__dataclass_params__.frozen, cls
+        assert "__slots__" in cls.__dict__ and "__dict__" not in cls.__dict__, cls
+    found = []
+    for name in ("strings.py", "graphs.py", "surjections.py"):
+        path = SOURCE / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"object.__setattr__ in the value modules: {found}"
