@@ -14,7 +14,6 @@ normal form runs only on the residue that has no unit entry left
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Hashable, Iterable
 
 __all__ = [
@@ -57,21 +56,38 @@ class LinComb:
 
     @classmethod
     def unit(cls, basis, coeff: int = 1) -> "LinComb":
-        return cls({basis: coeff})
+        return _reduced({basis: coeff} if coeff else {})
 
+    # The operands' terms are already distinct and nonzero, so merging the
+    # right one into a copy of the left one gives the terms, in the order,
+    # that the constructor gives on the chained terms.
     def __add__(self, other: "LinComb") -> "LinComb":
-        return LinComb(chain(self.terms.items(), other.terms.items()))
+        data = self.terms.copy()
+        for basis, coeff in other.terms.items():
+            total = data.get(basis, 0) + coeff
+            if total:
+                data[basis] = total
+            else:
+                del data[basis]
+        return _reduced(data)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
-        return LinComb(
-            chain(self.terms.items(), ((b, -c) for b, c in other.terms.items()))
-        )
+        data = self.terms.copy()
+        for basis, coeff in other.terms.items():
+            total = data.get(basis, 0) - coeff
+            if total:
+                data[basis] = total
+            else:
+                del data[basis]
+        return _reduced(data)
 
     def __rmul__(self, scalar: int) -> "LinComb":
-        return LinComb({b: scalar * c for b, c in self.terms.items()})
+        if not scalar:
+            return LinComb()
+        return _reduced({b: scalar * c for b, c in self.terms.items()})
 
     def __neg__(self) -> "LinComb":
-        return (-1) * self
+        return _reduced({b: -c for b, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self.terms == other.terms
@@ -99,6 +115,14 @@ class LinComb:
             bits.append(f"{sign} {mag}{basis}")
         joined = " ".join(bits)
         return joined[2:] if joined.startswith("+ ") else joined
+
+
+def _reduced(terms: dict) -> LinComb:
+    """The combination with these terms, which must be distinct and nonzero:
+    the constructor's result without its summing pass."""
+    v = object.__new__(LinComb)
+    v.terms = terms
+    return v
 
 
 def linear(table, v: LinComb) -> LinComb:

@@ -32,7 +32,7 @@ coproduct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from itertools import chain, combinations, product
 
 from .chains import (
@@ -244,9 +244,11 @@ class CobarObject:
     zero, on input and on output.
 
     The coalgebra and the comodule are read once, at construction, into
-    per-letter and per-tail differential tables; each degree's words and
-    each word's differential are then computed once and kept on the object.
-    Edits to the coalgebra or comodule after construction are not seen.
+    per-letter and per-tail degree and differential tables.  The first
+    ``words`` call lists every degree's words in one walk up to the
+    truncation, and each word's differential is computed once; both are
+    kept on the object.  Edits to the coalgebra or comodule after
+    construction are not seen.
     """
 
     coalgebra: DGCoalgebra
@@ -256,109 +258,129 @@ class CobarObject:
     def __post_init__(self):
         C, N = self.coalgebra, self.comodule
         C.check_one_reduced()
+        # the desuspended degree of every coalgebra element as a letter, and
+        # the degree of every tail
+        self._letter_degrees = {x: d - 1 for x, d in C.degrees.items()}
+        self._tail_degrees = {} if N is None else dict(N.degrees)
         self._letters = [x for x, d in C.degrees.items() if d >= 2]
-        # d on one letter s^{-1}x as (replacement letters, coefficient): the
-        # internal part d(s^{-1}x) = -s^{-1}(dx) first, then the quadratic
-        # part sum (-1)^{|a|} [a, b]
+        L, T = self._letter_degrees, self._tail_degrees
+        # d on one letter s^{-1}x as (replacement letters, coefficient, the
+        # change of degree): the internal part d(s^{-1}x) = -s^{-1}(dx)
+        # first, then the quadratic part sum (-1)^{|a|} [a, b]
         self._letter_terms = {
-            x: [((y,), -cy) for y, cy in C.d(LinComb.unit(x)) if C.degree(y) >= 2]
+            x: [
+                ((y,), -cy, L[y] - L[x])
+                for y, cy in C.d(LinComb.unit(x))
+                if C.degree(y) >= 2
+            ]
             + [
-                ((a, b), (-1 if C.degree(a) % 2 else 1) * cab)
+                ((a, b), (-1 if C.degree(a) % 2 else 1) * cab, L[a] + L[b] - L[x])
                 for (a, b), cab in C.reduced_delta(x)
                 if C.degree(a) >= 2 and C.degree(b) >= 2
             ]
             for x in self._letters
         }
-        # d on a tail n as (appended letters, new tail, coefficient): the
-        # comodule differential first, then the reduced coaction
+        # d on a tail n as (appended letters, new tail, coefficient, the
+        # change of degree): the comodule differential first, then the
+        # reduced coaction
         self._tail_terms = {}
         if N is not None:
             self._tail_terms = {
-                n: [((), y, cy) for y, cy in N.d(LinComb.unit(n))]
+                n: [((), y, cy, T[y] - T[n]) for y, cy in N.d(LinComb.unit(n))]
                 + [
-                    ((z,), n2, czn)
+                    ((z,), n2, czn, L[z] + T[n2] - T[n])
                     for (z, n2), czn in N.reduced_rho(n)
                     if C.degree(z) >= 2
                 ]
                 for n in N.degrees
             }
-        self._words: dict[int, list] = {}
+        self._words: dict[int, list] | None = None
         self._diffs: dict = {}
 
     def letter_degree(self, x) -> int:
-        return self.coalgebra.degree(x) - 1
+        return self._letter_degrees[x]
 
     def word_degree(self, w) -> int:
+        degree = self._letter_degrees
         if self.comodule is not None:
             word, n = w
-            return sum(self.letter_degree(x) for x in word) + self.comodule.degree(n)
-        return sum(self.letter_degree(x) for x in w)
+            return sum([degree[x] for x in word]) + self._tail_degrees[n]
+        return sum([degree[x] for x in w])
 
     def words(self, degree: int) -> list:
         """All basis words of the given total degree (within truncation)."""
         if degree < 0 or degree > self.truncation:
             return []
-        if degree not in self._words:
-            out = []
-            tails = (
-                [None] if self.comodule is None else list(self.comodule.degrees)
-            )
-            # a tail of negative degree lets the letters exceed the target;
-            # letters have degree >= 1, so the walk still ends
-            bound = degree - min(
-                [0] + [self.comodule.degree(n) for n in tails if n is not None]
-            )
-
-            def extend(word, deg):
-                for tail in tails:
-                    extra = 0 if tail is None else self.comodule.degree(tail)
-                    if deg + extra == degree:
-                        out.append(word if tail is None else (word, tail))
-                for x in self._letters:
-                    d2 = deg + self.letter_degree(x)
-                    if d2 <= bound:
-                        extend(word + (x,), d2)
-            extend((), 0)
-            self._words[degree] = sorted(set(out))
+        if self._words is None:
+            self._words = self._walk()
         # a fresh list: build_complex keeps it as a basis
         return list(self._words[degree])
 
-    def differential(self, v: LinComb) -> LinComb:
-        return LinComb((t, c * ct) for w, c in v for t, ct in self._diff_basis(w))
+    def _walk(self) -> dict[int, list]:
+        """Every basis word, as one sorted list per degree 0..truncation,
+        from one walk over the words of letters up to the truncation."""
+        top = self.truncation
+        out: dict[int, list] = {d: [] for d in range(top + 1)}
+        tails = (
+            [(None, 0)] if self.comodule is None else list(self._tail_degrees.items())
+        )
+        # a tail of negative degree lets the letters exceed the truncation;
+        # letters have degree >= 1, so the walk still ends
+        bound = top - min([0] + [extra for _, extra in tails])
+        letters = [(x, self._letter_degrees[x]) for x in self._letters]
+        stack = [((), 0)]
+        while stack:
+            word, deg = stack.pop()
+            for tail, extra in tails:
+                if 0 <= deg + extra <= top:
+                    out[deg + extra].append(word if tail is None else (word, tail))
+            for x, dx in letters:
+                if deg + dx <= bound:
+                    stack.append((word + (x,), deg + dx))
+        return {d: sorted(ws) for d, ws in out.items()}
 
-    def _in_window(self, w) -> bool:
-        return 0 <= self.word_degree(w) <= self.truncation
+    def differential(self, v: LinComb) -> LinComb:
+        return LinComb(
+            (t, c * ct)
+            for w, c in v.terms.items()
+            for t, ct in self._diff_basis(w).terms.items()
+        )
 
     def _diff_basis(self, w) -> LinComb:
         if w not in self._diffs:
-            terms = self._diff_terms(w) if self._in_window(w) else ()
-            self._diffs[w] = LinComb((e, c) for e, c in terms if self._in_window(e))
+            degree, top = self.word_degree(w), self.truncation
+            terms = self._diff_terms(w) if 0 <= degree <= top else ()
+            self._diffs[w] = LinComb(
+                (e, c) for e, c, shift in terms if 0 <= degree + shift <= top
+            )
         return self._diffs[w]
 
     def _diff_terms(self, w):
-        """The terms of d(w): each letter, then the tail, is replaced by its
-        table entries under the Koszul sign of the letters before it."""
+        """The terms of d(w) with their change of degree: each letter, then
+        the tail, is replaced by its table entries under the Koszul sign of
+        the letters before it."""
         word, tail = (w, None) if self.comodule is None else w
         prefix = 0
         for i, x in enumerate(word):
             sign = -1 if prefix % 2 else 1
-            for letters, c in self._letter_terms[x]:
+            for letters, c, shift in self._letter_terms[x]:
                 new_word = word[:i] + letters + word[i + 1 :]
-                yield (new_word if tail is None else (new_word, tail)), sign * c
-            prefix += self.letter_degree(x)
+                yield (new_word if tail is None else (new_word, tail)), sign * c, shift
+            prefix += self._letter_degrees[x]
         if tail is not None:
             sign = -1 if prefix % 2 else 1
-            for letters, n, c in self._tail_terms[tail]:
-                yield (word + letters, n), sign * c
+            for letters, n, c, shift in self._tail_terms[tail]:
+                yield (word + letters, n), sign * c, shift
 
     def action(self, a: LinComb, u: LinComb) -> LinComb:
         """Concatenation of the closed words of ``a`` onto the words of
         ``u``: the product of the closed word algebra, or its action on the
         relative word module.  Terms outside the window read as zero."""
-        right = [(w, c, self.word_degree(w)) for w, c in u]
+        degree = self._letter_degrees
+        right = [(w, c, self.word_degree(w)) for w, c in u.terms.items()]
         terms = []
-        for wa, ca in a:
-            room = self.truncation - sum(map(self.letter_degree, wa))
+        for wa, ca in a.terms.items():
+            room = self.truncation - sum([degree[x] for x in wa])
             for w, c, d in right:
                 if 0 <= d <= room:
                     e = wa + w if self.comodule is None else (wa + w[0], w[1])
@@ -474,21 +496,37 @@ def overline_fg(
     cob: CobarObject, A: CobarObject, M: CobarObject, f: dict, g: dict
 ):
     """The induced map from the relative word complex to M: multiply the
-    letterwise images of f and act on the image of the tail."""
+    letterwise images of f and act on the image of the tail.
 
-    def fmap(name) -> LinComb:
-        return f.get(name, LinComb())
+    ``A`` must be M's word algebra (``relative_cobar_module(M, A)``).  The
+    image of each word is computed once per map, on first use, and kept in
+    the returned map: ``((), n)`` goes to g(n) and ``(x w, n)`` to f(x)
+    acting on the image of ``(w, n)``, each read in the window of M; the
+    terms of f(x) of negative degree read as zero, as in the left-to-right
+    product of the letters."""
+    relative_cobar_module(M, A)
+    letters: dict = {}
+    images: dict = {}
 
-    def gmap(name) -> LinComb:
-        return g.get(name, LinComb())
+    def letter(x) -> LinComb:
+        if x not in letters:
+            letters[x] = LinComb(
+                (w, c) for w, c in f.get(x, LinComb()) if A.word_degree(w) >= 0
+            )
+        return letters[x]
 
-    def image(word, n) -> LinComb:
-        letters = reduce(A.action, map(fmap, word), LinComb.unit(()))
-        return M.action(letters, gmap(n))
+    def image(w) -> LinComb:
+        if w not in images:
+            word, n = w
+            if word:
+                images[w] = M.action(letter(word[0]), image((word[1:], n)))
+            else:
+                images[w] = M.action(LinComb.unit(()), g.get(n, LinComb()))
+        return images[w]
 
     def phi(v: LinComb) -> LinComb:
         return LinComb(
-            (t, c * ct) for (word, n), c in v for t, ct in image(word, n)
+            (t, c * ct) for w, c in v.terms.items() for t, ct in image(w).terms.items()
         )
 
     return phi

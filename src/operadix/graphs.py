@@ -58,7 +58,12 @@ class GraphElement:
         ):
             raise ValueError("edges must cover exactly the pairs i < j")
         for (i, j), (mu, orient) in edict.items():
-            if mu < 1 or orient not in (1, -1):
+            if (
+                not _is_int(mu)
+                or not _is_int(orient)
+                or mu < 1
+                or orient not in (1, -1)
+            ):
                 raise ValueError(f"bad decoration on edge {(i, j)}")
         levels = []
         for i, j in _pairs(n):
@@ -94,6 +99,11 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     """The 0-based vertex pairs i < j of n vertices, in the order of
     ``levels``."""
     return tuple(combinations(range(n), 2))
+
+
+def _is_int(x) -> bool:
+    """Whether ``x`` is an ``int`` and not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_pair(p, n: int) -> bool:

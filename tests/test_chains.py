@@ -2,9 +2,11 @@
 
 import copy
 import random
+from itertools import chain
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from operadix import chains
@@ -27,6 +29,38 @@ from operadix.loops import FiniteMonoid, TotComplex
 from operadix.surjections import component_complex, component_homology, differential
 
 import test_cobar
+
+
+def chained(a: LinComb, b: LinComb, sign: int = 1) -> LinComb:
+    """a + sign * b through the generic constructor on the chained terms:
+    the reference for the arithmetic operators."""
+    signed = ((t, sign * c) for t, c in b.terms.items())
+    return LinComb(chain(a.terms.items(), signed))
+
+
+def scaled(k: int, a: LinComb) -> LinComb:
+    """k * a through the generic constructor."""
+    return LinComb({t: k * c for t, c in a.terms.items()})
+
+
+def check_arithmetic(a: LinComb, b: LinComb) -> None:
+    """Every operator gives the reference's ordered terms, with no zero
+    coefficient, in a new dict."""
+    results = [
+        (a + b, chained(a, b)),
+        (a - b, chained(a, b, -1)),
+        (-a, scaled(-1, a)),
+    ]
+    results += [(k * a, scaled(k, a)) for k in (0, 1, -1, 2, -2)]
+    for got, want in results:
+        assert list(got) == list(want)
+        assert all(got.terms.values())
+        assert got.terms is not a.terms and got.terms is not b.terms
+
+
+small_combinations = st.lists(
+    st.tuples(st.sampled_from("abcdef"), st.integers(-3, 3)), max_size=8
+).map(LinComb)
 
 
 class TestLinComb:
@@ -56,6 +90,39 @@ class TestLinComb:
         w = LinComb({"b": 3, "c": 7})
         assert bilinear(product, u, w) == LinComb({"ab": 6, "bb": -6})
         assert bilinear(product, w, u) == LinComb({"bb": -6})
+
+    # The operators merge already reduced operands directly; each must agree,
+    # term order included, with the generic constructor.
+    def test_operators_match_the_constructor(self):
+        a = LinComb({"p": 1, "q": 2, "r": -3})
+        b = LinComb({"s": 4, "q": -2, "p": 5, "t": -1})
+        pairs = [(a, b), (b, a), (a, a), (a, -1 * a), (a, LinComb()), (LinComb(), b)]
+        for u, v in pairs:
+            check_arithmetic(u, v)
+
+    def test_sums_move_a_reappearing_term_to_the_end(self):
+        a = LinComb({"p": 1, "q": 2, "r": 3})
+        cancelled = a + LinComb({"q": -2, "s": 1})
+        assert list(cancelled) == [("p", 1), ("r", 3), ("s", 1)]
+        back = cancelled + LinComb({"q": 5, "p": 1})
+        assert list(back) == [("p", 2), ("r", 3), ("s", 1), ("q", 5)]
+        assert list(back) == list(
+            chained(chained(a, LinComb({"q": -2, "s": 1})), LinComb({"q": 5, "p": 1}))
+        )
+        assert list(cancelled - LinComb.unit("q", -5)) == list(
+            chained(cancelled, LinComb.unit("q", -5), -1)
+        )
+
+    def test_unit(self):
+        assert list(LinComb.unit("b")) == list(LinComb({"b": 1}))
+        assert list(LinComb.unit("b", -2)) == [("b", -2)]
+        assert list(LinComb.unit("b", 0)) == list(LinComb({"b": 0})) == []
+        assert not LinComb.unit("b", 0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(a=small_combinations, b=small_combinations)
+    def test_arithmetic_property(self, a, b):
+        check_arithmetic(a, b)
 
 
 class TestSmithNormalForm:

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import reduce
 from itertools import product as iproduct
 
 import pytest
@@ -11,6 +12,7 @@ from operadix import cobar
 from operadix.chains import LinComb, build_complex, homology
 from operadix.cobar import (
     Bialgebra,
+    CobarObject,
     CobarTot,
     ComoduleAlgebra,
     DGCoalgebra,
@@ -127,6 +129,56 @@ def reference_diff_basis(cob, w) -> LinComb:
     return LinComb(
         (e, c) for e, c in terms() if 0 <= cob.word_degree(e) <= cob.truncation
     )
+
+
+def reference_words(cob, degree: int) -> list:
+    """The basis words of one degree from a walk of their own, reading the
+    degrees from the coalgebra and comodule: the oracle for the one walk
+    behind ``CobarObject.words``."""
+    if degree < 0 or degree > cob.truncation:
+        return []
+    C, N = cob.coalgebra, cob.comodule
+    letters = [x for x, d in C.degrees.items() if d >= 2]
+    tails = [None] if N is None else list(N.degrees)
+    out = []
+    # a tail of negative degree lets the letters exceed the target
+    bound = degree - min([0] + [N.degree(n) for n in tails if n is not None])
+
+    def extend(word, deg):
+        for tail in tails:
+            extra = 0 if tail is None else N.degree(tail)
+            if deg + extra == degree:
+                out.append(word if tail is None else (word, tail))
+        for x in letters:
+            d2 = deg + C.degree(x) - 1
+            if d2 <= bound:
+                extend(word + (x,), d2)
+
+    extend((), 0)
+    return sorted(set(out))
+
+
+def reference_overline_fg(cob, A, M, f, g):
+    """The induced map with every image folded afresh, letter by letter from
+    the left, in the windows of A and M: the oracle for the per-map images
+    of ``overline_fg``."""
+
+    def fmap(name) -> LinComb:
+        return f.get(name, LinComb())
+
+    def gmap(name) -> LinComb:
+        return g.get(name, LinComb())
+
+    def image(word, n) -> LinComb:
+        letters = reduce(A.action, map(fmap, word), LinComb.unit(()))
+        return M.action(letters, gmap(n))
+
+    def phi(v: LinComb) -> LinComb:
+        return LinComb(
+            (t, c * ct) for (word, n), c in v for t, ct in image(word, n)
+        )
+
+    return phi
 
 
 def all_words(cob) -> list:
@@ -360,6 +412,9 @@ class TestTwisting:
         with pytest.raises(ValueError, match="must be the closed construction"):
             relative_cobar_module(rel, rel)
         assert relative_cobar_module(rel, cobar.cobar(C2, 6)) is rel
+        # the induced map reads its images in the windows of both
+        with pytest.raises(ValueError, match="truncated at 3, the module at 6"):
+            overline_fg(rel, cobar.cobar(C2, 3), rel, {}, {})
 
     def test_equivalence_on_random_instances(self):
         rng = random.Random(7)
@@ -456,6 +511,74 @@ class TestMemoizedConstructions:
                     lambda w: reference_diff_basis(con, w),
                 )
                 assert con.chain_complex().columns == reference.columns
+
+    @staticmethod
+    def maps(cob, rel):
+        """The universal pair (f, g), the pair with f(x) negated, the pair
+        with g(x) zero, and one whose f(x) has a term of negative degree (the
+        word of the unit)."""
+        f = universal_twisting(cob)
+        g = {n: LinComb.unit(((), n)) for n in rel.comodule.degrees}
+        return [
+            (f, g),
+            ({**f, "x": -f["x"]}, g),
+            (f, {**g, "x": LinComb()}),
+            ({**f, "x": f["x"] + LinComb.unit((U,))}, g),
+        ]
+
+    def test_words_match_reference_walk(self):
+        for params in SAMPLE_FAMILY:
+            cob, rels = self.constructions(params)
+            for con in [cob] + rels:
+                for d in range(-1, con.truncation + 2):
+                    assert con.words(d) == reference_words(con, d)
+
+    def test_overline_fg_matches_reference(self):
+        # on every basis word, on the differentials dg_map_check feeds in,
+        # and on words just outside the window (one degree above it, or a
+        # tail of negative degree), which read as zero; the coefficient c of
+        # the family only scales terms, so one value of it is enough
+        for params in [p for p in SAMPLE_FAMILY if p[2] == 3]:
+            cob, rels = self.constructions(params)
+            C, top = cob.coalgebra, cob.truncation + 1
+            for rel in rels:
+                N = rel.comodule
+                outside = relative_cobar(C, N, truncation=top).words(top) + [
+                    ((), n) for n in N.degrees if N.degree(n) < 0
+                ]
+                inputs = [LinComb.unit(w) for w in all_words(rel) + outside]
+                inputs += [rel.differential(LinComb.unit(w)) for w in all_words(rel)]
+                for fc, gc in self.maps(cob, rel):
+                    phi = overline_fg(rel, cob, rel, fc, gc)
+                    reference = reference_overline_fg(rel, cob, rel, fc, gc)
+                    for v in inputs:
+                        assert list(phi(v)) == list(reference(v))
+
+    def test_one_action_per_word_per_map(self, monkeypatch):
+        calls = []
+        action = CobarObject.action
+
+        def counted(self, a, u):
+            calls.append((a, u))
+            return action(self, a, u)
+
+        monkeypatch.setattr(CobarObject, "action", counted)
+        for params in (SAMPLE_FAMILY[0], SAMPLE_FAMILY[-1]):
+            cob, rels = self.constructions(params)
+            for rel in rels:
+                words = all_words(rel)
+                # an image is built from the image of the word without its
+                # first letter, down to the bare tail
+                suffixes = {
+                    (word[i:], n) for word, n in words for i in range(len(word) + 1)
+                }
+                for fc, gc in self.maps(cob, rel):
+                    phi = overline_fg(rel, cob, rel, fc, gc)
+                    calls.clear()
+                    for w in words + words:
+                        phi(LinComb.unit(w))
+                    dg_map_check(rel, rel, phi)
+                    assert len(calls) == len(suffixes)
 
     def test_negative_tail_degree_builds(self):
         # the words whose tail has negative degree carry letters of total

@@ -529,6 +529,14 @@ class TestUncheckedGraphs:
         with pytest.raises(ValueError, match=message):
             GraphElement((False, False, False), edges, False)
 
+    @pytest.mark.parametrize(
+        "decoration", [(1.5, 1), (2.0, 1), (2, 1.0), (True, 1), (1, True), ("2", 1)]
+    )
+    def test_constructor_rejects_non_integer_decorations(self, decoration):
+        # a float level would pass validate and in_filtration unnoticed
+        with pytest.raises(ValueError, match=r"bad decoration on edge \(1, 2\)"):
+            GraphElement((0, 0), {(1, 2): decoration}, 0)
+
     def test_constructor_accepts_items_and_normalises(self):
         alpha = GraphElement([0, 1], [((1, 2), [2, -1])], 1)
         assert alpha.vertex_open == (False, True)
