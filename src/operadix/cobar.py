@@ -498,13 +498,25 @@ def overline_fg(
     """The induced map from the relative word complex to M: multiply the
     letterwise images of f and act on the image of the tail.
 
-    ``A`` must be M's word algebra (``relative_cobar_module(M, A)``).  The
-    image of each word is computed once per map, on first use, and kept in
-    the returned map: ``((), n)`` goes to g(n) and ``(x w, n)`` to f(x)
-    acting on the image of ``(w, n)``, each read in the window of M; the
-    terms of f(x) of negative degree read as zero, as in the left-to-right
-    product of the letters."""
+    ``A`` must be M's word algebra (``relative_cobar_module(M, A)``), and
+    ``cob``, the source, a relative construction over M's coalgebra and
+    comodule with M's truncation.  The image of each word is computed once
+    per map, on first use, and kept in the returned map: ``((), n)`` goes to
+    g(n) and ``(x w, n)`` to f(x) acting on the image of ``(w, n)``, each
+    read in the window of M; the terms of f(x) of negative degree read as
+    zero, as in the left-to-right product of the letters."""
     relative_cobar_module(M, A)
+    if cob.comodule is None:
+        raise ValueError("the source must be the relative construction")
+    if cob.coalgebra is not M.coalgebra or cob.comodule is not M.comodule:
+        raise ValueError(
+            "the source and the target are over different coalgebras or comodules"
+        )
+    if cob.truncation != M.truncation:
+        raise ValueError(
+            f"the source is truncated at {cob.truncation}, "
+            f"the target at {M.truncation}"
+        )
     letters: dict = {}
     images: dict = {}
 

@@ -24,12 +24,13 @@ Berger-Fresse composition gives each pattern its own sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .chains import (
     ChainComplex,
     LinComb,
     _rank_and_torsion,
+    _reduced,
     build_complex,
     homology_all,
 )
@@ -38,6 +39,8 @@ from .strings import (
     ColourMismatch,
     IntegerString,
     _PairWalk,
+    _set_output_open,
+    _set_tokens,
     _top_label,
     arity,
     colours,
@@ -78,7 +81,14 @@ class Surjection:
 
     @property
     def degree(self) -> int:
-        return len(self.underlying.tokens) - arity(self.underlying)
+        tokens = self.underlying.tokens
+        return len(tokens) - _top_label(tokens)
+
+    # the token tuple alone, hashed in one frame: equal values have equal
+    # tokens, and an open- and a closed-output string with the same tokens
+    # share a hash and stay unequal
+    def __hash__(self) -> int:
+        return hash(self.underlying.tokens)
 
     def __repr__(self) -> str:
         return f"Surjection({text(self.underlying)})"
@@ -94,6 +104,9 @@ class BarredClass:
     def __post_init__(self) -> None:
         if not _nondegenerate(self.underlying.tokens):
             raise ValueError("degenerate string: adjacent equal letters")
+
+    def __hash__(self) -> int:
+        return hash(self.underlying.tokens)
 
     def __repr__(self) -> str:
         return f"BarredClass({text(self.underlying)})"
@@ -134,38 +147,63 @@ def _unchecked(cls, x: IntegerString):
 
 def differential(u) -> LinComb:
     """Signed sum of single-occurrence deletions; degenerate results and
-    deletions of a label's unique occurrence are dropped."""
+    deletions of a label's unique occurrence are dropped.
+
+    A ``Surjection`` or ``BarredClass`` is nondegenerate, so a deletion is
+    degenerate exactly when it makes two equal letters adjacent, and no two
+    deletions give the same string: the terms are distinct, each is +1 or
+    -1, and they go straight into the result's dict.  A raw
+    ``IntegerString`` may be degenerate and its deletions can cancel, so each
+    one is rescanned and the terms are summed."""
     x = _unwrap(u)
     tokens = x.tokens
-    # a Surjection or BarredClass is nondegenerate, so a deletion is
-    # degenerate exactly when it makes two equal letters adjacent
-    wrap = None if x is u else type(u)
     where: dict[int, list[int]] = {}
     for pos, t in enumerate(tokens):
         if t != BAR:
             where.setdefault(t if t > 0 else -t, []).append(pos)
-    end = len(tokens) - 1
+    out_open = x.output_open
 
-    def terms():
-        prefix = 0  # n_1 + ... + n_{i-1}
-        for i in range(1, len(where) + 1):
-            found = where[i]
-            if len(found) < 2:
-                continue
-            for j, pos in enumerate(found):
-                y = tokens[:pos] + tokens[pos + 1 :]
-                if wrap is None:
-                    if not _nondegenerate(y):
-                        continue
-                elif 0 < pos < end and tokens[pos - 1] == tokens[pos + 1] != BAR:
+    if x is u:
+
+        def raw_terms():
+            prefix = 0  # n_1 + ... + n_{i-1}
+            for i in range(1, len(where) + 1):
+                found = where[i]
+                if len(found) < 2:
                     continue
-                # deleting one of >= 2 occurrences keeps labels and openness
-                y = _unchecked_string(y, x.output_open)
-                sign = -1 if (prefix + j) & 1 else 1
-                yield (y if wrap is None else _unchecked(wrap, y)), sign
-            prefix += len(found) - 1
+                for j, pos in enumerate(found):
+                    y = tokens[:pos] + tokens[pos + 1 :]
+                    if _nondegenerate(y):
+                        # deleting one of >= 2 occurrences keeps labels and
+                        # openness
+                        sign = -1 if (prefix + j) & 1 else 1
+                        yield _unchecked_string(y, out_open), sign
+                prefix += len(found) - 1
 
-    return LinComb(terms())
+        return LinComb(raw_terms())
+
+    wrap = type(u)
+    set_underlying = _SET_UNDERLYING[wrap]
+    new = object.__new__
+    end = len(tokens) - 1
+    terms = {}
+    prefix = 0  # n_1 + ... + n_{i-1}
+    for i in range(1, len(where) + 1):
+        found = where[i]
+        if len(found) < 2:
+            continue
+        sign = -1 if prefix & 1 else 1
+        for pos in found:
+            if not (0 < pos < end and tokens[pos - 1] == tokens[pos + 1] != BAR):
+                y = new(IntegerString)
+                _set_tokens(y, tokens[:pos] + tokens[pos + 1 :])
+                _set_output_open(y, out_open)
+                s = new(wrap)
+                set_underlying(s, y)
+                terms[s] = sign
+            sign = -sign
+        prefix += len(found) - 1
+    return _reduced(terms)
 
 
 def linear_differential(v: LinComb) -> LinComb:
@@ -203,17 +241,30 @@ def _vartheta_terms(x: IntegerString, n: int):
 
 
 def _compositions(n: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``n``."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of ``parts`` nonnegative integers summing to ``n``, in
+    lexicographic order.
+
+    Stars and bars: each tuple is read off one choice of ``parts - 1`` bar
+    places among ``n + parts - 1``, and the choices come in lexicographic
+    order, which is the order of their tuples."""
+    last = n + parts - 2
+    for places in combinations(range(last + 1), parts - 1):
+        counts = []
+        prev = -1
+        for place in places:
+            counts.append(place - prev - 1)
+            prev = place
+        counts.append(last - prev)
+        yield tuple(counts)
 
 
 def rs_compose(f, i: int, g) -> LinComb:
-    """Substitute ``g`` into slot ``i`` of ``f`` through the bar-insertion sum."""
+    """Substitute ``g`` into slot ``i`` of ``f`` through the bar-insertion sum.
+
+    When the letter ``i`` occurs once in ``f`` no bar is inserted, and the
+    result is the single composite ``compose(f, i, g)`` (dropped when it is
+    degenerate) with the global prefactor, built without the bar-insertion
+    walk or the summing pass."""
     fx, gx = _unwrap(f), _unwrap(g)
     # one pass over f: as in strings._top_label, the arity is the largest
     # label, and labels i+1..k occur ``above`` times in all
@@ -240,6 +291,15 @@ def rs_compose(f, i: int, g) -> LinComb:
     suffix = above - (k - i)  # n_{i+1} + ... + n_k
     r = len(gx.tokens) - _top_label(gx.tokens)  # degree of the bar-free argument
     prefactor = -1 if (r * suffix) & 1 else 1
+    if slot_occ == 1:
+        # no bar to insert: the one composite, with no cut and so sign +1;
+        # compose itself rejects a barred g
+        h = compose(fx, i, gx)
+        if not _nondegenerate(h.tokens):
+            return LinComb()
+        return _reduced(
+            {(Surjection(h) if has_bar else _unchecked(Surjection, h)): prefactor}
+        )
     composites = (
         compose(fx, i, barred) for _, barred in _vartheta_terms(gx, slot_occ - 1)
     )
@@ -411,6 +471,13 @@ def enumerate_component(
     """All basis surjections with the given openness pattern inside the
     filtration, ordered by (degree, string text).
 
+    The sort key is one integer: the tokens read as digits in base 2k + 1,
+    an open letter ``-a`` as the digit k + a, after every closed letter.  No
+    digit is 0, so a longer string has the larger key, and with the arity k
+    fixed the degree orders as the length; strings of one length order as
+    their digits, which for labels 1..9 is the order of their texts.  No
+    text is built.
+
     Finiteness: every letter occurrence after the first starts a new block
     in some pairwise projection, so the length is at most
     k + m * k * (k-1) / 2 and the filtration walk ends without a length cap.
@@ -419,23 +486,29 @@ def enumerate_component(
     walk = _PairWalk(len(letters), m, variant)  # checks m and variant
     if not letters or (not output_open and any(t < 0 for t in letters)):
         return []
+    k = len(letters)
+    base = 2 * k + 1
+
+    def key(word) -> int:
+        n = 0
+        for t in word:
+            n = n * base + (t if t > 0 else k - t)
+        return n
+
+    words = sorted(walk.words(letters), key=key)
     # the walk's words are bar-free, nondegenerate and use every label
-    found = [
-        _unchecked(Surjection, _unchecked_string(w, output_open))
-        for w in walk.words(letters)
-    ]
-    # with the arity fixed, the degree orders as the length
-    found.sort(key=lambda s: (len(s.underlying.tokens), text(s.underlying)))
-    return found
+    return [_unchecked(Surjection, _unchecked_string(w, output_open)) for w in words]
 
 
 def component_complex(
     input_open, output_open: bool, m: int, variant: str = "standard"
 ) -> ChainComplex:
     """The finite chain complex of one component, differential included."""
+    input_open = tuple(input_open)
+    k = len(input_open)  # every cell's arity: its degree is its length - k
     bases: dict[int, list] = {}
     for s in enumerate_component(input_open, output_open, m, variant):
-        bases.setdefault(s.degree, []).append(s)
+        bases.setdefault(len(s.underlying.tokens) - k, []).append(s)
     return build_complex(bases, differential)
 
 

@@ -416,6 +416,24 @@ class TestTwisting:
         with pytest.raises(ValueError, match="truncated at 3, the module at 6"):
             overline_fg(rel, cobar.cobar(C2, 3), rel, {}, {})
 
+    def test_induced_map_needs_its_own_source(self):
+        # the source must be a relative construction over the target's
+        # coalgebra and comodule, with the target's truncation
+        C, C2 = sample_coalgebra(), sample_coalgebra()
+        N2 = diagonal_dg_comodule(C2)
+        rel, A = relative_cobar(C2, N2, 6), cobar.cobar(C2, 6)
+        with pytest.raises(ValueError, match="must be the relative construction"):
+            overline_fg(A, A, rel, {}, {})
+        with pytest.raises(ValueError, match="different coalgebras or comodules"):
+            overline_fg(relative_cobar(C, diagonal_dg_comodule(C), 6), A, rel, {}, {})
+        with pytest.raises(ValueError, match="different coalgebras or comodules"):
+            overline_fg(relative_cobar(C2, diagonal_dg_comodule(C2), 6), A, rel, {}, {})
+        with pytest.raises(ValueError, match="truncated at 4, the target at 6"):
+            overline_fg(relative_cobar(C2, N2, 4), A, rel, {}, {})
+        # the same construction, or another one over the same data, is accepted
+        for source in (rel, relative_cobar(C2, N2, 6)):
+            assert dg_map_check(source, rel, overline_fg(source, A, rel, {}, {}))
+
     def test_equivalence_on_random_instances(self):
         rng = random.Random(7)
         for trial in range(100):

@@ -10,7 +10,9 @@ graphs through the validating ``GraphElement`` constructor.
 ``reference_enumerate_component`` are the earlier bodies of the
 ``surjections`` kernels: they count occurrences label by label, rescan each
 deletion for degeneracy and build every string and surjection through the
-validating constructors.  ``reference_q_walk``, ``reference_graph_compose``,
+validating constructors, and ``reference_compositions`` is the earlier,
+recursive body of the bar-insertion patterns ``surjections._compositions``.
+``reference_q_walk``, ``reference_graph_compose``,
 ``reference_leq``, ``reference_graph_in_filtration``,
 ``reference_validate``, ``reference_graph_sym_act`` and
 ``reference_enumerate_graphs`` are the earlier bodies of the ``graphs``
@@ -281,6 +283,15 @@ def reference_vartheta_terms(x, n):
         yield cuts, IntegerString(tuple(tokens), x.output_open)
 
 
+def reference_compositions(n, parts):
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in reference_compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
 def reference_rs_compose(f, i, g):
     fx, gx = surjections._unwrap(f), surjections._unwrap(g)
     k = strings.arity(fx)
@@ -499,7 +510,11 @@ class TestNoCacheLookups:
         surjections.differential(f)
         surjections.differential(BarredClass(f.underlying))
         surjections.rs_compose(f, 2, g)
+        h = Surjection(IntegerString((2, 1, 3, 1, 2, 4, 2), False))
+        surjections.rs_compose(f, 5, h)  # a single-occurrence slot
+        assert (f.degree, g.degree, h.degree) == (5, 3, 3)
         surjections.enumerate_component((False, True, True), True, 3)
+        surjections.component_complex((True, False, True), True, 3)
         assert (strings.arity.cache_info(), strings.colours.cache_info()) == before
 
 
@@ -783,6 +798,13 @@ class TestSurjectionsAgainstReference:
                     )
                     triples += 1
         assert triples == 48_916
+
+    def test_compositions_match_reference(self):
+        for n in range(5):
+            for parts in range(1, 7):
+                got = list(surjections._compositions(n, parts))
+                assert got == list(reference_compositions(n, parts))
+                assert len(set(got)) == len(got)
 
     def test_errors_match(self):
         f = Surjection(strings.parse("(1u21u3)^o"))

@@ -1,5 +1,7 @@
 """Surjection chain operad: differential, signs, composition, homology."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -63,6 +65,56 @@ class TestDifferential:
             strings.text(b.underlying): c for b, c in surjections.differential(s2)
         }
         assert got2 == {"(21)^c": 1, "(12)^c": -1}
+
+
+    def test_degenerate_raw_string_cancels(self):
+        # deleting either of the first two 1s of (1121) gives (121), with
+        # opposite signs; deleting the last one is degenerate
+        assert surjections.differential(strings.parse("(1121)^c")) == LinComb()
+
+
+class TestHashAndEquality:
+    def test_equal_values_hash_equally(self):
+        for source in ("(1u21u3)^o", "(121)^c", "(u12u1)^o"):
+            x = strings.parse(source)
+            for cls in (Surjection, BarredClass):
+                checked = cls(x)
+                values = [
+                    cls(strings.IntegerString(x.tokens, x.output_open)),
+                    surjections._unchecked(cls, x),
+                    copy.deepcopy(checked),
+                    copy.copy(checked),
+                ] + [
+                    pickle.loads(pickle.dumps(checked, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+                ]
+                for v in values:
+                    assert v == checked and hash(v) == hash(checked)
+                    assert len({v, checked}) == 1
+
+    # the hash reads the tokens alone, so the values below collide and only
+    # equality keeps them apart
+    def test_surjection_and_barred_class_are_two_terms(self):
+        x = strings.parse("(121)^c")
+        s, b = Surjection(x), BarredClass(x)
+        assert s != b and b != s and hash(s) == hash(b)
+        v = LinComb([(s, 1), (b, 1)])
+        assert dict(v.terms) == {s: 1, b: 1} and len(v.terms) == 2
+        assert LinComb.unit(s) + LinComb.unit(b) == v
+        assert (LinComb.unit(s) - LinComb.unit(b)).terms == {s: 1, b: -1}
+
+    def test_output_colour_twins_are_two_terms(self):
+        closed, open_ = strings.parse("(121)^c"), strings.parse("(121)^o")
+        for cls in (Surjection, BarredClass):
+            c, o = cls(closed), cls(open_)
+            assert c != o and hash(c) == hash(o)
+            v = LinComb.unit(c) + LinComb.unit(o)
+            assert v.terms == {c: 1, o: 1}
+            assert (v - LinComb.unit(o)).terms == {c: 1}
+        # the differentials of the twins do not cancel each other
+        dc = surjections.differential(Surjection(closed))
+        do = surjections.differential(Surjection(open_))
+        assert len((dc - do).terms) == len(dc.terms) + len(do.terms) == 4
 
 
 class TestVartheta:
