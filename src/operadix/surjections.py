@@ -149,41 +149,22 @@ def differential(u) -> LinComb:
     """Signed sum of single-occurrence deletions; degenerate results and
     deletions of a label's unique occurrence are dropped.
 
-    A ``Surjection`` or ``BarredClass`` is nondegenerate, so a deletion is
-    degenerate exactly when it makes two equal letters adjacent, and no two
-    deletions give the same string: the terms are distinct, each is +1 or
-    -1, and they go straight into the result's dict.  A raw
-    ``IntegerString`` may be degenerate and its deletions can cancel, so each
-    one is rescanned and the terms are summed."""
+    A raw string with two equal adjacent letters (no bar between them) gives
+    0: a deletion keeps such a pair or removes one letter of the only pair,
+    and those two deletions cancel.  On any other input a deletion is
+    degenerate exactly when it joins two equal letters, and no two deletions
+    agree, so the +-1 terms go straight into the dict, wrapped like ``u``."""
     x = _unwrap(u)
     tokens = x.tokens
+    if x is u and not _nondegenerate(tokens):
+        return LinComb()
     where: dict[int, list[int]] = {}
     for pos, t in enumerate(tokens):
         if t != BAR:
             where.setdefault(t if t > 0 else -t, []).append(pos)
     out_open = x.output_open
-
-    if x is u:
-
-        def raw_terms():
-            prefix = 0  # n_1 + ... + n_{i-1}
-            for i in range(1, len(where) + 1):
-                found = where[i]
-                if len(found) < 2:
-                    continue
-                for j, pos in enumerate(found):
-                    y = tokens[:pos] + tokens[pos + 1 :]
-                    if _nondegenerate(y):
-                        # deleting one of >= 2 occurrences keeps labels and
-                        # openness
-                        sign = -1 if (prefix + j) & 1 else 1
-                        yield _unchecked_string(y, out_open), sign
-                prefix += len(found) - 1
-
-        return LinComb(raw_terms())
-
     wrap = type(u)
-    set_underlying = _SET_UNDERLYING[wrap]
+    set_underlying = _SET_UNDERLYING.get(wrap)  # None for a raw string
     new = object.__new__
     end = len(tokens) - 1
     terms = {}
@@ -195,12 +176,15 @@ def differential(u) -> LinComb:
         sign = -1 if prefix & 1 else 1
         for pos in found:
             if not (0 < pos < end and tokens[pos - 1] == tokens[pos + 1] != BAR):
+                # deleting one of >= 2 occurrences keeps labels and openness
                 y = new(IntegerString)
                 _set_tokens(y, tokens[:pos] + tokens[pos + 1 :])
                 _set_output_open(y, out_open)
-                s = new(wrap)
-                set_underlying(s, y)
-                terms[s] = sign
+                if set_underlying is not None:
+                    s = new(wrap)
+                    set_underlying(s, y)
+                    y = s
+                terms[y] = sign
             sign = -sign
         prefix += len(found) - 1
     return _reduced(terms)
@@ -213,13 +197,20 @@ def linear_differential(v: LinComb) -> LinComb:
 
 def vartheta(T, n: int) -> LinComb:
     """All ways of adding ``n`` bars by cutting letter occurrences in two
-    (the inverse of the rewrite a|a -> a), each with coefficient +1."""
+    (the inverse of the rewrite a|a -> a), each with coefficient +1.
+
+    A raw degenerate string raises once (each cut keeps its equal pair); the
+    cuts of any other are nondegenerate and distinct, and wrapped unchecked."""
     x = _unwrap(T)
     if any(t == BAR for t in x.tokens):
         raise ValueError("bar insertion starts from a bar-free string")
     if n < 0:
         raise ValueError("bar count must be nonnegative")
-    return LinComb((BarredClass(y), 1) for _, y in _vartheta_terms(x, n))
+    if x is T and not _nondegenerate(x.tokens):
+        raise ValueError("degenerate string: adjacent equal letters")
+    return _reduced(
+        {_unchecked(BarredClass, y): 1 for _, y in _vartheta_terms(x, n)}
+    )
 
 
 def _vartheta_terms(x: IntegerString, n: int):
@@ -261,10 +252,13 @@ def _compositions(n: int, parts: int):
 def rs_compose(f, i: int, g) -> LinComb:
     """Substitute ``g`` into slot ``i`` of ``f`` through the bar-insertion sum.
 
-    When the letter ``i`` occurs once in ``f`` no bar is inserted, and the
-    result is the single composite ``compose(f, i, g)`` (dropped when it is
-    degenerate) with the global prefactor, built without the bar-insertion
-    walk or the summing pass."""
+    Degeneracy is decided once, at the input: a raw ``f`` or ``g`` with two
+    equal adjacent letters (no bar between them) gives 0, since every
+    composite keeps the pair.  For nondegenerate ``f`` and nonempty bar-free
+    ``g``, each cut pattern gives a nondegenerate composite, distinct from
+    the others, since the letters of ``f`` between the slot's occurrences
+    keep the segments apart.  ``compose`` still runs, and rejects a barred
+    ``g``, before a zero is returned."""
     fx, gx = _unwrap(f), _unwrap(g)
     # one pass over f: as in strings._top_label, the arity is the largest
     # label, and labels i+1..k occur ``above`` times in all
@@ -291,25 +285,25 @@ def rs_compose(f, i: int, g) -> LinComb:
     suffix = above - (k - i)  # n_{i+1} + ... + n_k
     r = len(gx.tokens) - _top_label(gx.tokens)  # degree of the bar-free argument
     prefactor = -1 if (r * suffix) & 1 else 1
-    if slot_occ == 1:
-        # no bar to insert: the one composite, with no cut and so sign +1;
-        # compose itself rejects a barred g
-        h = compose(fx, i, gx)
-        if not _nondegenerate(h.tokens):
+    n = slot_occ - 1
+    # a single occurrence inserts no bar: the one composite, with no cut
+    patterns = _vartheta_terms(gx, n) if n else (((), gx),)
+    t = fx.tokens
+    degenerate = (fx is f and not _nondegenerate(t)) or (
+        gx is g and not _nondegenerate(gx.tokens)
+    )
+    if not gx.tokens and not n:  # an empty g joins the slot's neighbours
+        p = t.index(-i if slot_open else i)
+        degenerate = degenerate or 0 < p < len(t) - 1 and t[p - 1] == t[p + 1] != BAR
+    terms = {}
+    for _, barred in patterns:
+        h = compose(fx, i, barred)
+        if degenerate:
             return LinComb()
-        return _reduced(
-            {(Surjection(h) if has_bar else _unchecked(Surjection, h)): prefactor}
-        )
-    composites = (
-        compose(fx, i, barred) for _, barred in _vartheta_terms(gx, slot_occ - 1)
-    )
-    # an f with bars is no basis element: its composites keep the bars, and
-    # the checked constructor rejects them
-    return LinComb(
-        (Surjection(h) if has_bar else _unchecked(Surjection, h), prefactor)
-        for h in composites
-        if _nondegenerate(h.tokens)
-    )
+        # an f with bars is no basis element: its composites keep the bars,
+        # and the checked constructor rejects them
+        terms[Surjection(h) if has_bar else _unchecked(Surjection, h)] = prefactor
+    return _reduced(terms)
 
 
 # ---------------------------------------------------------------------------

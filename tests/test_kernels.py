@@ -856,6 +856,79 @@ class TestSurjectionsAgainstReference:
             assert got == outcome(reference_in_filtration, x, m, variant)
 
 
+class TestDegeneracyInvariants:
+    """The two facts that let the surjection kernels decide degeneracy once,
+    at the input, checked without the kernels themselves."""
+
+    def test_cut_patterns_give_distinct_nondegenerate_composites(self):
+        _, small, _ = surjection_window()
+        triples = 0
+        for f in small:
+            x = f.underlying
+            for i in range(1, strings.arity(x) + 1):
+                slot_open = -i in x.tokens
+                n = strings.occurrences(x, i) - 1
+                for g in small:
+                    if g.underlying.output_open != slot_open:
+                        continue
+                    composites = [
+                        strings.compose(x, i, barred)
+                        for _, barred in surjections._vartheta_terms(g.underlying, n)
+                    ]
+                    assert all(surjections._nondegenerate(h.tokens) for h in composites)
+                    assert len(set(composites)) == len(composites)
+                    triples += 1
+        assert triples == 48_916
+
+    def test_degenerate_raw_inputs_give_zero(self):
+        _, small, _ = surjection_window()
+        degenerate = [
+            x
+            for x in strings.small_strings(6, 3, m=2)
+            if not surjections._nondegenerate(x.tokens)
+        ]
+        assert len(degenerate) == 10_672
+        by_open = {o: [] for o in (False, True)}
+        slots = {o: [] for o in (False, True)}
+        for s in small:
+            by_open[s.underlying.output_open].append(s)
+            for i in range(1, strings.arity(s.underlying) + 1):
+                slots[-i in s.underlying.tokens].append((s, i))
+        rng = random.Random(5)
+        zeros = 0
+        for x in degenerate:
+            assert not surjections.differential(x)
+            assert not reference_differential(x)
+            i = rng.randint(1, strings.arity(x))
+            f, j = rng.choice(slots[x.output_open])
+            for args in ((x, i, rng.choice(by_open[-i in x.tokens])), (f, j, x)):
+                got = lin_outcome(surjections.rs_compose, *args)
+                assert got == lin_outcome(reference_rs_compose, *args)
+                assert isinstance(got, tuple) or got == []
+                zeros += got == []
+        assert zeros > len(degenerate)
+
+    def test_degeneracy_is_decided_once_per_raw_input(self, monkeypatch):
+        f, g = strings.parse("(1213)^c"), strings.parse("(121)^c")
+        cases = [((Surjection(f), Surjection(g)), 0), ((f, g), 1)]
+        calls = []
+        nondegenerate = surjections._nondegenerate
+
+        def counted(tokens):
+            calls.append(tokens)
+            return nondegenerate(tokens)
+
+        monkeypatch.setattr(surjections, "_nondegenerate", counted)
+        for (sf, sg), raw in cases:  # raw: scans per raw input
+            calls.clear()
+            assert surjections.differential(sf) and len(calls) == raw
+            calls.clear()
+            assert len(surjections.rs_compose(sf, 1, sg).terms) == 3
+            assert len(calls) == 2 * raw
+            calls.clear()
+            assert surjections.vartheta(sg, 2) and len(calls) == raw
+
+
 @st.composite
 def nondegenerate_strings(draw, bars=None, output_open=None, max_tokens=10):
     """A valid string with no two equal letters side by side (a bar between
