@@ -10,8 +10,10 @@ graphs through the validating ``GraphElement`` constructor.
 ``reference_enumerate_component`` are the earlier bodies of the
 ``surjections`` kernels: they count occurrences label by label, rescan each
 deletion for degeneracy and build every string and surjection through the
-validating constructors, and ``reference_compositions`` is the earlier,
-recursive body of the bar-insertion patterns ``surjections._compositions``.
+validating constructors; ``reference_rs_compose`` signs each cut pattern
+by ``reference_cut_sign``, which reads the sign off the cut string itself.
+``reference_compositions`` is the earlier, recursive body of the
+bar-insertion patterns ``surjections._compositions``.
 ``reference_q_walk``, ``reference_graph_compose``,
 ``reference_leq``, ``reference_graph_in_filtration``,
 ``reference_validate``, ``reference_graph_sym_act`` and
@@ -292,6 +294,38 @@ def reference_compositions(n, parts):
             yield (first,) + rest
 
 
+def reference_cut_sign(gx, barred):
+    """The sign of one cut pattern, read off the cut string: a copy is
+    tagged (0, c) when the c-th bar follows it, or (1, rank) when it is the
+    last copy of a caesura of ``gx``; the tags, read by (label, position),
+    are sorted into cuts, then caesuras, by swaps."""
+    word = gx.tokens
+    caesuras = sorted(
+        (abs(t), p) for p, t in enumerate(word) if abs(t) in map(abs, word[p + 1 :])
+    )
+    tagged = []
+    p = bars = 0  # the occurrence of gx being copied, the bars passed
+    tokens = barred.tokens
+    for pos, t in enumerate(tokens):
+        if t == BAR:
+            bars += 1
+        elif pos + 1 < len(tokens) and tokens[pos + 1] == BAR:
+            tagged.append((abs(t), pos, (0, bars + 1)))
+        else:
+            if (abs(t), p) in caesuras:
+                rank = caesuras.index((abs(t), p))
+                tagged.append((abs(t), pos, (1, rank)))
+            p += 1
+    tags = [tag for _, _, tag in sorted(tagged)]
+    sign = 1
+    for a in range(len(tags)):
+        b = tags.index(min(tags[a:]), a)
+        if b != a:
+            tags[a], tags[b] = tags[b], tags[a]
+            sign = -sign
+    return sign
+
+
 def reference_rs_compose(f, i, g):
     fx, gx = surjections._unwrap(f), surjections._unwrap(g)
     k = strings.arity(fx)
@@ -308,12 +342,12 @@ def reference_rs_compose(f, i, g):
     r = len(gx.tokens) - strings.arity(gx)
     prefactor = (-1) ** ((r * suffix) % 2)
     composites = (
-        strings.compose(fx, i, barred)
+        (strings.compose(fx, i, barred), barred)
         for _, barred in reference_vartheta_terms(gx, n)
     )
     return LinComb(
-        (Surjection(h), prefactor)
-        for h in composites
+        (Surjection(h), prefactor * reference_cut_sign(gx, barred))
+        for h, barred in composites
         if surjections._nondegenerate(h.tokens)
     )
 

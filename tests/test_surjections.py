@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from itertools import product
 
 import pytest
 
@@ -141,30 +142,147 @@ class TestRsCompose:
         assert got == {"(1u312)^o": 1, "(12u32)^o": 1}
 
     def test_leibniz_sampled(self):
+        # g is picked by openness, so slots whose letter repeats are filled
         rng = random.Random(17)
         basis = full_basis()
         table = {}
         for g in basis:
-            table.setdefault(strings.colours(g.underlying)[1], []).append(g)
-        checked = 0
+            table.setdefault(g.underlying.output_open, []).append(g)
+        checked = repeated = 0
         while checked < 300:
             f = rng.choice(basis)
-            ins, _ = strings.colours(f.underlying)
-            if not ins:
-                continue
-            i = rng.randrange(len(ins)) + 1
-            gs = table.get(ins[i - 1], [])
-            if not gs:
-                continue
-            g = rng.choice(gs)
-            lhs = surjections.linear_differential(surjections.rs_compose(f, i, g))
-            rhs = surjections._compose_linear(
-                surjections.differential(f), i, LinComb.unit(g)
-            ) + ((-1) ** (f.degree % 2)) * surjections._compose_linear(
-                LinComb.unit(f), i, surjections.differential(g)
-            )
-            assert lhs == rhs
+            x = f.underlying
+            i = rng.randrange(strings.arity(x)) + 1
+            g = rng.choice(table[-i in x.tokens])
+            assert not leibniz_defect(f, i, g)
             checked += 1
+            repeated += strings.occurrences(x, i) > 1
+        assert repeated > 30  # 41 of the 300 slots repeat their letter
+
+
+def leibniz_defect(f, i, g):
+    """d(f o_i g) - (df o_i g + (-1)^|f| f o_i dg); zero when the Leibniz
+    rule holds."""
+    lhs = surjections.linear_differential(surjections.rs_compose(f, i, g))
+    rhs = surjections._compose_linear(
+        surjections.differential(f), i, LinComb.unit(g)
+    ) + ((-1) ** (f.degree % 2)) * surjections._compose_linear(
+        LinComb.unit(f), i, surjections.differential(g)
+    )
+    return lhs - rhs
+
+
+def colour_basis(m, max_arity=3):
+    """Every basis surjection of arity <= ``max_arity`` at level ``m``, in
+    every colour pattern."""
+    return [
+        s
+        for k in range(1, max_arity + 1)
+        for opens in product((False, True), repeat=k)
+        for out_open in (False, True)
+        for s in surjections.enumerate_component(opens, out_open, m)
+    ]
+
+
+def compose_unit(f, i, g):
+    return surjections._compose_linear(f, i, LinComb.unit(g))
+
+
+class TestSignsOverZ:
+    """The cut-pattern signs make RS a dg-operad over Z, not only mod 2."""
+
+    def test_leibniz_on_every_repeated_letter_triple(self):
+        basis = colour_basis(2)
+        triples = 0
+        for f in basis:
+            x = f.underlying
+            for i in range(1, strings.arity(x) + 1):
+                if strings.occurrences(x, i) < 2:
+                    continue
+                for g in basis:
+                    if g.underlying.output_open == (-i in x.tokens):
+                        assert not leibniz_defect(f, i, g)
+                        triples += 1
+        assert triples == 6642
+
+    def test_leibniz_sampled_at_m3(self):
+        basis = colour_basis(3)
+        short = {
+            o: [g for g in basis if g.underlying.output_open == o
+                and len(g.underlying.tokens) <= 6]
+            for o in (False, True)
+        }
+        rng = random.Random(3)
+        checked = 0
+        while checked < 1000:
+            f = rng.choice(basis)
+            x = f.underlying
+            i = rng.randrange(strings.arity(x)) + 1
+            if strings.occurrences(x, i) > 1:
+                assert not leibniz_defect(f, i, rng.choice(short[-i in x.tokens]))
+                checked += 1
+
+    def test_found_witness(self):
+        # with every cut pattern at +1 the defect was
+        # 2(134525)^c - 2(153425)^c + 2(153452)^c
+        f = Surjection(strings.parse("(1323)^c"))
+        g = Surjection(strings.parse("(3123)^c"))
+        assert not leibniz_defect(f, 3, g)
+        got = {
+            strings.text(b.underlying): c for b, c in surjections.rs_compose(f, 3, g)
+        }
+        assert got == {
+            "(1525345)^c": 1, "(1532345)^c": 1, "(1534245)^c": 1,
+            "(1534525)^c": -1,
+        }
+
+    def test_associativity_sampled(self):
+        basis = colour_basis(2)
+        by_open = {
+            o: [g for g in basis if g.underlying.output_open == o]
+            for o in (False, True)
+        }
+        rng = random.Random(11)
+        for _ in range(4000):
+            # sequential: (f o_i g) o_{i+j-1} h = f o_i (g o_j h)
+            f = rng.choice(basis)
+            x = f.underlying
+            i = rng.randrange(strings.arity(x)) + 1
+            g = rng.choice(by_open[-i in x.tokens])
+            j = rng.randrange(strings.arity(g.underlying)) + 1
+            h = rng.choice(by_open[-j in g.underlying.tokens])
+            assert compose_unit(surjections.rs_compose(f, i, g), i + j - 1, h) == (
+                surjections._compose_linear(
+                    LinComb.unit(f), i, surjections.rs_compose(g, j, h)
+                )
+            )
+            # parallel, i < l: (f o_i g) o_{l+|g|-1} h
+            #   = (-1)^{deg g deg h} (f o_l h) o_i g
+            k = strings.arity(x)
+            if k < 2:
+                continue
+            i, l = sorted(rng.sample(range(1, k + 1), 2))
+            g = rng.choice(by_open[-i in x.tokens])
+            h = rng.choice(by_open[-l in x.tokens])
+            shift = strings.arity(g.underlying) - 1
+            sign = -1 if g.degree * h.degree % 2 else 1
+            assert compose_unit(surjections.rs_compose(f, i, g), l + shift, h) == (
+                sign * compose_unit(surjections.rs_compose(f, l, h), i, g)
+            )
+
+    def test_unit_laws(self):
+        units = {
+            o: Surjection(strings.parse("(u1)^o" if o else "(1)^c"))
+            for o in (False, True)
+        }
+        for f in colour_basis(2):
+            x = f.underlying
+            assert surjections.rs_compose(units[x.output_open], 1, f) == (
+                LinComb.unit(f)
+            )
+            for i in range(1, strings.arity(x) + 1):
+                unit = units[-i in x.tokens]
+                assert surjections.rs_compose(f, i, unit) == LinComb.unit(f)
 
 
 class TestGenerators:
