@@ -469,9 +469,10 @@ def relative_twisting_check(
     C: DGCoalgebra, A: CobarObject, N: DGComodule, M: CobarObject, f: dict, g: dict
 ) -> bool:
     """Whether (f, g) is a relative twisting pair: the Hom differential of g
-    equals the coaction twisted by f."""
-    if not twisting_check(C, A, f):
-        return False
+    equals the coaction twisted by f.
+
+    ``f`` must already pass ``twisting_check(C, A, f)``; it is not checked
+    again here."""
 
     def fmap(name) -> LinComb:
         return f.get(name, LinComb())
@@ -1080,10 +1081,7 @@ def dual_group_bialgebra(M) -> Bialgebra:
 
 
 def rs2_experimental_report(
-    B: Bialgebra,
-    C: ComoduleAlgebra | None = None,
-    truncation: int = 4,
-    max_level: int = 2,
+    B: Bialgebra, truncation: int = 4, max_level: int = 2
 ) -> dict:
     """Check the homotopy relations of the closed/relative insertion
     operations on the conormalized totalization, relation by relation.
@@ -1091,9 +1089,8 @@ def rs2_experimental_report(
     Returns a mapping from relation name to (holds, cases).  Nothing here is
     assumed; a False entry is a finding, not an error.
     """
-    C = C if C is not None else diagonal_comodule(B)
     closed = CobarTot(B, None, truncation)
-    rel = CobarTot(B, C, truncation)
+    rel = CobarTot(B, diagonal_comodule(B), truncation)
     report = {}
 
     # the conormal representatives of every level a relation reads: each

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 ONE = Fraction(1)
+_MAX_TRIES = 5000  # random_config's restarts of a whole configuration
 
 
 class NoSeparation(ValueError):
@@ -217,7 +218,6 @@ def random_config(
     n_open: int,
     seed=None,
     denominator: int = 16,
-    max_tries: int = 5000,
 ) -> CubeConfig:
     """Seeded rejection sampling of a configuration on the 1/denominator grid.
 
@@ -244,7 +244,7 @@ def random_config(
         return Box(tuple(ivs))
 
     plan = [False] * n_closed + [True] * n_open
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         boxes.clear()
         for open_ in plan:
             for _ in range(200):

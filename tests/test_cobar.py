@@ -495,6 +495,20 @@ class TestTwisting:
         # the universal pair twists for shifts 0 and +1, nothing else does
         assert (cases, twisting) == (432, 96)
 
+    def test_relative_check_leaves_f_to_the_caller(self, monkeypatch):
+        # f is checked once, by the caller's own twisting_check
+        C = sample_coalgebra()
+        N = diagonal_dg_comodule(C)
+        window = max(C.degrees.values()) + 2
+        cob = cobar.cobar(C, truncation=window)
+        A = cobar_algebra(cob)
+        M = relative_cobar_module(relative_cobar(C, N, truncation=window), A)
+        f = universal_twisting(cob)
+        g = {n: LinComb.unit(((), n)) for n in N.degrees}
+        calls = []
+        monkeypatch.setattr(cobar, "twisting_check", lambda *a: calls.append(a))
+        assert relative_twisting_check(C, A, N, M, f, g) and calls == []
+
 
 class TestMemoizedConstructions:
     """The tabulated, memoized word complexes against the letter-by-letter
