@@ -21,9 +21,9 @@ Sign conventions:
 
 Verified mechanically over Z: the squared differential vanishes, the
 Leibniz rule holds on every composable triple of the arity <= 3 basis at
-m=2, sequential associativity and parallel associativity (with the Koszul
-sign (-1)^{deg(g) deg(h)}) hold on seeded samples, and the unit laws hold.
-Equivariance is not checked over Z.
+m=2 and on seeded samples at m=3, sequential and parallel associativity
+(with the Koszul sign (-1)^{deg(g) deg(h)}) hold on seeded samples, and the
+unit laws hold.  Equivariance is not checked over Z.
 """
 
 from __future__ import annotations

@@ -942,6 +942,22 @@ class TestDegeneracyInvariants:
                 zeros += got == []
         assert zeros > len(degenerate)
 
+    def test_empty_argument(self):
+        # an empty g deletes the slot's one letter, which can join two equal
+        # letters: (212)^c o_1 () is degenerate
+        _, small, _ = surjection_window()
+        empty = {o: Surjection(IntegerString((), o)) for o in (False, True)}
+        zeros = 0
+        for f in small:
+            x = f.underlying
+            for i in range(1, strings.arity(x) + 1):
+                args = (f, i, empty[-i in x.tokens])
+                got = lin_outcome(surjections.rs_compose, *args)
+                assert got == lin_outcome(reference_rs_compose, *args)
+                assert all(same_as_checked(b) for b, _, _ in got)
+                zeros += got == []
+        assert zeros > 0
+
     def test_degeneracy_is_decided_once_per_raw_input(self, monkeypatch):
         f, g = strings.parse("(1213)^c"), strings.parse("(121)^c")
         cases = [((Surjection(f), Surjection(g)), 0), ((f, g), 1)]
