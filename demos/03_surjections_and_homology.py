@@ -31,7 +31,7 @@ for ins, out, label in [
     nonzero = {d: v for d, v in hom.items() if v != (0, [])}
     print("  %-8s %s" % (label, nonzero))
 
-report = surjections.is_generated_up_to(max_labels=3, max_length=6, m=2)
+report = surjections.is_generated_up_to(max_labels=3, max_length=6)
 print("\ngenerators span every small component:", report["all_spanned"])
 print("components checked:", len(report["components"]))
 print("total basis dimension:", sum(

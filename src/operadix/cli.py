@@ -7,9 +7,12 @@ homology of surjection components, rational cube configurations and their
 cells, the finite-monoid loop-model homology, the cobar experimental
 reports, and per-module verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  ``--json``
-switches every report to machine-readable JSON; the environment variable
-``OPERADIX_SEED`` supplies a default seed.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  Each
+subcommand takes only the shared options its handler reads: ``--json``
+(every report but the tree view) switches to machine-readable JSON, ``--m``
+sets the filtration level, ``--seed`` the random seed, whose default the
+environment variable ``OPERADIX_SEED`` supplies, and ``--variant`` the
+filtration variant.
 """
 
 from __future__ import annotations
@@ -267,19 +270,43 @@ def _cmd_cobar(args) -> int:
 # verification suites
 
 
+class _Tally:
+    """The failures of a suite, with its first failing case as the witness."""
+
+    def __init__(self):
+        self.failures = 0
+        self.witness = None
+
+    def fail(self, witness) -> None:
+        self.failures += 1
+        if self.witness is None:
+            self.witness = witness
+
+    def report(self, **counts) -> tuple[bool, dict]:
+        # the witness is reported only on failure, so a passing report keeps
+        # its bytes
+        report = {**counts, "failures": self.failures}
+        if self.failures:
+            report["witness"] = self.witness
+        return not self.failures, report
+
+
 def _suite_rl_operad(args) -> tuple[bool, dict]:
     rng = Random(args.seed)
     elems = strings.small_strings(args.max_tokens, 3, args.m)
-    failures = 0
+    tally = _Tally()
+    text = strings.text
+    # the witness names the law: right or left unit, associativity,
+    # equivariance, action or identity action
     unit_cases = 0
     for x in elems[: args.samples * 4]:
         ins, out = strings.colours(x)
         for i, col in enumerate(ins, start=1):
             if strings.compose(x, i, strings.identity_string(col)) != x:
-                failures += 1
+                tally.fail(["right unit", text(x), i])
             unit_cases += 1
         if strings.compose(strings.identity_string(out), 1, x) != x:
-            failures += 1
+            tally.fail(["left unit", text(x)])
         unit_cases += 1
 
     by_out = strings.by_output(elems)
@@ -300,7 +327,7 @@ def _suite_rl_operad(args) -> tuple[bool, dict]:
         lhs = strings.compose(strings.compose(f, i, g), i + j - 1, h)
         rhs = strings.compose(f, i, strings.compose(g, j, h))
         if lhs != rhs:
-            failures += 1
+            tally.fail(["associativity", text(f), i, text(g), j, text(h)])
         assoc_cases += 1
     equi_cases = 0
     for _ in range(args.samples):
@@ -315,7 +342,7 @@ def _suite_rl_operad(args) -> tuple[bool, dict]:
         lhs = strings.sym_act(tau, strings.compose(f, i, g))
         rhs = strings.compose(strings.sym_act(sigma, f), sigma[i - 1], g)
         if lhs != rhs:
-            failures += 1
+            tally.fail(["equivariance", sigma, text(f), i, text(g)])
         equi_cases += 1
     for _ in range(args.samples):
         x = rng.choice(elems)
@@ -326,17 +353,16 @@ def _suite_rl_operad(args) -> tuple[bool, dict]:
         rng.shuffle(t)
         st = [s[t[j] - 1] for j in range(k)]
         if strings.sym_act(s, strings.sym_act(t, x)) != strings.sym_act(st, x):
-            failures += 1
+            tally.fail(["action", s, t, text(x)])
         if strings.sym_act(list(range(1, k + 1)), x) != x:
-            failures += 1
+            tally.fail(["identity action", text(x)])
         equi_cases += 2
-    return failures == 0, {
-        "elements": len(elems),
-        "unitCases": unit_cases,
-        "assocCases": assoc_cases,
-        "equivarianceCases": equi_cases,
-        "failures": failures,
-    }
+    return tally.report(
+        elements=len(elems),
+        unitCases=unit_cases,
+        assocCases=assoc_cases,
+        equivarianceCases=equi_cases,
+    )
 
 
 def _sample_pair(rng, elems, by_out):
@@ -355,7 +381,7 @@ def _sample_pair(rng, elems, by_out):
 def _suite_graph_operad(args) -> tuple[bool, dict]:
     rng = Random(args.seed)
     elems = strings.small_strings(args.max_tokens, 3, args.m)
-    failures = 0
+    tally = _Tally()
     filt_cases = lax_cases = 0
     by_out = strings.by_output(elems)
     for _ in range(args.samples):
@@ -363,42 +389,39 @@ def _suite_graph_operad(args) -> tuple[bool, dict]:
         if pick is None:
             continue
         f, i, g = pick
+        witness = [strings.text(f), i, strings.text(g)]
         fg = strings.compose(f, i, g)
         if not strings.in_filtration(fg, args.m):
-            failures += 1
+            tally.fail(witness)
         filt_cases += 1
         if strings.arity(fg) and strings.arity(f) and strings.arity(g):
             qf, qg, qfg = graphs.q(f), graphs.q(g), graphs.q(fg)
             composed = graphs.compose_at(qf, i, qg)
             if not graphs.leq(qfg, composed):
-                failures += 1
+                tally.fail(witness)
             lax_cases += 1
-    return failures == 0, {
-        "filtrationClosureCases": filt_cases,
-        "laxMorphismCases": lax_cases,
-        "failures": failures,
-    }
+    return tally.report(filtrationClosureCases=filt_cases, laxMorphismCases=lax_cases)
 
 
 def _suite_chain_core(args) -> tuple[bool, dict]:
     rng = Random(args.seed)
-    failures = 0
+    tally = _Tally()
     for _ in range(args.samples):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         d, left, right = chains.smith_normal_form(mat)
         if chains.mat_mul(chains.mat_mul(left, mat), right) != d:
-            failures += 1
+            tally.fail(mat)
         diag = [d[i][i] for i in range(min(rows, cols))]
         for a, b in zip(diag, diag[1:]):
             if b and (not a or b % a):
-                failures += 1
-    return failures == 0, {"snfSamples": args.samples, "failures": failures}
+                tally.fail(mat)
+    return tally.report(snfSamples=args.samples)
 
 
 def _suite_rs_operad(args) -> tuple[bool, dict]:
     rng = Random(args.seed)
-    failures = 0
+    tally = _Tally()
     comps = [
         ([False], False),
         ([False], True),
@@ -412,12 +435,9 @@ def _suite_rs_operad(args) -> tuple[bool, dict]:
         basis.extend(surjections.enumerate_component(ins, out, args.m))
     # the first failing case: a basis element with d(d(s)) != 0, else a
     # Leibniz triple (f, slot, g)
-    witness = None
     for s in basis:
         if surjections.linear_differential(surjections.differential(s)):
-            failures += 1
-            if witness is None:
-                witness = strings.text(s.underlying)
+            tally.fail(strings.text(s.underlying))
     # g is picked by openness, so slots whose letter repeats are filled too
     by_open = {}
     for g in basis:
@@ -434,29 +454,20 @@ def _suite_rs_operad(args) -> tuple[bool, dict]:
             LinComb.unit(f), i, surjections.differential(g)
         )
         if lhs != rhs:
-            failures += 1
-            if witness is None:
-                witness = [strings.text(f.underlying), i, strings.text(g.underlying)]
-    report = {
-        "basisElements": len(basis),
-        "leibnizCases": args.samples,
-        "failures": failures,
-    }
-    if witness is not None:
-        report["witness"] = witness
-    return failures == 0, report
+            tally.fail([strings.text(f.underlying), i, strings.text(g.underlying)])
+    return tally.report(basisElements=len(basis), leibnizCases=args.samples)
 
 
 def _suite_sc_geometry(args) -> tuple[bool, dict]:
     rng = Random(args.seed)
-    failures = 0
+    tally = _Tally()
     for trial in range(args.samples):
         n_open = rng.randint(0, 2)
         n_closed = rng.randint(1 if not n_open else 0, 2)
         cfg = geometry.random_config(args.m, n_closed, n_open, seed=rng)
         alpha = geometry.cell_index(cfg)
         if not geometry.cell_contains(alpha, cfg):
-            failures += 1
+            tally.fail(geometry.config_to_json(cfg))
         for (i, j), (mu, orient) in alpha.edge_dict().items():
             weaker = dict(alpha.edge_dict())
             if mu > 1:
@@ -465,8 +476,8 @@ def _suite_sc_geometry(args) -> tuple[bool, dict]:
                     alpha.vertex_open, weaker, alpha.output_open
                 )
                 if graphs.validate(smaller) and geometry.cell_contains(smaller, cfg):
-                    failures += 1  # minimality broken
-    return failures == 0, {"configs": args.samples, "failures": failures}
+                    tally.fail(geometry.config_to_json(cfg))  # minimality broken
+    return tally.report(configs=args.samples)
 
 
 def _suite_loop_model(args) -> tuple[bool, dict]:
@@ -476,11 +487,13 @@ def _suite_loop_model(args) -> tuple[bool, dict]:
     tot = loops.TotComplex(M, M.elements, 4, "open")
     closed = loops.TotComplex(M, M.elements, 4, "closed")
     rng = Random(args.seed)
-    failures = cases = 0
+    tally = _Tally()
+    cases = 0
     for _ in range(args.samples // 4 or 1):
         df, du = rng.randint(1, 2), rng.randint(0, 1)
-        f = closed.conormal_project(LinComb.unit(rng.choice(closed.basis(df))))
-        u = tot.conormal_project(LinComb.unit(rng.choice(tot.basis(du))))
+        fb, ub = rng.choice(closed.basis(df)), rng.choice(tot.basis(du))
+        f = closed.conormal_project(LinComb.unit(fb))
+        u = tot.conormal_project(LinComb.unit(ub))
         lhs = (
             tot.differential(loops.homotopy_H(tot, f, u))
             + loops.homotopy_H(tot, closed.differential(f), u)
@@ -490,12 +503,12 @@ def _suite_loop_model(args) -> tuple[bool, dict]:
             (-1) ** ((df * du) % 2)
         ) * loops.sqcup(tot, u, loops.inc_tot(tot, f))
         if tot.conormal_project(lhs - rhs):
-            failures += 1
+            tally.fail([fb, ub])
         cases += 1
-    return failures == 0, {"homotopyCases": cases, "failures": failures}
+    return tally.report(homotopyCases=cases)
 
 
-def _suite_cobar(args) -> tuple[bool, dict]:
+def _suite_cobar(_args) -> tuple[bool, dict]:
     M = loops.FiniteMonoid.cyclic(2)
     B = cobar.group_bialgebra(M)
     rep = cobar.rs2_experimental_report(B, truncation=4, max_level=2)
@@ -561,52 +574,55 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--m", type=int, default=2, help="filtration level")
-        p.add_argument(
-            "--seed", type=int, default=seed_default, help="random seed"
-        )
-        return p
-
-    def with_variant(p):
-        # only the subcommands that read it take --variant
-        p.add_argument(
-            "--variant",
+    shared = {
+        "--json": dict(action="store_true", help="machine-readable output"),
+        "--m": dict(type=int, default=2, help="filtration level"),
+        "--seed": dict(type=int, default=seed_default, help="random seed"),
+        "--variant": dict(
             choices=("standard", "primed-variant"),
             default="standard",
             help="filtration variant",
-        )
+        ),
+    }
+
+    def command(name, summary, *options):
+        # a subcommand takes only the shared options its handler reads, each
+        # spelled in full: an abbreviation would read a dropped --m on cobar
+        # as --max-level
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for option in options:
+            p.add_argument(option, **shared[option])
         return p
 
-    p = common(sub.add_parser("parse", help="parse and echo an integer string"))
+    p = command("parse", "parse and echo an integer string", "--json")
     p.add_argument("string")
     p.set_defaults(func=_cmd_parse)
 
-    p = common(sub.add_parser("compose", help="operadic composition f o_i g"))
+    p = command("compose", "operadic composition f o_i g", "--json")
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--at", required=True, help="slot number or letter token like u2")
     p.set_defaults(func=_cmd_compose)
 
-    p = common(sub.add_parser("act", help="symmetric group action"))
+    p = command("act", "symmetric group action", "--json")
     p.add_argument("perm", help="comma-separated permutation like 2,1,3")
     p.add_argument("string")
     p.set_defaults(func=_cmd_act)
 
-    p = with_variant(common(
-        sub.add_parser("filtration", help="filtration membership and complexities")
-    ))
+    p = command(
+        "filtration", "filtration membership and complexities",
+        "--json", "--m", "--variant",
+    )
     p.add_argument("string")
     p.set_defaults(func=_cmd_filtration)
 
-    p = common(sub.add_parser("q", help="forgetful map to a decorated complete graph"))
+    p = command("q", "forgetful map to a decorated complete graph", "--json")
     p.add_argument("string")
     p.set_defaults(func=_cmd_q)
 
-    p = with_variant(common(
-        sub.add_parser("enumerate", help="enumerate a component basis")
-    ))
+    p = command(
+        "enumerate", "enumerate a component basis", "--json", "--m", "--variant"
+    )
     p.add_argument(
         "--kind", choices=("component", "graphs", "strings"), default="component"
     )
@@ -614,40 +630,43 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     p.add_argument("--colours", default="c0:c0", help="like 'c0,c1:o2'")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = common(sub.add_parser("tree", help="ASCII tree view of a filtration-2 string"))
+    p = command("tree", "ASCII tree view of a filtration-2 string")
     p.add_argument("string")
     p.set_defaults(func=_cmd_tree)
 
-    p = with_variant(common(
-        sub.add_parser("homology", help="integral homology of a component")
-    ))
+    p = command(
+        "homology", "integral homology of a component", "--json", "--m", "--variant"
+    )
     p.add_argument("--component", required=True, help="like 'c,c:c'")
     p.set_defaults(func=_cmd_homology)
 
-    p = common(sub.add_parser("cells", help="cube configurations and cell indices"))
+    p = command(
+        "cells", "cube configurations and cell indices", "--json", "--m", "--seed"
+    )
     p.add_argument("--closed", type=int, default=2)
     p.add_argument("--open", type=int, default=0)
     p.add_argument("--denominator", type=int, default=16)
     p.add_argument("--config", help="JSON configuration file")
     p.set_defaults(func=_cmd_cells)
 
-    p = common(sub.add_parser("loops", help="loop-model totalization homology"))
+    p = command("loops", "loop-model totalization homology", "--json")
     p.add_argument("--order", type=int, default=2, help="cyclic monoid order")
     p.add_argument("--sub", help="comma-separated submonoid, default all")
     p.add_argument("--truncate", type=int, default=4)
     p.add_argument("--kind", choices=("closed", "open"), default="open")
     p.set_defaults(func=_cmd_loops)
 
-    p = common(sub.add_parser("cobar", help="cobar experimental relation report"))
+    p = command("cobar", "cobar experimental relation report", "--json")
     p.add_argument("--order", type=int, default=2, help="cyclic group order")
     p.add_argument("--dual", action="store_true", help="use the dual bialgebra")
     p.add_argument("--truncate", type=int, default=4)
     p.add_argument("--max-level", type=int, default=1)
     p.set_defaults(func=_cmd_cobar)
 
-    p = with_variant(common(
-        sub.add_parser("verify", help="run a module invariant suite")
-    ))
+    p = command(
+        "verify", "run a module invariant suite",
+        "--json", "--m", "--seed", "--variant",
+    )
     p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
     p.add_argument("--max-tokens", type=int, default=5)
     p.add_argument("--samples", type=int, default=100)

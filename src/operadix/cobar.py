@@ -471,8 +471,15 @@ def relative_twisting_check(
     """Whether (f, g) is a relative twisting pair: the Hom differential of g
     equals the coaction twisted by f.
 
-    ``f`` must already pass ``twisting_check(C, A, f)``; it is not checked
-    again here."""
+    ``M`` must be the relative construction over ``C`` and ``N``, and ``A``
+    its word algebra (``relative_cobar_module(M, A)``); any other pairing
+    raises ``ValueError``.  ``f`` must already pass
+    ``twisting_check(C, A, f)``; it is not checked again here."""
+    relative_cobar_module(M, A)
+    if C is not M.coalgebra:
+        raise ValueError("C is not the coalgebra of the module M")
+    if N is not M.comodule:
+        raise ValueError("N is not the comodule of the module M")
 
     def fmap(name) -> LinComb:
         return f.get(name, LinComb())

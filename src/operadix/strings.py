@@ -129,13 +129,21 @@ def _validate(tokens: Sequence[int], output_open: bool) -> None:
 
 
 _SHELL = re.compile(r"^\((?P<body>[^()]*)\)\^(?P<tag>[co])$")
+# a label from 10 on; labels 1-9 are single digits
+_BRACED = re.compile(r"\{([1-9][0-9]+)\}")
+# the text of the bar and of each letter with a label 1-9
+_TOKEN_TEXT = {
+    BAR: "|",
+    **{a: str(a) for a in range(1, 10)},
+    **{-a: f"u{a}" for a in range(1, 10)},
+}
 
 
 def parse(source: str) -> IntegerString:
     """Parse canonical text like ``"(1u2|u211||u21)^o"`` (whitespace ignored).
 
-    Labels in text form are single digits 1-9; larger labels only exist as
-    in-memory values.
+    Labels 1-9 are single digits; labels from 10 on are braced, as in
+    ``{10}`` or ``u{12}``.
     """
     compact = "".join(source.split())
     match = _SHELL.match(compact)
@@ -149,36 +157,38 @@ def parse(source: str) -> IntegerString:
         if ch == "|":
             tokens.append(BAR)
             pos += 1
-        elif ch == "u":
-            if pos + 1 >= len(body) or not body[pos + 1].isdigit():
-                raise UnknownToken(f"'u' not followed by a digit at {pos}")
-            label = int(body[pos + 1])
-            if label == 0:
-                raise UnknownToken("label 0 is not allowed")
-            tokens.append(-label)
-            pos += 2
-        elif ch.isdigit():
+            continue
+        opn = ch == "u"
+        if opn:
+            pos += 1
+            ch = body[pos : pos + 1]
+        if "1" <= ch <= "9":
             label = int(ch)
-            if label == 0:
-                raise UnknownToken("label 0 is not allowed")
-            tokens.append(label)
             pos += 1
         else:
-            raise UnknownToken(f"unexpected character {ch!r} at {pos}")
+            braced = _BRACED.match(body, pos)
+            if braced is None:
+                raise UnknownToken(
+                    f"'u' not followed by a label at {pos - 1}"
+                    if opn
+                    else f"unexpected character {ch!r} at {pos}"
+                )
+            label = int(braced.group(1))
+            pos = braced.end()
+        tokens.append(-label if opn else label)
     return IntegerString(tuple(tokens), match.group("tag") == "o")
 
 
 def text(x: IntegerString) -> str:
     """Canonical text of ``x``; inverse of :func:`parse`."""
-    parts: list[str] = []
-    for t in x.tokens:
-        if t == BAR:
-            parts.append("|")
-        else:
-            if abs(t) > 9:
-                raise ValueError("canonical text only covers labels 1..9")
-            parts.append(("u" if t < 0 else "") + str(abs(t)))
-    return "(" + "".join(parts) + ")^" + ("o" if x.output_open else "c")
+    table = _TOKEN_TEXT
+    body = "".join(
+        [
+            table[t] if t in table else f"u{{{-t}}}" if t < 0 else f"{{{t}}}"
+            for t in x.tokens
+        ]
+    )
+    return "(" + body + (")^o" if x.output_open else ")^c")
 
 
 @lru_cache(maxsize=1 << 18)

@@ -250,7 +250,7 @@ def test_criterion_05_component_homology():
 
 def test_criterion_06_generators_closure():
     with Budget("criterion-06 generators-closure", 300.0):
-        report = surjections.is_generated_up_to(max_labels=3, max_length=6, m=2)
+        report = surjections.is_generated_up_to(max_labels=3, max_length=6)
         assert report["all_spanned"]
 
 

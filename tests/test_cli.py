@@ -1,11 +1,12 @@
 """Command-line interface: golden outputs, exit codes, seeded stability."""
 
+import argparse
 import json
 import time
 
 import pytest
 
-from operadix import cli, strings, surjections
+from operadix import chains, cli, geometry, graphs, loops, strings, surjections
 from operadix.chains import LinComb
 
 from corpus import CORPUS
@@ -54,6 +55,10 @@ class TestCompose:
         )
         assert code == 0
         assert out.strip() == "(12u4|1u632u451||u42u6)^o"
+
+    def test_labels_past_nine_are_braced(self, capsys):
+        code, out, _ = run(capsys, "compose", "(12345)^c", "(123456)^c", "--at", "1")
+        assert code == 0 and out == "(123456789{10})^c\n"
 
     def test_bad_slot_exits_2(self, capsys):
         code, _, _ = run(capsys, "compose", "(12)^c", "(1)^c", "--at", "u1")
@@ -172,6 +177,35 @@ class TestEnumerateAndTree:
             assert code == 2
             assert not out and "unrecognized arguments: --variant" in err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (argv, option)
+            for argv, options in [
+                (("parse", "(12|21)^c"), ("--m", "--seed")),
+                (("compose", "(12)^c", "(1)^c", "--at", "1"), ("--m", "--seed")),
+                (("act", "2,1", "(12|21)^c"), ("--m", "--seed")),
+                (("filtration", "(12|21)^c"), ("--seed",)),
+                (("q", "(12|21)^c"), ("--m", "--seed")),
+                (("enumerate",), ("--seed",)),
+                (("tree", "(12|21)^c"), ("--json", "--m", "--seed")),
+                (("homology", "--component", "c:c"), ("--seed",)),
+                (("loops",), ("--m", "--seed")),
+                (("cobar",), ("--m", "--seed")),
+            ]
+            for option in options
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_shared_option_refused_where_unread(self, capsys, argv, option):
+        # --json, --m and --seed are registered only where the handler reads
+        # them; no abbreviation stands in (cobar's --m is not --max-level)
+        assert run(capsys, *argv)[0] == 0
+        value = () if option == "--json" else ("3",)
+        code, out, err = run(capsys, *argv, option, *value)
+        assert code == 2
+        assert not out and f"unrecognized arguments: {option}" in err
+
     def test_tree(self, capsys):
         code, out, _ = run(capsys, "tree", "(12|21)^c")
         assert code == 0
@@ -263,6 +297,94 @@ class TestVerify:
         s = surjections.Surjection(strings.parse(witness))
         assert surjections.linear_differential(unsigned(s))
 
+    def _failing_report(self, capsys, suite, samples="30"):
+        # a passing run has no witness, a failing one does
+        argv = ("verify", "--suite", suite, "--samples", samples, "--json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "witness" not in json.loads(out)[suite]
+        return argv
+
+    def _witness(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)[argv[2]]
+        assert code == 1 and report["failures"] > 0
+        return report["witness"]
+
+    def test_rl_operad_witness(self, capsys, monkeypatch):
+        argv = self._failing_report(capsys, "rl-operad")
+        block_perm = strings.block_perm
+        monkeypatch.setattr(
+            strings, "block_perm", lambda sigma, i, l: block_perm(sigma, i, l)[::-1]
+        )
+        law, sigma, f, i, g = self._witness(capsys, argv)
+        assert law == "equivariance"
+        f, g = strings.parse(f), strings.parse(g)
+        l = strings.arity(g)
+        fg = strings.compose(f, i, g)
+        rhs = strings.compose(strings.sym_act(sigma, f), sigma[i - 1], g)
+        assert strings.sym_act(block_perm(sigma, i, l), fg) == rhs
+        assert strings.sym_act(strings.block_perm(sigma, i, l), fg) != rhs
+
+    def test_graph_operad_witness(self, capsys, monkeypatch):
+        argv = self._failing_report(capsys, "graph-operad")
+        in_filtration = strings.in_filtration
+        monkeypatch.setattr(
+            strings, "in_filtration", lambda x, m: in_filtration(x, m - 1)
+        )
+        f, i, g = self._witness(capsys, argv)
+        fg = strings.compose(strings.parse(f), i, strings.parse(g))
+        assert in_filtration(fg, 2) and not in_filtration(fg, 1)
+
+    def test_chain_core_witness(self, capsys, monkeypatch):
+        argv = self._failing_report(capsys, "chain-core")
+        smith_normal_form = chains.smith_normal_form
+
+        def no_row_ops(mat):
+            d, _, right = smith_normal_form(mat)
+            rows = range(len(mat))
+            return d, [[int(r == c) for c in rows] for r in rows], right
+
+        monkeypatch.setattr(chains, "smith_normal_form", no_row_ops)
+        mat = self._witness(capsys, argv)
+        d, left, right = smith_normal_form(mat)
+        assert chains.mat_mul(chains.mat_mul(left, mat), right) == d
+        assert chains.mat_mul(mat, right) != d
+
+    def test_sc_geometry_witness(self, capsys, monkeypatch):
+        argv = self._failing_report(capsys, "sc-geometry")
+        cell_contains = geometry.cell_contains
+        monkeypatch.setattr(geometry, "cell_contains", lambda alpha, cfg: True)
+        cfg = geometry.config_from_json(self._witness(capsys, argv))
+        # a weaker cell that only the broken kernel says contains cfg
+        alpha = geometry.cell_index(cfg)
+        weaker = [
+            graphs.GraphElement(
+                alpha.vertex_open,
+                {**alpha.edge_dict(), e: (mu - 1, o)},
+                alpha.output_open,
+            )
+            for e, (mu, o) in alpha.edge_dict().items()
+            if mu > 1
+        ]
+        weaker = [w for w in weaker if graphs.validate(w)]
+        assert weaker and not any(cell_contains(w, cfg) for w in weaker)
+
+    def test_loop_model_witness(self, capsys, monkeypatch):
+        # at 100 samples the 25 draws include pairs whose products differ
+        argv = self._failing_report(capsys, "loop-model", samples="100")
+        monkeypatch.setattr(loops, "homotopy_H", lambda tot, f, u: LinComb())
+        fb, (xs, y) = self._witness(capsys, argv)
+        M = loops.FiniteMonoid.cyclic(2)
+        tot = loops.TotComplex(M, M.elements, 4, "open")
+        closed = loops.TotComplex(M, M.elements, 4, "closed")
+        f = loops.inc_tot(tot, closed.conormal_project(LinComb.unit(tuple(fb))))
+        u = tot.conormal_project(LinComb.unit((tuple(xs), y)))
+        sign = (-1) ** (len(fb) * len(xs) % 2)
+        # with H = 0 the homotopy identity says the two products agree
+        assert tot.conormal_project(
+            loops.sqcup(tot, f, u) - sign * loops.sqcup(tot, u, f)
+        )
+
     def test_sampled_string_suites_pass(self, capsys):
         for suite in ("rl-operad", "graph-operad"):
             code, _, _ = run(
@@ -285,3 +407,69 @@ class TestCobarCommand:
         assert code == 0
         data = json.loads(out)
         assert all(entry["holds"] for entry in data.values())
+
+
+class _Recorder:
+    """A namespace that notes each attribute a handler reads."""
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._namespace, name)
+
+
+# for each subcommand, valid argv that together take every branch of its
+# handler
+OPTION_READ_ARGV = {
+    "parse": [["(12|21)^c"]],
+    "compose": [["(12)^c", "(1)^c", "--at", "1"]],
+    "act": [["2,1", "(12|21)^c"]],
+    "filtration": [["(12|21)^c"]],
+    "q": [["(12|21)^c"]],
+    "enumerate": [
+        ["--kind", "component"],
+        ["--kind", "graphs", "--component", "c,c:c", "--m", "1"],
+        ["--kind", "strings", "--colours", "c1,c0:c0"],
+    ],
+    "tree": [["(12|21)^c"]],
+    "homology": [["--component", "c:c"]],
+    "cells": [["--closed", "1"], ["--config", "CONFIG"]],
+    "loops": [[], ["--sub", "0"]],
+    "cobar": [[]],
+    "verify": [["--suite", "all", "--samples", "4", "--max-tokens", "4"]],
+}
+
+
+def test_every_option_is_read(capsys, tmp_path):
+    # an option a subcommand registers but never reads would be accepted and
+    # ignored; this is to options what test_every_definition_is_referenced is
+    # to definitions
+    config = tmp_path / "config.json"
+    cli.main(["cells", "--json"])
+    config.write_text(json.dumps(json.loads(capsys.readouterr().out)["config"]))
+    parser = cli._build_parser()
+    (commands,) = [
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(commands) == set(OPTION_READ_ARGV)
+    unread = []
+    for name, subparser in commands.items():
+        registered = {
+            action.dest
+            for action in subparser._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        read = set()
+        for argv in OPTION_READ_ARGV[name]:
+            argv = [str(config) if a == "CONFIG" else a for a in argv]
+            args = _Recorder(parser.parse_args([name, *argv]))
+            assert args.func(args) == 0, (name, argv)
+            read |= args.read
+        capsys.readouterr()
+        unread += [f"{name} {dest}" for dest in sorted(registered - read)]
+    assert not unread, f"options no handler reads: {unread}"

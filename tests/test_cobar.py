@@ -509,6 +509,26 @@ class TestTwisting:
         monkeypatch.setattr(cobar, "twisting_check", lambda *a: calls.append(a))
         assert relative_twisting_check(C, A, N, M, f, g) and calls == []
 
+    def test_relative_check_needs_its_own_data(self):
+        # C, N and A must be the coalgebra, comodule and word algebra of M
+        C, C2 = sample_coalgebra(), sample_coalgebra()
+        N, N2 = diagonal_dg_comodule(C), diagonal_dg_comodule(C)
+        A = cobar.cobar(C, 6)
+        M = relative_cobar(C, N, 6)
+        f = universal_twisting(A)
+        g = {n: LinComb.unit(((), n)) for n in N.degrees}
+        assert relative_twisting_check(C, A, N, M, f, g)
+        with pytest.raises(ValueError, match="C is not the coalgebra"):
+            relative_twisting_check(C2, A, N, M, f, g)
+        with pytest.raises(ValueError, match="N is not the comodule"):
+            relative_twisting_check(C, A, N2, M, f, g)
+        with pytest.raises(ValueError, match="different coalgebras"):
+            relative_twisting_check(C, cobar.cobar(C2, 6), N, M, f, g)
+        with pytest.raises(ValueError, match="truncated at 4, the module at 6"):
+            relative_twisting_check(C, cobar.cobar(C, 4), N, M, f, g)
+        with pytest.raises(ValueError, match="must be the closed construction"):
+            relative_twisting_check(C, M, N, M, f, g)
+
 
 class TestMemoizedConstructions:
     """The tabulated, memoized word complexes against the letter-by-letter

@@ -520,6 +520,15 @@ def test_parse_text_round_trip(x):
     assert strings.parse(strings.text(x)) == x
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=integer_strings(max_labels=12, max_tokens=16))
+def test_parse_text_round_trip_braced_labels(x):
+    # labels from 10 on are braced; a text with labels 1..9 has no brace
+    t = strings.text(x)
+    assert strings.parse(t) == x
+    assert ("{" in t) == (strings.arity(x) > 9)
+
+
 class TestNoCacheLookups:
     def test_kernels_leave_the_caches_alone(self):
         # fresh strings, equal to none built before

@@ -108,3 +108,52 @@ def test_value_classes_are_slotted_frozen_dataclasses():
             ):
                 found.append(f"{name}:{node.lineno}")
     assert not found, f"object.__setattr__ in the value modules: {found}"
+
+
+
+def _unread_parameters(path: Path) -> list:
+    """Parameters of the functions in ``path`` that their body never reads,
+    other than a method's ``self`` or ``cls`` and names with a leading
+    underscore."""
+    tree = ast.parse(path.read_text(), str(path))
+    methods = {
+        node
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list
+        )
+    }
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        if node in methods:
+            params = params[1:]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{path.name}:{node.lineno} {node.name}({p.arg})"
+            for p in params
+            if p is not None and not p.arg.startswith("_") and p.arg not in read
+        ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is accepted and ignored, so a caller
+    # passing the wrong value gets no word; name it with a leading underscore
+    # where a fixed signature needs it
+    unread = [
+        u for path in sorted(SOURCE.glob("*.py")) for u in _unread_parameters(path)
+    ]
+    assert not unread, f"parameters their function never reads: {unread}"

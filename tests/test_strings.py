@@ -38,6 +38,14 @@ class TestParsePrint:
         with pytest.raises(StringError):
             strings.parse("(13)^c")  # label 2 missing
 
+    def test_labels_past_nine_are_braced(self):
+        x = strings.parse("(u{10}123456789u{10}|)^o")
+        assert x.tokens == (-10, *range(1, 10), -10, BAR)
+        assert strings.text(x) == "(u{10}123456789u{10}|)^o"
+        for bad in ("({5})^c", "(1{010})^c", "(1{1x})^c", "(1{10)^c", "(1u)^c"):
+            with pytest.raises(UnknownToken):
+                strings.parse(bad)
+
     def test_open_letters_need_open_output(self):
         with pytest.raises(StringError):
             strings.parse("(1u2)^c")

@@ -3,7 +3,7 @@
 import copy
 import pickle
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -284,9 +284,112 @@ class TestSignsOverZ:
                 assert surjections.rs_compose(f, i, unit) == LinComb.unit(f)
 
 
+def caesura_sign(sigma, tokens):
+    """The sign of the permutation that reorders the caesuras of ``tokens``
+    (the occurrences that are not the last of their label) from (label,
+    position) order to (sigma(label), position) order."""
+    last = {abs(t): p for p, t in enumerate(tokens)}
+    caesuras = sorted((abs(t), p) for p, t in enumerate(tokens) if p != last[abs(t)])
+    moved = sorted(
+        range(len(caesuras)),
+        key=lambda r: (sigma[caesuras[r][0] - 1], caesuras[r][1]),
+    )
+    return -1 if sum(a > b for a, b in combinations(moved, 2)) % 2 else 1
+
+
+def signed_act(sigma, v, sign=caesura_sign):
+    """sigma acting on each term c u of v as c sign(sigma, u) (sigma . u)."""
+    return LinComb(
+        (
+            Surjection(strings.sym_act(sigma, u.underlying)),
+            c * sign(sigma, u.underlying.tokens),
+        )
+        for u, c in v
+    )
+
+
+def block_act(r, i, k):
+    """The permutation of 1..k+l-1 that acts by ``r`` on the block of l
+    letters put in slot i of an arity-k string, and fixes the rest."""
+    l = len(r)
+    return [*range(1, i), *(i - 1 + j for j in r), *range(i + l, k + l)]
+
+
+class TestEquivarianceOverZ:
+    """With the caesura sign, d and rs_compose are equivariant over Z."""
+
+    def test_differential_is_equivariant(self):
+        pairs = unsigned_breaks = 0
+        for u in colour_basis(2):
+            du = surjections.differential(u)
+            for sigma in permutations(range(1, strings.arity(u.underlying) + 1)):
+                d_of_act = surjections.linear_differential(
+                    signed_act(sigma, LinComb.unit(u))
+                )
+                assert d_of_act == signed_act(sigma, du)
+                pairs += 1
+                # plain relabelling is no chain map
+                unsigned_breaks += surjections.linear_differential(
+                    signed_act(sigma, LinComb.unit(u), sign=lambda *_: 1)
+                ) != signed_act(sigma, du, sign=lambda *_: 1)
+        assert (pairs, unsigned_breaks) == (1187, 54)
+
+    def test_rs_compose_under_adjacent_transpositions(self):
+        # rs_compose(sigma * f, sigma(i), g) = tau * rs_compose(f, i, g),
+        # tau = block_perm(sigma, i, l), exhaustively on the window for the
+        # adjacent transpositions, which generate S_k
+        basis = colour_basis(2)
+        cases = 0
+        for f in basis:
+            x = f.underlying
+            k = strings.arity(x)
+            swaps = [
+                [*range(1, a), a + 1, a, *range(a + 2, k + 1)] for a in range(1, k)
+            ]
+            for i in range(1, k + 1):
+                for g in basis:
+                    if g.underlying.output_open != (-i in x.tokens):
+                        continue
+                    l = strings.arity(g.underlying)
+                    fg = surjections.rs_compose(f, i, g)
+                    for sigma in swaps:
+                        lhs = compose_unit(
+                            signed_act(sigma, LinComb.unit(f)), sigma[i - 1], g
+                        )
+                        assert lhs == signed_act(strings.block_perm(sigma, i, l), fg)
+                        cases += 1
+        assert cases == 94_726
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rs_compose_sampled_over_every_permutation(self, m):
+        # sigma in S_k acting on f, and r in S_l acting on g inside its block
+        basis = colour_basis(m)
+        by_open = {
+            o: [g for g in basis if g.underlying.output_open == o]
+            for o in (False, True)
+        }
+        rng = random.Random(5)
+        for _ in range(1500):
+            f = rng.choice(basis)
+            x = f.underlying
+            k = strings.arity(x)
+            i = rng.randrange(k) + 1
+            g = rng.choice(by_open[-i in x.tokens])
+            l = strings.arity(g.underlying)
+            fg = surjections.rs_compose(f, i, g)
+            sigma = rng.sample(range(1, k + 1), k)
+            lhs = compose_unit(signed_act(sigma, LinComb.unit(f)), sigma[i - 1], g)
+            assert lhs == signed_act(strings.block_perm(sigma, i, l), fg)
+            r = rng.sample(range(1, l + 1), l)
+            lhs = surjections._compose_linear(
+                LinComb.unit(f), i, signed_act(r, LinComb.unit(g))
+            )
+            assert lhs == signed_act(block_act(r, i, k), fg)
+
+
 class TestGenerators:
     def test_closure_spans_small_components(self):
-        report = surjections.is_generated_up_to(max_labels=3, max_length=6, m=2)
+        report = surjections.is_generated_up_to(max_labels=3, max_length=6)
         assert report["all_spanned"]
         assert all(
             info["spanned"] for info in report["components"].values()
