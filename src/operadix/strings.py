@@ -165,6 +165,8 @@ def parse(source: str) -> IntegerString:
         if "1" <= ch <= "9":
             label = int(ch)
             pos += 1
+        elif ch == "0":
+            raise UnknownToken("label 0 is not allowed")
         else:
             braced = _BRACED.match(body, pos)
             if braced is None:

@@ -297,8 +297,8 @@ class TestVerify:
         s = surjections.Surjection(strings.parse(witness))
         assert surjections.linear_differential(unsigned(s))
 
-    def _failing_report(self, capsys, suite, samples="30"):
-        # a passing run has no witness, a failing one does
+    def _passing_argv(self, capsys, suite, samples="30"):
+        # the argv of a passing run, which reports no witness
         argv = ("verify", "--suite", suite, "--samples", samples, "--json")
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "witness" not in json.loads(out)[suite]
@@ -311,7 +311,7 @@ class TestVerify:
         return report["witness"]
 
     def test_rl_operad_witness(self, capsys, monkeypatch):
-        argv = self._failing_report(capsys, "rl-operad")
+        argv = self._passing_argv(capsys, "rl-operad")
         block_perm = strings.block_perm
         monkeypatch.setattr(
             strings, "block_perm", lambda sigma, i, l: block_perm(sigma, i, l)[::-1]
@@ -326,7 +326,7 @@ class TestVerify:
         assert strings.sym_act(strings.block_perm(sigma, i, l), fg) != rhs
 
     def test_graph_operad_witness(self, capsys, monkeypatch):
-        argv = self._failing_report(capsys, "graph-operad")
+        argv = self._passing_argv(capsys, "graph-operad")
         in_filtration = strings.in_filtration
         monkeypatch.setattr(
             strings, "in_filtration", lambda x, m: in_filtration(x, m - 1)
@@ -336,7 +336,7 @@ class TestVerify:
         assert in_filtration(fg, 2) and not in_filtration(fg, 1)
 
     def test_chain_core_witness(self, capsys, monkeypatch):
-        argv = self._failing_report(capsys, "chain-core")
+        argv = self._passing_argv(capsys, "chain-core")
         smith_normal_form = chains.smith_normal_form
 
         def no_row_ops(mat):
@@ -351,7 +351,7 @@ class TestVerify:
         assert chains.mat_mul(mat, right) != d
 
     def test_sc_geometry_witness(self, capsys, monkeypatch):
-        argv = self._failing_report(capsys, "sc-geometry")
+        argv = self._passing_argv(capsys, "sc-geometry")
         cell_contains = geometry.cell_contains
         monkeypatch.setattr(geometry, "cell_contains", lambda alpha, cfg: True)
         cfg = geometry.config_from_json(self._witness(capsys, argv))
@@ -371,7 +371,7 @@ class TestVerify:
 
     def test_loop_model_witness(self, capsys, monkeypatch):
         # at 100 samples the 25 draws include pairs whose products differ
-        argv = self._failing_report(capsys, "loop-model", samples="100")
+        argv = self._passing_argv(capsys, "loop-model", samples="100")
         monkeypatch.setattr(loops, "homotopy_H", lambda tot, f, u: LinComb())
         fb, (xs, y) = self._witness(capsys, argv)
         M = loops.FiniteMonoid.cyclic(2)

@@ -45,6 +45,9 @@ class TestParsePrint:
         for bad in ("({5})^c", "(1{010})^c", "(1{1x})^c", "(1{10)^c", "(1u)^c"):
             with pytest.raises(UnknownToken):
                 strings.parse(bad)
+        for bad in ("(10)^c", "(u0)^o"):
+            with pytest.raises(UnknownToken, match="label 0 is not allowed"):
+                strings.parse(bad)
 
     def test_open_letters_need_open_output(self):
         with pytest.raises(StringError):
