@@ -10,7 +10,9 @@ letter whose first occurrence comes earlier.
 Storage: a graph on n vertices keeps one signed level per pair i < j, in
 ``itertools.combinations`` order ((1, 2), (1, 3), ..., (1, n), (2, 3), ...):
 ``mu * orient``, so a positive level means ``i -> j`` and a negative one
-``j -> i``.  The kernels below read and write that tuple directly.
+``j -> i``.  The kernels below read and write that tuple directly; ``q``
+and ``in_filtration`` take the pair walk and the limit check from
+``strings``, so this module walks no tokens.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .strings import BAR, IntegerString, _pair_limits, _top_label
+from .strings import IntegerString, _pair_levels, _pair_limits, _within_limits
 
 __all__ = [
     "GraphElement",
@@ -178,14 +180,7 @@ def in_filtration(alpha: GraphElement, m: int) -> bool:
     (``strings._pair_limits``, standard variant), where an edge's target is
     the pair's first label and its source the second."""
     limit = _pair_limits(m, "standard")
-    vertex_open = alpha.vertex_open
-    for (i, j), lev in zip(_pairs(alpha.n), alpha.levels):
-        if lev > 0:  # i -> j
-            if lev > limit[vertex_open[j]][vertex_open[i]]:
-                return False
-        elif -lev > limit[vertex_open[i]][vertex_open[j]]:
-            return False
-    return True
+    return _within_limits(limit, alpha.vertex_open, alpha.levels)
 
 
 def compose(alpha: GraphElement, betas: list[GraphElement]) -> GraphElement:
@@ -256,45 +251,9 @@ def sym_act(sigma, alpha: GraphElement) -> GraphElement:
 
 
 def q(x: IntegerString) -> GraphElement:
-    """Pairwise complexities with first-occurrence-reversing orientations.
-
-    One walk over the letters counts, per pair, the direction changes of its
-    projection (the pair rule of ``strings._moved``, run inline), and
-    records where each label first occurs and whether it is open.
-    """
-    size = _top_label(x.tokens) + 1
-    last = [-1] * size
-    first = [0] * size
-    opens = [False] * size
-    # changes[a * size + b]: the direction changes of the pair {a, b} made
-    # by an occurrence of a
-    changes = [0] * (size * size)
-    prev = BAR
-    for pos, t in enumerate(x.tokens):
-        # a repeated letter, even across a bar, moves no pair
-        if t == BAR or t == prev:
-            continue
-        prev = t
-        a = t if t > 0 else -t
-        old = last[a]
-        if old < 0:
-            first[a] = pos
-            opens[a] = t < 0
-        row = a * size
-        # the pair rule of strings._moved, inline: b moves when last[b] > old
-        for b, p in enumerate(last):
-            if p > old:
-                changes[row + b] += 1
-        last[a] = pos
-    # each pair i < j changed direction when its second label first
-    # occurred, so every level is nonzero
-    levels = []
-    for i in range(1, size):
-        fi, row = first[i], i * size
-        for j in range(i + 1, size):
-            mu = changes[row + j] + changes[j * size + i]
-            levels.append(mu if fi > first[j] else -mu)
-    return _unchecked(tuple(opens[1:]), tuple(levels), x.output_open)
+    """Pairwise complexities with first-occurrence-reversing orientations:
+    the levels of one walk over the letters (``strings._pair_levels``)."""
+    return _unchecked(*_pair_levels(x.tokens), x.output_open)
 
 
 # The most decorations enumerate_graphs walks: at the 4-20 us per decoration

@@ -9,6 +9,14 @@ action, per-pair complexity counters with the induced filtrations, the
 duality between unary strings and monotone maps, and exhaustive enumeration
 of fixed-colour components and of small windows across colours.
 
+The filtration is one pair rule: each pair's direction changes, bounded by
+a table that the openness of its labels selects.  ``_pair_levels`` runs it
+over a whole word and yields the signed levels that ``graphs.q`` stores;
+``in_filtration`` and ``graphs.in_filtration`` check levels against the
+table through ``_within_limits``, so the string filtration is the preimage
+of the graph one under q; ``_PairWalk`` runs the rule one letter at a time
+for the enumerators.
+
 Token encoding: each token is an ``int`` — ``0`` is a bar, ``+i`` a closed
 letter with label ``i``, ``-i`` an open letter with label ``i``.
 """
@@ -400,19 +408,71 @@ def c_dbl_prime(x: IntegerString, i: int, j: int) -> int:
     return _mixed_count(x, i, j, primed=True)
 
 
-def _moved(last: list[int], a: int) -> list[int]:
-    """The labels ``b`` whose pair {a, b} changes direction when ``a``
-    occurs next: those with ``last[b] > last[a]``, that is those that
-    occurred since ``a`` last did (when ``a`` is new, every label seen so
-    far, and that change activates the pair).
+@lru_cache(maxsize=64)
+def _pair_slots(size: int) -> tuple[tuple[int, ...], ...]:
+    """``slot[a][b]``: the index of the pair {a, b} of labels 1..size-1 in
+    ``itertools.combinations`` order (row and column 0 unused)."""
+    slot = [[0] * size for _ in range(size)]
+    for r, (i, j) in enumerate(combinations(range(1, size), 2)):
+        slot[i][j] = slot[j][i] = r
+    return tuple(map(tuple, slot))
 
-    ``last[b]`` is the position of the latest ``b``, or -1 before it occurs;
-    entry 0 is unused and stays -1.  Counting these changes per pair over a
-    whole word gives :func:`c_count`.  This is the one statement of the pair
-    rule: :func:`in_filtration` and ``graphs.q`` run it inline.
+
+def _pair_levels(tokens: tuple[int, ...]) -> tuple[tuple[bool, ...], tuple[int, ...]]:
+    """One walk over a whole word: each label's openness, and the signed
+    direction changes of each pair of labels i < j, in
+    ``itertools.combinations`` order, positive when j occurs first.
+
+    The pair rule: when ``a`` occurs, the pair {a, b} changes direction for
+    every ``b`` that occurred since ``a`` last did.  When ``a`` is new that
+    is every ``b`` seen so far: the change activates the pair, with ``b``
+    as its first label.  A repeated letter, even across a bar, moves no
+    pair.  Summed over the word this is :func:`c_count`, at least one on
+    every pair.  ``graphs.q`` stores exactly these levels;
+    :class:`_PairWalk` applies the same rule one letter at a time.
     """
-    old = last[a]
-    return [b for b, p in enumerate(last) if p > old]
+    size = _top_label(tokens) + 1
+    slot = _pair_slots(size)
+    # last[b]: the position of the latest b, or -1 before it occurs
+    last = [-1] * size
+    opens = [False] * size
+    levels = [0] * ((size - 1) * (size - 2) // 2)
+    prev = BAR
+    for pos, t in enumerate(tokens):
+        if t == BAR or t == prev:
+            continue
+        prev = t
+        a = t if t > 0 else -t
+        old = last[a]
+        row = slot[a]
+        if old < 0:
+            opens[a] = t < 0
+            for b, p in enumerate(last):
+                if p >= 0:
+                    levels[row[b]] = 1 if b > a else -1
+        else:
+            for b, p in enumerate(last):
+                if p > old:
+                    r = row[b]
+                    lev = levels[r]
+                    levels[r] = lev + 1 if lev > 0 else lev - 1
+        last[a] = pos
+    return tuple(opens[1:]), tuple(levels)
+
+
+def _within_limits(
+    limit: tuple[tuple[int, int], tuple[int, int]],
+    opens: tuple[bool, ...],
+    levels: tuple[int, ...],
+) -> bool:
+    """Whether each pair's changes are within ``limit`` (a
+    :func:`_pair_limits` table), given the openness of each label and the
+    signed levels of :func:`_pair_levels`: the pair's first label, the one
+    its sign names, picks the table's row."""
+    for (oi, oj), lev in zip(combinations(opens, 2), levels):
+        if (lev > limit[oj][oi]) if lev > 0 else (-lev > limit[oi][oj]):
+            return False
+    return True
 
 
 @lru_cache(maxsize=64)
@@ -460,7 +520,8 @@ class _PairWalk:
         a = abs(t)
         last, room = self.last, self.room
         old = last[a]
-        moved = _moved(last, a)
+        # the pair rule of _pair_levels: b moves when last[b] > old
+        moved = [b for b, p in enumerate(last) if p > old]
         row = room[a]
         if old < 0:
             oa = self.open[a] = t < 0
@@ -512,36 +573,10 @@ def in_filtration(x: IntegerString, m: int, variant: str = "standard") -> bool:
     Closed pairs need complexity <= m, open pairs <= m-1, and mixed pairs
     use the adjusted counter (``variant="primed-variant"`` picks the
     swapped-case counter) with bound m.  Bars never change the verdict.
+    This is the preimage under ``graphs.q`` of the graph filtration: the
+    same levels, checked against the same table.
     """
-    limit = _pair_limits(m, variant)
-    # _PairWalk.push without the undo log: room[a * size + b] and
-    # room[b * size + a] both hold the changes left to the pair {a, b},
-    # set when the pair becomes active
-    tokens = x.tokens
-    size = _top_label(tokens) + 1
-    opens = [False] * size
-    last = [-1] * size
-    room = [0] * (size * size)
-    prev = BAR
-    for pos, t in enumerate(tokens):
-        # a repeated letter, even across a bar, moves no pair
-        if t == BAR or t == prev:
-            continue
-        prev = t
-        a = t if t > 0 else -t
-        old = last[a]
-        if old < 0:
-            opens[a] = t < 0
-        row = a * size
-        # the pair rule of _moved, inline: b moves when last[b] > old
-        for b, p in enumerate(last):
-            if p > old:
-                left = room[row + b] if old >= 0 else limit[opens[b]][opens[a]]
-                if not left:
-                    return False
-                room[row + b] = room[b * size + a] = left - 1
-        last[a] = pos
-    return True
+    return _within_limits(_pair_limits(m, variant), *_pair_levels(x.tokens))
 
 
 def identity_string(colour: Colour) -> IntegerString:

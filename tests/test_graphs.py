@@ -78,6 +78,33 @@ class TestQ:
         ]
         assert not mismatches
 
+    def test_string_filtration_is_the_preimage_under_q(self):
+        # the string verdict against the limit table read on q's edges,
+        # where an edge points at the pair's first label, in both variants
+        xs = small_strings(6, 3, m=4)
+        verdicts = {}
+        for x in xs:
+            alpha = graphs.q(x)
+            opens = alpha.vertex_open
+            edges = [
+                (mu, opens[j - 1], opens[i - 1]) if orient == 1
+                else (mu, opens[i - 1], opens[j - 1])
+                for (i, j), (mu, orient) in alpha.edge_dict().items()
+            ]
+            for m in (1, 2, 3):
+                for variant in ("standard", "primed-variant"):
+                    limit = strings._pair_limits(m, variant)
+                    by_graph = all(
+                        mu <= limit[first][second] for mu, first, second in edges
+                    )
+                    assert strings.in_filtration(x, m, variant) == by_graph, (
+                        strings.text(x), m, variant
+                    )
+                    verdicts.setdefault((m, variant), set()).add(by_graph)
+        assert len(xs) == 27_392
+        # every level and variant sees strings on both sides
+        assert all(seen == {False, True} for seen in verdicts.values())
+
     def test_q_is_a_lax_morphism(self):
         rng = random.Random(9)
         elems = small_strings(5, 3, m=2)

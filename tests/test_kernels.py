@@ -122,10 +122,12 @@ def reference_q_walk(x):
             continue
         prev = t
         a = t if t > 0 else -t
-        if last[a] < 0:
+        old = last[a]
+        if old < 0:
             first[a] = pos
             opens[a] = t < 0
-        for b in strings._moved(last, a):
+        # the pair rule: {a, b} moves for each b seen since a last occurred
+        for b in (b for b, p in enumerate(last) if p > old):
             pair = (a, b) if a < b else (b, a)
             mu[pair] = mu.get(pair, 0) + 1
         last[a] = pos
