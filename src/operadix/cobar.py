@@ -628,6 +628,14 @@ class Bialgebra:
             )
             if lhs != rhs:
                 raise ValueError(f"coproduct is not multiplicative at {(a, b)}")
+        # the unit is grouplike; with the counit law this gives eps(1) = 1
+        if self.coproduct[self.unit] != LinComb.unit((self.unit, self.unit)):
+            raise ValueError("coproduct of the unit is not 1 (x) 1")
+        eps = self.counit.get
+        for a, b in product(self.basis, repeat=2):
+            ab = self.mul(LinComb.unit(a), LinComb.unit(b))
+            if sum(c * eps(p, 0) for p, c in ab) != eps(a, 0) * eps(b, 0):
+                raise ValueError(f"counit is not multiplicative at {(a, b)}")
 
 
 @dataclass
@@ -820,17 +828,26 @@ def rho_B(B: Bialgebra, u: LinComb, gs: list[LinComb]) -> LinComb:
 def z_coface(B: Bialgebra, C: ComoduleAlgebra, i: int, u: LinComb) -> LinComb:
     """Cofaces of the tensor-power module built from the actions: the first
     inserts through the left action of the multiplication, middle ones act
-    through the right action, the last through the one-slot left action."""
-    lengths = {len(t) for (t, _cname), _ in u}
-    l = lengths.pop()
+    through the right action, the last through the one-slot left action.
+    Linear: each term is taken at its own tensor length l, where i must lie
+    in 0..l+1."""
     mu = LinComb.unit((B.unit, B.unit))
-    if i == 0:
-        return lambda_prime_B(B, C, (2,), mu, [u])
-    if i == l + 1:
-        return lambda_prime_B(B, C, (1,), mu, [u])
-    gs = [LinComb.unit((B.unit,))] * l
-    gs[i - 1] = mu
-    return rho_B(B, u, gs)
+    out = []
+    for b, c in u:
+        l = len(b[0])
+        if not 0 <= i <= l + 1:
+            raise ValueError(f"coface index {i} out of range at level {l}")
+        v = LinComb.unit(b)
+        if i == 0:
+            image = lambda_prime_B(B, C, (2,), mu, [v])
+        elif i == l + 1:
+            image = lambda_prime_B(B, C, (1,), mu, [v])
+        else:
+            gs = [LinComb.unit((B.unit,))] * l
+            gs[i - 1] = mu
+            image = rho_B(B, v, gs)
+        out.extend((e, c * ce) for e, ce in image)
+    return LinComb(out)
 
 
 def unreduced_cobar(B: Bialgebra, truncation: int = 4) -> ChainComplex:

@@ -371,8 +371,38 @@ def _canonical_sign(v: LinComb) -> LinComb:
     return v if v.terms[first] > 0 else -v
 
 
+def _caesura_sign(sigma, tokens: tuple[int, ...]) -> int:
+    """eps(sigma, u) of the module docstring for u with these tokens: the
+    sign of reordering u's caesuras from (label, position) to
+    (sigma(label), position) order.  Each label's caesuras keep their
+    order, so this moves whole blocks, n_a = occurrences(a) - 1 caesuras
+    of label a: (-1)^(n_a n_b) for each a < b with sigma(a) > sigma(b)."""
+    n = [-1] * (len(sigma) + 1)
+    for t in tokens:
+        n[t if t > 0 else -t] += 1
+    odd = sum(
+        n[a] * n[b]
+        for a, b in combinations(range(1, len(sigma) + 1), 2)
+        if sigma[a - 1] > sigma[b - 1]
+    )
+    return -1 if odd % 2 else 1
+
+
+def _signed_act(sigma, v: LinComb) -> LinComb:
+    """The action sigma * u = eps(sigma, u) (sigma . u) of the module
+    docstring, extended linearly to ``v``."""
+    return LinComb(
+        (
+            Surjection(sym_act(sigma, s.underlying)),
+            c * _caesura_sign(sigma, s.underlying.tokens),
+        )
+        for s, c in v
+    )
+
+
 def is_generated_up_to(max_labels: int = 3, max_length: int = 6) -> dict:
-    """Close the generators under composition and relabelling, then check
+    """Close the generators under composition and the signed action
+    (:func:`_signed_act`, relabelling with the caesura sign), then check
     that the resulting combinations span every component over the integers,
     at filtration level 2, the one level :func:`generators` covers.
 
@@ -399,9 +429,7 @@ def is_generated_up_to(max_labels: int = 3, max_length: int = 6) -> dict:
         some = next(iter(v.terms))
         k = arity(some.underlying)
         for sigma in permutations(range(1, k + 1)):
-            yield _canonical_sign(
-                v.map_basis(lambda s: Surjection(sym_act(list(sigma), s.underlying)))
-            )
+            yield _canonical_sign(_signed_act(sigma, v))
 
     while frontier:
         new: list[LinComb] = []

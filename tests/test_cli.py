@@ -369,9 +369,16 @@ class TestVerify:
         weaker = [w for w in weaker if graphs.validate(w)]
         assert weaker and not any(cell_contains(w, cfg) for w in weaker)
 
+    def test_loop_model_checks_every_pair(self, capsys):
+        # the 8 basis pairs, whatever the sample count
+        for samples in ("1", "30"):
+            argv = self._passing_argv(capsys, "loop-model", samples=samples)
+            _, out, _ = run(capsys, *argv)
+            assert json.loads(out)["loop-model"]["homotopyCases"] == 8
+
     def test_loop_model_witness(self, capsys, monkeypatch):
-        # at 100 samples the 25 draws include pairs whose products differ
-        argv = self._passing_argv(capsys, "loop-model", samples="100")
+        # two of the 8 pairs have products that differ
+        argv = self._passing_argv(capsys, "loop-model")
         monkeypatch.setattr(loops, "homotopy_H", lambda tot, f, u: LinComb())
         fb, (xs, y) = self._witness(capsys, argv)
         M = loops.FiniteMonoid.cyclic(2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operadix import cobar
-from operadix.chains import LinComb, build_complex, homology
+from operadix.chains import InvalidComplex, LinComb, build_complex, homology
 from operadix.cobar import (
     Bialgebra,
     CobarObject,
@@ -779,6 +779,33 @@ class TestBialgebraLayer:
         with pytest.raises(ValueError, match=law):
             B.validate()
 
+    def test_unit_and_counit_must_be_algebra_maps(self):
+        # e idempotent and grouplike, and 1 = 1(x)1 - 1(x)e - e(x)1 + 2 e(x)e
+        # with eps(1) = 2: every earlier law holds, yet the unreduced cobar
+        # complex is no complex
+        basis = ("1", "e")
+        product = {
+            ("1", "1"): LinComb.unit("1"),
+            ("1", "e"): LinComb.unit("e"),
+            ("e", "1"): LinComb.unit("e"),
+            ("e", "e"): LinComb.unit("e"),
+        }
+        skewed = LinComb(
+            {("1", "1"): 1, ("1", "e"): -1, ("e", "1"): -1, ("e", "e"): 2}
+        )
+        grouplike = {"1": LinComb.unit(("1", "1")), "e": LinComb.unit(("e", "e"))}
+        B = Bialgebra(basis, "1", product, {**grouplike, "1": skewed},
+                      {"1": 2, "e": 1})
+        with pytest.raises(ValueError, match="^coproduct of the unit"):
+            B.validate()
+        with pytest.raises(InvalidComplex, match="d o d != 0"):
+            unreduced_cobar(B, 3).validate()
+        # the dual numbers' e^2 = 0 with e grouplike: only eps(ee) fails
+        product[("e", "e")] = LinComb()
+        B = Bialgebra(basis, "1", product, grouplike, {"1": 1, "e": 1})
+        with pytest.raises(ValueError, match=r"^counit is not multiplicative at \('e', 'e'\)"):
+            B.validate()
+
     def test_incomplete_tables_rejected(self):
         B = group_bialgebra(Z2)
         product = dict(B.product)
@@ -866,6 +893,23 @@ class TestBialgebraLayer:
                 assert alt == LinComb(
                     {e2: mat[r][col] for e2, r in upper.items()}
                 )
+
+
+    def test_z_coface_is_linear_over_mixed_lengths(self):
+        B = group_bialgebra(Z2)
+        CB = diagonal_comodule(B)
+        short, long = (("1",), "0"), (("1", "1"), "0")
+        u = LinComb.unit(short) + LinComb.unit(long)
+        for i in range(3):
+            assert z_coface(B, CB, i, u) == z_coface(
+                B, CB, i, LinComb.unit(short)
+            ) + z_coface(B, CB, i, LinComb.unit(long))
+            assert z_coface(B, CB, i, LinComb()) == LinComb()
+        # index 3 is past the short term's last coface
+        with pytest.raises(ValueError, match="coface index 3 out of range at level 1"):
+            z_coface(B, CB, 3, u)
+        with pytest.raises(ValueError, match="coface index -1 out of range"):
+            z_coface(B, CB, -1, LinComb.unit(long))
 
 
 class TestTotalizationOps:

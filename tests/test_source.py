@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import operadix
@@ -110,7 +112,6 @@ def test_value_classes_are_slotted_frozen_dataclasses():
     assert not found, f"object.__setattr__ in the value modules: {found}"
 
 
-
 def _unread_parameters(path: Path) -> list:
     """Parameters of the functions in ``path`` that their body never reads,
     other than a method's ``self`` or ``cls`` and names with a leading
@@ -157,3 +158,34 @@ def test_every_parameter_is_read():
         u for path in sorted(SOURCE.glob("*.py")) for u in _unread_parameters(path)
     ]
     assert not unread, f"parameters their function never reads: {unread}"
+
+
+def test_benchmark_surface_resolves():
+    # the traced benchmark (perfbench/tracer.py) wraps these names by hand:
+    # a module function, or a method in its class's own __dict__ (a method
+    # only inherited, or a re-binding removed, would raise mid-run), and
+    # every cached function reports its hit ratio through cache_info
+    repo = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", repo / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = []
+    for layer, names in tracer.LAYERS.items():
+        module = importlib.import_module(f"operadix.{layer}")
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                owner = getattr(module, cls_name, None)
+                target = vars(owner).get(meth) if inspect.isclass(owner) else None
+            else:
+                target = getattr(module, name, None)
+            if not callable(target) or inspect.isclass(target):
+                unresolved.append(f"{layer}.{name}")
+    for name in tracer.CACHED:
+        layer, fn = name.split(".")
+        module = importlib.import_module(f"operadix.{layer}")
+        if not hasattr(getattr(module, fn, None), "cache_info"):
+            unresolved.append(f"{name}.cache_info")
+    assert not unresolved, f"benchmark names the library lacks: {unresolved}"

@@ -394,6 +394,19 @@ class TestGenerators:
         assert all(
             info["spanned"] for info in report["components"].values()
         )
+        # closed under the signed action; plain relabelling reached 265
+        assert report["reachable"] == 247
+
+    def test_library_caesura_sign_matches_the_oracle(self):
+        cases = negative = 0
+        for u in colour_basis(2):
+            tokens = u.underlying.tokens
+            for sigma in permutations(range(1, strings.arity(u.underlying) + 1)):
+                sign = surjections._caesura_sign(sigma, tokens)
+                assert sign == caesura_sign(sigma, tokens), (tokens, sigma)
+                cases += 1
+                negative += sign < 0
+        assert cases == 1187 and 0 < negative < cases
 
     @pytest.mark.parametrize(
         "vectors, dim, spanned",
