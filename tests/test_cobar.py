@@ -803,7 +803,8 @@ class TestBialgebraLayer:
         # the dual numbers' e^2 = 0 with e grouplike: only eps(ee) fails
         product[("e", "e")] = LinComb()
         B = Bialgebra(basis, "1", product, grouplike, {"1": 1, "e": 1})
-        with pytest.raises(ValueError, match=r"^counit is not multiplicative at \('e', 'e'\)"):
+        law = r"^counit is not multiplicative at \('e', 'e'\)"
+        with pytest.raises(ValueError, match=law):
             B.validate()
 
     def test_incomplete_tables_rejected(self):
