@@ -895,6 +895,22 @@ class TestBialgebraLayer:
                     {e2: mat[r][col] for e2, r in upper.items()}
                 )
 
+    def test_each_coface_matches_the_totalization(self):
+        # coface by coface, not only in the alternating sum, where a swap of
+        # two cofaces would cancel out
+        cases = 0
+        for M in (Z2, FiniteMonoid.cyclic(3)):
+            for B in (group_bialgebra(M), dual_group_bialgebra(M)):
+                CB = diagonal_comodule(B)
+                tot = CobarTot(B, CB, 4)
+                for l in range(3):
+                    for e in tot.basis(l):
+                        for i in range(l + 2):
+                            assert z_coface(B, CB, i, LinComb.unit(e)) == LinComb(
+                                tot._coface_basis(i, e)
+                            ), (B.basis, i, e)
+                            cases += 1
+        assert cases == 378
 
     def test_z_coface_is_linear_over_mixed_lengths(self):
         B = group_bialgebra(Z2)
