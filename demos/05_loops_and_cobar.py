@@ -28,7 +28,7 @@ v = opened.conormal_project(LinComb.unit(((1,), 0)))
 print("concatenation:", sqcup(opened, u, v))
 
 B = cobar.group_bialgebra(Z2)
-cx = cobar.unreduced_cobar(B, truncation=4)
+cx = cobar.CobarTot(B, truncation=4).chain_complex()
 cx.validate()
 print("\nunreduced cobar of Z[Z/2] has a valid differential (d^2 = 0)")
 

@@ -515,7 +515,7 @@ def _suite_cobar(_args) -> tuple[bool, dict]:
     rep = cobar.rs2_experimental_report(B, truncation=4, max_level=2)
     ok = all(holds for holds, _ in rep.values())
     details = {name: holds for name, (holds, _) in rep.items()}
-    cx = cobar.unreduced_cobar(B, 4)
+    cx = cobar.CobarTot(B, truncation=4).chain_complex()
     try:
         cx.validate()
     except chains.InvalidComplex:
@@ -537,8 +537,23 @@ _SUITES = {
 }
 
 
+# the suites that check a fixed set of cases, reading no sample count or seed
+_FIXED_SUITES = ("loop-model", "cobar")
+
+
 def _cmd_verify(args) -> int:
     _require_standard(args, "the verify suites check the standard filtration only")
+    if args.suite in _FIXED_SUITES:
+        for option, value in (("--samples", args.samples), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(
+                    f"--suite {args.suite} checks a fixed set of cases; "
+                    f"{option} does not apply"
+                )
+    if args.samples is None:
+        args.samples = 100
+    if args.seed is None:
+        args.seed = _seed_default()
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     overall = True
     report = {}
@@ -665,12 +680,14 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cobar)
 
     p = command(
-        "verify", "run a module invariant suite",
-        "--json", "--m", "--seed", "--variant",
+        "verify", "run a module invariant suite", "--json", "--m", "--variant"
     )
     p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
     p.add_argument("--max-tokens", type=int, default=5)
-    p.add_argument("--samples", type=int, default=100)
+    # read in _cmd_verify, which refuses them on the fixed suites and fills
+    # in the defaults (100 samples, the seed from OPERADIX_SEED) elsewhere
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="random seed")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -11,16 +11,21 @@ Three layers:
    relative one the word module: both products are the truncated
    concatenation ``CobarObject.action``, with the empty word as unit.
 
-2. Ungraded bialgebras (e.g. monoid algebras) with the unreduced (relative)
-   cobar complexes, the multiplicative operad with components the tensor
-   powers of the bialgebra, and the wide module structure on tensor powers
-   with a comodule-algebra coefficient.
+2. Ungraded bialgebras (e.g. monoid algebras): the multiplicative operad
+   with components the tensor powers of the bialgebra (``mb_compose``),
+   and the wide module structure on tensor powers with a comodule-algebra
+   coefficient (``z_coface``).  Both compute through two basis-tuple
+   kernels: ``_gamma_terms``, the composition gamma, and ``_wide_terms``,
+   the wide left action lambda'.
 
-3. The truncated totalization of the unreduced (relative) cobar complex
-   with its kernel conormalization, carrying the experimental homotopy
-   operations (the closed and open insertion sums, two placements in one
-   signed sum ``_insertion_sum``, the twisted concatenation, and the
-   closed/relative inclusions); relation checks are reported, not assumed.
+3. The truncated totalization ``CobarTot`` of the unreduced (relative)
+   cobar complex, whose ``chain_complex()`` is that complex, with its
+   kernel conormalization.  It carries the experimental homotopy
+   operations, each under one name: the concatenation ``cup``, the
+   closed-to-relative inclusion ``inc_tot``, the twisted concatenation
+   ``sqcup``, and the closed and open insertion sums ``act_Tk`` and
+   ``act_Tj``, the two kernels placed in one signed sum
+   ``_insertion_sum``; relation checks are reported, not assumed.
 
 Conventions: the desuspension shifts degree down by one and anti-commutes
 with the differential; word differentials carry the Koszul prefix sign
@@ -63,18 +68,14 @@ __all__ = [
     "monoid_bialgebra",
     "group_bialgebra",
     "diagonal_comodule",
-    "unreduced_cobar",
-    "unreduced_relative_cobar",
     "mb_compose",
-    "lambda_prime_B",
-    "rho_B",
     "z_coface",
     "CobarTot",
-    "cup_cobar",
-    "inc_cobar",
-    "e_prime_1k",
-    "mu_prime_o",
-    "e_prime_j",
+    "cup",
+    "inc_tot",
+    "act_Tk",
+    "sqcup",
+    "act_Tj",
     "dual_group_bialgebra",
     "rs2_experimental_report",
 ]
@@ -453,14 +454,14 @@ def twisting_check(C: DGCoalgebra, A: CobarObject, f: dict) -> bool:
         return f.get(name, LinComb())
 
     for x in C.degrees:
-        cup = LinComb(
+        square = LinComb(
             # the degree -1 cochain crossing a gives the sign
             (t, (-1 if C.degree(a) % 2 else 1) * c * ct)
             for (a, b), c in C.delta(x)
             for t, ct in A.action(fmap(a), fmap(b))
         )
         boundary = A.differential(fmap(x)) + linear(f, C.d(LinComb.unit(x)))
-        if cup != boundary:
+        if square != boundary:
             return False
     return True
 
@@ -565,7 +566,7 @@ def dg_map_check(cob: CobarObject, M: CobarObject, phi) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# layer 2: ungraded bialgebras, unreduced constructions, tensor-power operad
+# layer 2: ungraded bialgebras, the tensor-power operad and its wide module
 
 
 def _check_complete(basis, mul_table: dict, act_table: dict, act_name: str) -> None:
@@ -729,20 +730,16 @@ def _right_terms(B: Bialgebra, t: tuple, b_name) -> list:
     ]
 
 
-def left_translate_B(B: Bialgebra, a_name, g: LinComb) -> LinComb:
-    """a <| (b_1 ... b_l): diagonal left multiplication."""
-    return LinComb((s, c * cs) for t, c in g for s, cs in _left_terms(B, a_name, t))
-
-
 def mb_compose(B: Bialgebra, a: LinComb, i: int, b: LinComb) -> LinComb:
     """Partial composition of tensor powers: replace the i-th factor by its
     diagonal left translate of the argument."""
     if any(not 1 <= i <= len(ta) for ta, _ in a):
         raise ValueError(f"slot {i} out of range")
     return LinComb(
-        (ta[: i - 1] + tb + ta[i:], ca * cb)
+        (ta[: i - 1] + s + ta[i:], ca * cb * cs)
         for ta, ca in a
-        for tb, cb in left_translate_B(B, ta[i - 1], b)
+        for tb, cb in b
+        for s, cs in _left_terms(B, ta[i - 1], tb)
     )
 
 
@@ -754,37 +751,13 @@ def _gamma_terms(B: Bialgebra, a: tuple, fills) -> list:
     return [(sum(body, ()), c) for body, c in _expand_terms(blocks)]
 
 
-def gamma_B(B: Bialgebra, f: LinComb, gs: list[LinComb]) -> LinComb:
-    if any(len(gs) != len(tf) for tf, _ in f):
-        raise ValueError("need one argument per tensor factor")
-    return LinComb(
-        (t, cf * cg * c)
-        for tf, cf in f
-        for fills, cg in _expand_terms(gs)
-        for t, c in _gamma_terms(B, tf, fills)
-    )
-
-
-def lambda_prime_B(
-    B: Bialgebra, C: ComoduleAlgebra, beta, f: LinComb, args: list[LinComb]
-) -> LinComb:
-    """Wide left action: arguments fill the selected slots, coaction
-    components of their coefficients fill the later slots, and the final
-    coaction components multiply onto the output coefficient."""
-    if len(args) != len(beta):
-        raise ValueError("one argument per selected slot")
-    return LinComb(
-        (e, cf * cu * ce)
-        for tf, cf in f
-        for us, cu in _expand_terms(args)
-        for e, ce in _wide_terms(B, C, beta, tf, us)
-    )
-
-
 def _wide_terms(B: Bialgebra, C: ComoduleAlgebra, beta, tf: tuple, us: tuple):
     """The wide left action on basis elements: ``tf`` a name tuple, ``us``
-    one (tuple, coefficient name) argument per selected slot; yields
-    (element, coefficient) pairs."""
+    one (tuple, coefficient name) argument per selected slot of ``beta``.
+    The arguments fill the selected slots, coaction components of their
+    coefficients fill the later slots, and the final coaction components
+    multiply onto the output coefficient; yields (element, coefficient)
+    pairs."""
     k = len(tf)
     if list(beta) != sorted(set(beta)) or any(not 1 <= b <= k for b in beta):
         raise ValueError("selector must be strictly increasing within 1..k")
@@ -817,51 +790,27 @@ def _wide_terms(B: Bialgebra, C: ComoduleAlgebra, beta, tf: tuple, us: tuple):
                 yield (sum(body, ()), cn), coeff * cb * cc
 
 
-def rho_B(B: Bialgebra, u: LinComb, gs: list[LinComb]) -> LinComb:
-    return LinComb(
-        ((tb, cname), c * cb)
-        for (t, cname), c in u
-        for tb, cb in gamma_B(B, LinComb.unit(t), gs)
-    )
-
-
 def z_coface(B: Bialgebra, C: ComoduleAlgebra, i: int, u: LinComb) -> LinComb:
     """Cofaces of the tensor-power module built from the actions: the first
-    inserts through the left action of the multiplication, middle ones act
-    through the right action, the last through the one-slot left action.
-    Linear: each term is taken at its own tensor length l, where i must lie
-    in 0..l+1."""
-    mu = LinComb.unit((B.unit, B.unit))
+    inserts through the wide left action of the multiplication, middle ones
+    act through the right action gamma, the last through the one-slot wide
+    left action.  Linear: each term is taken at its own tensor length l,
+    where i must lie in 0..l+1."""
+    mu = (B.unit, B.unit)
     out = []
-    for b, c in u:
-        l = len(b[0])
+    for (w, cname), c in u:
+        l = len(w)
         if not 0 <= i <= l + 1:
             raise ValueError(f"coface index {i} out of range at level {l}")
-        v = LinComb.unit(b)
-        if i == 0:
-            image = lambda_prime_B(B, C, (2,), mu, [v])
-        elif i == l + 1:
-            image = lambda_prime_B(B, C, (1,), mu, [v])
+        if i in (0, l + 1):
+            beta = (2,) if i == 0 else (1,)
+            image = _wide_terms(B, C, beta, mu, ((w, cname),))
         else:
-            gs = [LinComb.unit((B.unit,))] * l
-            gs[i - 1] = mu
-            image = rho_B(B, v, gs)
+            fills = [(B.unit,)] * l
+            fills[i - 1] = mu
+            image = (((t, cname), ct) for t, ct in _gamma_terms(B, w, fills))
         out.extend((e, c * ce) for e, ce in image)
     return LinComb(out)
-
-
-def unreduced_cobar(B: Bialgebra, truncation: int = 4) -> ChainComplex:
-    """Tensor powers of the bialgebra with the alternating unit-insertion /
-    coproduct differential; degrees are negated (cochain complex)."""
-    return CobarTot(B, None, truncation).chain_complex()
-
-
-def unreduced_relative_cobar(
-    B: Bialgebra, C: ComoduleAlgebra, truncation: int = 4
-) -> ChainComplex:
-    """Tensor powers with a comodule coefficient; the final coface applies
-    the coaction to the coefficient."""
-    return CobarTot(B, C, truncation).chain_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -966,12 +915,15 @@ class CobarTot:
         return LinComb(out)
 
     def chain_complex(self) -> ChainComplex:
-        """The full truncated complex with negated degrees."""
+        """The unreduced (relative) cobar complex up to the truncation: the
+        tensor powers with the alternating coface differential (unit
+        insertions, coproducts, and the final unit or coaction), degrees
+        negated (a cochain complex)."""
         bases = {-k: self.basis(k) for k in range(self.truncation + 1)}
         return build_complex(bases, lambda e: self.differential(LinComb.unit(e)))
 
 
-def cup_cobar(tot: CobarTot, f: LinComb, g: LinComb) -> LinComb:
+def cup(tot: CobarTot, f: LinComb, g: LinComb) -> LinComb:
     """Concatenation product on the closed part."""
     if tot.C is not None:
         raise ValueError("cup lives on the closed part")
@@ -979,7 +931,7 @@ def cup_cobar(tot: CobarTot, f: LinComb, g: LinComb) -> LinComb:
     return tot.conormal_project(tot.truncate(out))
 
 
-def inc_cobar(tot: CobarTot, f: LinComb) -> LinComb:
+def inc_tot(tot: CobarTot, f: LinComb) -> LinComb:
     """Closed-to-relative inclusion: unit coefficient."""
     if tot.C is None:
         raise ValueError("the inclusion lands in the relative part")
@@ -987,7 +939,7 @@ def inc_cobar(tot: CobarTot, f: LinComb) -> LinComb:
     return tot.conormal_project(tot.truncate(out))
 
 
-def mu_prime_o(tot: CobarTot, u: LinComb, v: LinComb) -> LinComb:
+def sqcup(tot: CobarTot, u: LinComb, v: LinComb) -> LinComb:
     """Twisted concatenation on the relative part: the second word is
     right-translated by a coaction component of the first coefficient, which
     multiplies onto the second coefficient."""
@@ -1036,7 +988,7 @@ def _insertion_sum(tot: CobarTot, f: LinComb, args: list[LinComb], place) -> Lin
     return tot.conormal_project(tot.truncate(LinComb(inserted())))
 
 
-def e_prime_1k(tot: CobarTot, f: LinComb, gs: list[LinComb]) -> LinComb:
+def act_Tk(tot: CobarTot, f: LinComb, gs: list[LinComb]) -> LinComb:
     """Insertion sum on the closed part: each argument word enters a chosen
     letter by diagonal left translation, the other letters take the unit."""
     if tot.C is not None:
@@ -1052,7 +1004,7 @@ def e_prime_1k(tot: CobarTot, f: LinComb, gs: list[LinComb]) -> LinComb:
     return _insertion_sum(tot, f, gs, place)
 
 
-def e_prime_j(tot: CobarTot, f: LinComb, hs: list[LinComb]) -> LinComb:
+def act_Tj(tot: CobarTot, f: LinComb, hs: list[LinComb]) -> LinComb:
     """Insertion sum with relative arguments: selected letters receive the
     argument words, later letters are right-translated by coaction
     components of the argument coefficients, and the final components
@@ -1136,28 +1088,28 @@ def rs2_experimental_report(
     relations = [
         # concatenation is a chain map
         ("cup-chain-map", closed, closed_reps, closed_reps, 0, 0,
-         lambda f, g, df, dg: d_closed(cup_cobar(closed, f, g))
-         - cup_cobar(closed, d_closed(f), g)
-         - sign(df) * cup_cobar(closed, f, d_closed(g))),
+         lambda f, g, df, dg: d_closed(cup(closed, f, g))
+         - cup(closed, d_closed(f), g)
+         - sign(df) * cup(closed, f, d_closed(g))),
         # closed insertion closes the concatenation commutator
         ("e11-commutator-homotopy", closed, closed_reps, closed_reps, 1, 1,
-         lambda f, g, df, dg: d_closed(e_prime_1k(closed, f, [g]))
-         + e_prime_1k(closed, d_closed(f), [g])
-         + sign(df) * e_prime_1k(closed, f, [d_closed(g)])
-         - cup_cobar(closed, f, g)
-         + sign(df * dg) * cup_cobar(closed, g, f)),
+         lambda f, g, df, dg: d_closed(act_Tk(closed, f, [g]))
+         + act_Tk(closed, d_closed(f), [g])
+         + sign(df) * act_Tk(closed, f, [d_closed(g)])
+         - cup(closed, f, g)
+         + sign(df * dg) * cup(closed, g, f)),
         # twisted concatenation is a chain map
         ("mu-o-chain-map", rel, rel_reps, rel_reps, 0, 0,
-         lambda u, v, du, dv: d_rel(mu_prime_o(rel, u, v))
-         - mu_prime_o(rel, d_rel(u), v)
-         - sign(du) * mu_prime_o(rel, u, d_rel(v))),
+         lambda u, v, du, dv: d_rel(sqcup(rel, u, v))
+         - sqcup(rel, d_rel(u), v)
+         - sign(du) * sqcup(rel, u, d_rel(v))),
         # the one-argument relative insertion closes the twisted commutator
         ("ej-commutator-homotopy", rel, closed_reps, rel_reps, 1, 0,
-         lambda f, u, df, du: d_rel(e_prime_j(rel, f, [u]))
-         + e_prime_j(rel, d_closed(f), [u])
-         + sign(df) * e_prime_j(rel, f, [d_rel(u)])
-         - mu_prime_o(rel, inc_cobar(rel, f), u)
-         + sign(df * du) * mu_prime_o(rel, u, inc_cobar(rel, f))),
+         lambda f, u, df, du: d_rel(act_Tj(rel, f, [u]))
+         + act_Tj(rel, d_closed(f), [u])
+         + sign(df) * act_Tj(rel, f, [d_rel(u)])
+         - sqcup(rel, inc_tot(rel, f), u)
+         + sign(df * du) * sqcup(rel, u, inc_tot(rel, f))),
     ]
     for name, tot, left, right, low_left, low_right, defect in relations:
         ok, cases = True, 0

@@ -6,10 +6,10 @@ the endpoint, and codegeneracies delete a coordinate.  Its truncated
 totalization is ``CobarTot`` over the monoid bialgebra Z[M]: the closed part
 is the unreduced cobar totalization, the open part the relative one with
 coefficients Z[N] and coaction y -> y (x) y.  This module adds the
-conormalized basis with its quotient complex, names the cobar operations by
-their loop-space roles (concatenation products, inclusion, commutator
-homotopy, unit-insertion sums), and keeps the tuple-level structure they
-are checked against.
+conormalized basis with its quotient complex and the commutator homotopy
+``homotopy_H``, re-exports the cobar operations under their one name each
+(``cup``, ``sqcup``, ``inc_tot``, ``act_Tk``, ``act_Tj``), and keeps the
+tuple-level structure they are checked against.
 
 Sign conventions (verified mechanically on exhaustive small-monoid bases,
 uniquely pinned over Z/3): the homotopy term at slot i carries
@@ -27,12 +27,12 @@ from .chains import ChainComplex, LinComb, build_complex, homology_all
 from .cobar import (
     ComoduleAlgebra,
     CobarTot,
-    cup_cobar,
-    e_prime_1k,
-    e_prime_j,
-    inc_cobar,
+    act_Tj,
+    act_Tk,
+    cup,
+    inc_tot,
     monoid_bialgebra,
-    mu_prime_o,
+    sqcup,
 )
 
 __all__ = [
@@ -248,6 +248,18 @@ def rho(M: FiniteMonoid, u, gs):
 # truncated totalizations
 
 
+# The most tuple entries a totalization's raw window may hold: the sum over
+# levels k <= t of (k + 1) |M|^k |N| (|N| read as 1 on the closed part), each
+# raw tuple of level k counted with its k coordinates plus one.  ``basis``
+# scans every raw tuple and ``homology`` reads the conormalized ones.  On a
+# shared 2-vCPU x86-64 machine the largest accepted windows take up to about
+# five seconds of homology (|M| = 148 at truncation 2: 9.8 million entries,
+# 4.7 s; |M| = 7 at truncation 6: 6.6 million, 3 s).  Counting entries, not
+# tuples, also bounds the one-element monoid, whose level-k tuple is k
+# coordinates long.
+MAX_WINDOW = 10**7
+
+
 class TotComplex(CobarTot):
     """``CobarTot`` over the monoid bialgebra Z[M], whose basis names are
     the elements themselves; the open part has coefficients in Z[N].
@@ -256,13 +268,24 @@ class TotComplex(CobarTot):
     (coordinates, endpoint) pairs).  The cochain degree is the level;
     ``basis`` lists the conormalized tuples (first coordinate not the unit,
     no adjacent equal coordinates), on which the differential reduces to the
-    signed endpoint-append.
+    signed endpoint-append.  Raises ValueError when the raw window holds
+    more than ``MAX_WINDOW`` tuple entries.
     """
 
     def __init__(self, M: FiniteMonoid, N, truncation: int = 4, kind: str = "open"):
         self.M, self.N, self.kind = M, M.check_submonoid(N), kind
         if kind not in ("closed", "open"):
             raise ValueError("kind is 'closed' or 'open'")
+        size, tuples = 0, len(self.N) if kind == "open" else 1
+        for k in range(truncation + 1):
+            size += (k + 1) * tuples
+            if size > MAX_WINDOW:
+                raise ValueError(
+                    f"truncation {truncation} over a {len(M.elements)}-element "
+                    f"monoid gives more than {MAX_WINDOW} tuple entries, the "
+                    f"window limit"
+                )
+            tuples *= len(M.elements)
         B = monoid_bialgebra(M, lambda g: g)
         C = None
         if kind == "open":
@@ -316,10 +339,8 @@ class TotComplex(CobarTot):
 
 
 # ---------------------------------------------------------------------------
-# operations on the totalizations: the cobar operations over Z[M]
-
-cup, sqcup, inc_tot = cup_cobar, mu_prime_o, inc_cobar
-act_Tk, act_Tj = e_prime_1k, e_prime_j
+# operations on the totalizations: the cobar operations over Z[M], imported
+# from ``cobar`` and re-exported, and the commutator homotopy
 
 
 def homotopy_H(tot: TotComplex, f: LinComb, u: LinComb) -> LinComb:
@@ -328,4 +349,4 @@ def homotopy_H(tot: TotComplex, f: LinComb, u: LinComb) -> LinComb:
     d(H(f,u)) + H(df,u) + (-1)^{|f|} H(f,du)
     = inc(f) |_| u - (-1)^{|f||u|} u |_| inc(f).
     """
-    return e_prime_j(tot, f, [u])
+    return act_Tj(tot, f, [u])

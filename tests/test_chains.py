@@ -23,7 +23,6 @@ from operadix.cobar import (
     diagonal_comodule,
     dual_group_bialgebra,
     group_bialgebra,
-    unreduced_cobar,
 )
 from operadix.loops import FiniteMonoid, TotComplex
 from operadix.surjections import component_complex, component_homology, differential
@@ -528,7 +527,7 @@ class TestBuildComplex:
 
     def test_totalization_matrices_frozen(self):
         Z2 = FiniteMonoid.cyclic(2)
-        raw = unreduced_cobar(group_bialgebra(Z2), 2)
+        raw = CobarTot(group_bialgebra(Z2), truncation=2).chain_complex()
         assert matrices(raw) == {0: [[0], [0]], -1: [[1, 0], [0, 1], [0, 1], [0, -1]]}
         quotient = TotComplex(Z2, (0, 1), 3, "open").chain_complex()
         assert quotient.bases[-3] == [((1, 0, 1), 0), ((1, 0, 1), 1)]

@@ -254,9 +254,19 @@ class TestVerify:
         ["chain-core", "rs-operad", "sc-geometry", "loop-model", "cobar"],
     )
     def test_suites_pass(self, capsys, suite):
-        code, out, _ = run(capsys, "verify", "--suite", suite, "--samples", "30")
+        samples = () if suite in ("loop-model", "cobar") else ("--samples", "30")
+        code, out, _ = run(capsys, "verify", "--suite", suite, *samples)
         assert code == 0
         assert "ok" in out
+
+    @pytest.mark.parametrize("suite", ["loop-model", "cobar"])
+    @pytest.mark.parametrize("option", ["--samples", "--seed"])
+    def test_fixed_suites_refuse_samples_and_seed(self, capsys, suite, option):
+        # these suites check a fixed set of cases: a sample count or a seed
+        # would be accepted and ignored
+        code, out, err = run(capsys, "verify", "--suite", suite, option, "3")
+        assert code == 2
+        assert not out and option in err and f"--suite {suite}" in err
 
     def test_rs_operad_failure_names_a_witness(self, capsys, monkeypatch):
         argv = ("verify", "--suite", "rs-operad", "--samples", "30", "--json")
@@ -298,8 +308,10 @@ class TestVerify:
         assert surjections.linear_differential(unsigned(s))
 
     def _passing_argv(self, capsys, suite, samples="30"):
-        # the argv of a passing run, which reports no witness
-        argv = ("verify", "--suite", suite, "--samples", samples, "--json")
+        # the argv of a passing run, which reports no witness; samples=None
+        # gives no sample count, as the fixed suites take none
+        count = () if samples is None else ("--samples", samples)
+        argv = ("verify", "--suite", suite, *count, "--json")
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "witness" not in json.loads(out)[suite]
         return argv
@@ -370,15 +382,14 @@ class TestVerify:
         assert weaker and not any(cell_contains(w, cfg) for w in weaker)
 
     def test_loop_model_checks_every_pair(self, capsys):
-        # the 8 basis pairs, whatever the sample count
-        for samples in ("1", "30"):
-            argv = self._passing_argv(capsys, "loop-model", samples=samples)
-            _, out, _ = run(capsys, *argv)
-            assert json.loads(out)["loop-model"]["homotopyCases"] == 8
+        # the 8 basis pairs; the suite takes no sample count
+        argv = self._passing_argv(capsys, "loop-model", samples=None)
+        _, out, _ = run(capsys, *argv)
+        assert json.loads(out)["loop-model"]["homotopyCases"] == 8
 
     def test_loop_model_witness(self, capsys, monkeypatch):
         # two of the 8 pairs have products that differ
-        argv = self._passing_argv(capsys, "loop-model")
+        argv = self._passing_argv(capsys, "loop-model", samples=None)
         monkeypatch.setattr(loops, "homotopy_H", lambda tot, f, u: LinComb())
         fb, (xs, y) = self._witness(capsys, argv)
         M = loops.FiniteMonoid.cyclic(2)
@@ -405,6 +416,16 @@ class TestVerify:
                 "5",
             )
             assert code == 0
+
+
+class TestLoopsCommand:
+    def test_oversized_window_fails_fast(self, capsys):
+        # 2^41 raw tuples would be scanned before any homology
+        start = time.perf_counter()
+        code, out, err = run(capsys, "loops", "--truncate", "40")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert not out and "window limit" in err
 
 
 class TestCobarCommand:

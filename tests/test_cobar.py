@@ -31,8 +31,6 @@ from operadix.cobar import (
     rs2_experimental_report,
     twisting_check,
     universal_twisting,
-    unreduced_cobar,
-    unreduced_relative_cobar,
     z_coface,
 )
 from operadix.loops import FiniteMonoid
@@ -799,7 +797,7 @@ class TestBialgebraLayer:
         with pytest.raises(ValueError, match="^coproduct of the unit"):
             B.validate()
         with pytest.raises(InvalidComplex, match="d o d != 0"):
-            unreduced_cobar(B, 3).validate()
+            CobarTot(B, truncation=3).chain_complex().validate()
         # the dual numbers' e^2 = 0 with e grouplike: only eps(ee) fails
         product[("e", "e")] = LinComb()
         B = Bialgebra(basis, "1", product, grouplike, {"1": 1, "e": 1})
@@ -833,11 +831,11 @@ class TestBialgebraLayer:
         with pytest.raises(ValueError, match="coaction table .*'0'"):
             ComoduleAlgebra(C.bialgebra, C.basis, C.unit, C.product, coaction)
 
-    def test_unreduced_cobar_d_squared(self):
+    def test_unreduced_complexes_d_squared(self):
         B = group_bialgebra(Z2)
-        cx = unreduced_cobar(B, truncation=4)
+        cx = CobarTot(B, truncation=4).chain_complex()
         cx.validate()
-        unreduced_relative_cobar(B, diagonal_comodule(B), truncation=4).validate()
+        CobarTot(B, diagonal_comodule(B), truncation=4).chain_complex().validate()
 
     def test_mb_compose_operad_axioms_exhaustive(self):
         B = group_bialgebra(Z2)
@@ -881,7 +879,7 @@ class TestBialgebraLayer:
                     for i in range(j + 1):
                         assert z_coface(B, CB, j + 1, z_coface(B, CB, i, u)) == \
                             z_coface(B, CB, i, z_coface(B, CB, j, u))
-        cx = unreduced_relative_cobar(B, CB, truncation=4)
+        cx = CobarTot(B, CB, truncation=4).chain_complex()
         for l in range(4):
             upper = {e: r for r, e in enumerate(cx.bases[-(l + 1)])}
             mat = cx.matrix(-l)

@@ -6,7 +6,7 @@ import pytest
 
 from operadix import loops
 from operadix.chains import LinComb, homology
-from operadix.cobar import _insertion_sign, unreduced_cobar
+from operadix.cobar import CobarTot, _insertion_sign
 from operadix.loops import (
     FiniteMonoid,
     TotComplex,
@@ -107,9 +107,23 @@ class TestTotalization:
     def test_conormalized_matches_unnormalized(self):
         tot = TotComplex(Z2, (0,), truncation=4, kind="closed")
         hom = tot.homology()
-        raw = unreduced_cobar(tot.B, tot.truncation)
+        raw = CobarTot(tot.B, truncation=tot.truncation).chain_complex()
         for level in range(4):
             assert hom[level] == homology(raw, -level)
+
+    def test_window_limit(self):
+        # sum over k <= t of (k + 1) |M|^k |N| tuple entries, |N| = 1 closed:
+        # 8,912,898 at t = 17 and 18,874,370 at t = 18 for Z/2 with N = Z/2
+        assert loops.MAX_WINDOW == 10**7
+        TotComplex(Z2, Z2.elements, truncation=17, kind="open")
+        TotComplex(Z2, Z2.elements, truncation=18, kind="closed")
+        with pytest.raises(ValueError, match="more than 10000000 tuple entries"):
+            TotComplex(Z2, Z2.elements, truncation=18, kind="open")
+        # the one-element monoid's level-k tuple is k coordinates long
+        trivial = FiniteMonoid((0,), 0, {(0, 0): 0})
+        TotComplex(trivial, (0,), truncation=4470)
+        with pytest.raises(ValueError, match="over a 1-element monoid"):
+            TotComplex(trivial, (0,), truncation=10**9)
 
 
 class TestProducts:
