@@ -420,7 +420,7 @@ class TestVerify:
 
 class TestLoopsCommand:
     def test_oversized_window_fails_fast(self, capsys):
-        # 2^41 raw tuples would be scanned before any homology
+        # about 2^42 raw tuples would be scanned before any homology
         start = time.perf_counter()
         code, out, err = run(capsys, "loops", "--truncate", "40")
         assert time.perf_counter() - start < 1.0
