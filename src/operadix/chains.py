@@ -9,6 +9,17 @@ Homology reduces each boundary once: unit-pivot sparse elimination takes
 every +-1 pivot it can (each an invariant factor 1), and the dense Smith
 normal form runs only on the residue that has no unit entry left
 (Dumas-Heckenbach-Saunders-Welker, 2003).
+
+The Smith normal form uses elementary operations only, with smallest-entry
+pivoting (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, ch. 3).
+Round k takes the smallest nonzero |entry| p of the block of rows and
+columns >= k to (k, k) and reduces column k below it and row k to its right
+modulo p; a nonzero remainder is smaller than |p| and is the next round's
+pivot.  Once both are clear, a row of the block holding an entry that p
+does not divide is added to row k, so the next round again leaves a smaller
+remainder.  |p| thus drops at least every second round, and when it stops,
+every later entry is an integer combination of multiples of p, so each
+diagonal entry divides the next.
 """
 
 from __future__ import annotations
@@ -100,10 +111,6 @@ class LinComb:
 
     def __iter__(self):
         return iter(self.terms.items())
-
-    def map_basis(self, fn) -> "LinComb":
-        """Apply a basis -> basis map linearly."""
-        return LinComb((fn(basis), coeff) for basis, coeff in self.terms.items())
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -254,7 +261,9 @@ def smith_normal_form(matrix: list[list[int]]):
     """Diagonalize by unimodular row/column operations.
 
     Returns ``(d, row_ops, col_ops)`` with ``d = row_ops * matrix * col_ops``,
-    the diagonal entries nonnegative and each dividing the next.
+    the diagonal entries nonnegative and each dividing the next.  Only
+    swaps, negations and adding an integer multiple of one row or column to
+    another are used; the module docstring gives the pivot rule.
     """
     a = [list(map(int, row)) for row in matrix]
     rows = len(a)
@@ -262,96 +271,50 @@ def smith_normal_form(matrix: list[list[int]]):
     left = mat_identity(rows)
     right = mat_identity(cols)
 
-    def row_combine(i, j, x, y, z, w):  # (row_i, row_j) <- (x*ri+y*rj, z*ri+w*rj)
+    def add_row(i, j, q):  # row i += q * row j
         for m in (a, left):
-            ri, rj = m[i], m[j]
-            for t in range(len(ri)):
-                ri[t], rj[t] = x * ri[t] + y * rj[t], z * ri[t] + w * rj[t]
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
 
-    def col_combine(i, j, x, y, z, w):
+    def add_col(i, j, q):  # column i += q * column j
         for m in (a, right):
             for row in m:
-                row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
+                row[i] += q * row[j]
 
-    def pivot_from(k):
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
-        return best
-
-    def eliminate_at(k):
-        """Clear row k and column k beyond the (nonzero) pivot a[k][k]."""
-        dirty = True
-        while dirty:
-            dirty = False
+    for k in range(min(rows, cols)):
+        while True:
+            # (k, k) is the block's first position, so it keeps a tied pivot
+            block = [
+                (abs(x), i, j)
+                for i in range(k, rows)
+                for j, x in enumerate(a[i][k:], k)
+                if x
+            ]
+            if not block:
+                return a, left, right
+            _, pi, pj = min(block)
+            a[k], a[pi], left[k], left[pi] = a[pi], a[k], left[pi], left[k]
+            if pj != k:
+                for m in (a, right):
+                    for row in m:
+                        row[k], row[pj] = row[pj], row[k]
+            p = a[k][k]
             for i in range(k + 1, rows):
                 if a[i][k]:
-                    if a[i][k] % a[k][k] == 0:
-                        row_combine(k, i, 1, 0, -(a[i][k] // a[k][k]), 1)
-                    else:
-                        g, x, y = _xgcd(a[k][k], a[i][k])
-                        u, v = a[k][k] // g, a[i][k] // g
-                        row_combine(k, i, x, y, -v, u)
-                    dirty = True
+                    add_row(i, k, -(a[i][k] // p))
             for j in range(k + 1, cols):
                 if a[k][j]:
-                    if a[k][j] % a[k][k] == 0:
-                        col_combine(k, j, 1, 0, -(a[k][j] // a[k][k]), 1)
-                    else:
-                        g, x, y = _xgcd(a[k][k], a[k][j])
-                        u, v = a[k][k] // g, a[k][j] // g
-                        col_combine(k, j, x, y, -v, u)
-                    dirty = True
-
-    def make_positive(i):
-        if a[i][i] < 0:
-            for m in (a, left):
-                m[i] = [-v for v in m[i]]
-
-    k = 0
-    while True:
-        found = pivot_from(k)
-        if found is None:
-            break
-        _, pi, pj = found
-        if pi != k:
-            row_combine(k, pi, 0, 1, 1, 0)
-        if pj != k:
-            col_combine(k, pj, 0, 1, 1, 0)
-        eliminate_at(k)
-        k += 1
-
-    for i in range(min(rows, cols)):
-        make_positive(i)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(rows, cols) - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
-            if y and x and y % x:
-                col_combine(i, i + 1, 1, 1, 0, 1)  # col_i += col_{i+1}
-                eliminate_at(i)
-                make_positive(i)
-                make_positive(i + 1)
-                changed = True
+                    add_col(j, k, -(a[k][j] // p))
+            if any(a[i][k] for i in range(k + 1, rows)) or any(a[k][k + 1 :]):
+                continue  # a remainder smaller than |p| is the next pivot
+            if p in (1, -1):
+                break
+            bad = [i for i in range(k + 1, rows) if any(x % p for x in a[i][k + 1 :])]
+            if not bad:
+                break
+            add_row(k, bad[0], 1)  # the next round leaves a remainder < |p|
+        if a[k][k] < 0:
+            a[k], left[k] = [-x for x in a[k]], [-x for x in left[k]]
     return a, left, right
-
-
-def _xgcd(p: int, q: int):
-    """Extended gcd: returns (g, x, y) with x*p + y*q = g > 0."""
-    old_r, r = p, q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def _eliminate_units(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:

@@ -238,12 +238,14 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_loops(args) -> int:
-    M = loops.FiniteMonoid.cyclic(args.order)
     sub = (
         tuple(int(s) for s in args.sub.split(","))
         if args.sub
-        else tuple(M.elements)
+        else tuple(range(args.order))
     )
+    # before the monoid, whose table checks take order^3 steps
+    loops.check_window(args.order, len(sub), args.truncate, args.kind)
+    M = loops.FiniteMonoid.cyclic(args.order)
     tot = loops.TotComplex(M, sub, args.truncate, args.kind)
     hom = tot.homology()
     report = {
@@ -537,23 +539,34 @@ _SUITES = {
 }
 
 
-# the suites that check a fixed set of cases, reading no sample count or seed
-_FIXED_SUITES = ("loop-model", "cobar")
+# the window and sampling options each suite reads; one given to a suite
+# that does not read it is refused rather than ignored
+_SUITE_OPTIONS = {
+    "rl-operad": ("--m", "--max-tokens", "--samples", "--seed"),
+    "graph-operad": ("--m", "--max-tokens", "--samples", "--seed"),
+    "chain-core": ("--samples", "--seed"),
+    "rs-operad": ("--m", "--samples", "--seed"),
+    "sc-geometry": ("--m", "--samples", "--seed"),
+    "loop-model": (),
+    "cobar": (),
+    "all": ("--m", "--max-tokens", "--samples", "--seed"),
+}
 
 
 def _cmd_verify(args) -> int:
     _require_standard(args, "the verify suites check the standard filtration only")
-    if args.suite in _FIXED_SUITES:
-        for option, value in (("--samples", args.samples), ("--seed", args.seed)):
-            if value is not None:
-                raise ValueError(
-                    f"--suite {args.suite} checks a fixed set of cases; "
-                    f"{option} does not apply"
-                )
-    if args.samples is None:
-        args.samples = 100
-    if args.seed is None:
-        args.seed = _seed_default()
+    read = _SUITE_OPTIONS[args.suite]
+    defaults = {"m": 2, "max_tokens": 5, "samples": 100, "seed": _seed_default()}
+    for dest, default in defaults.items():
+        option = "--" + dest.replace("_", "-")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif option not in read:
+            raise ValueError(
+                f"--suite {args.suite} reads "
+                f"{' '.join(read) or 'no window or sampling option'}; "
+                f"{option} does not apply"
+            )
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     overall = True
     report = {}
@@ -679,13 +692,13 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=1)
     p.set_defaults(func=_cmd_cobar)
 
-    p = command(
-        "verify", "run a module invariant suite", "--json", "--m", "--variant"
-    )
+    p = command("verify", "run a module invariant suite", "--json", "--variant")
     p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
-    p.add_argument("--max-tokens", type=int, default=5)
-    # read in _cmd_verify, which refuses them on the fixed suites and fills
-    # in the defaults (100 samples, the seed from OPERADIX_SEED) elsewhere
+    # read in _cmd_verify, which refuses each on the suites that ignore it
+    # and fills in the defaults (--m 2, --max-tokens 5, 100 samples, the seed
+    # from OPERADIX_SEED) elsewhere
+    p.add_argument("--m", type=int, default=None, help="filtration level")
+    p.add_argument("--max-tokens", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="random seed")
     p.set_defaults(func=_cmd_verify)

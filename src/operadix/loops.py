@@ -48,6 +48,7 @@ __all__ = [
     "iota",
     "rho",
     "TotComplex",
+    "check_window",
     "cup",
     "sqcup",
     "inc_tot",
@@ -260,6 +261,22 @@ def rho(M: FiniteMonoid, u, gs):
 MAX_WINDOW = 10**7
 
 
+def check_window(order: int, sub_order: int, truncation: int, kind: str) -> None:
+    """Raise ValueError when the raw window of a ``kind`` totalization over
+    an ``order``-element monoid, with a ``sub_order``-element submonoid on
+    the open part, holds more than ``MAX_WINDOW`` tuple entries."""
+    size, tuples = 0, sub_order if kind == "open" else 1
+    for k in range(truncation + 1):
+        size += (k + 1) * tuples
+        if size > MAX_WINDOW:
+            raise ValueError(
+                f"truncation {truncation} over a {order}-element "
+                f"monoid gives more than {MAX_WINDOW} tuple entries, the "
+                f"window limit"
+            )
+        tuples *= order
+
+
 class TotComplex(CobarTot):
     """``CobarTot`` over the monoid bialgebra Z[M], whose basis names are
     the elements themselves; the open part has coefficients in Z[N].
@@ -276,16 +293,7 @@ class TotComplex(CobarTot):
         self.M, self.N, self.kind = M, M.check_submonoid(N), kind
         if kind not in ("closed", "open"):
             raise ValueError("kind is 'closed' or 'open'")
-        size, tuples = 0, len(self.N) if kind == "open" else 1
-        for k in range(truncation + 1):
-            size += (k + 1) * tuples
-            if size > MAX_WINDOW:
-                raise ValueError(
-                    f"truncation {truncation} over a {len(M.elements)}-element "
-                    f"monoid gives more than {MAX_WINDOW} tuple entries, the "
-                    f"window limit"
-                )
-            tuples *= len(M.elements)
+        check_window(len(M.elements), len(self.N), truncation, kind)
         B = monoid_bialgebra(M, lambda g: g)
         C = None
         if kind == "open":
@@ -311,12 +319,6 @@ class TotComplex(CobarTot):
         if self.kind == "closed":
             return tuples
         return [(xs, y) for xs in tuples for y in self.N]
-
-    def degree_of(self, v: LinComb):
-        degs = {len(self._split(b)[0]) for b, _ in v}
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous combination")
-        return degs.pop() if degs else None
 
     def chain_complex(self) -> ChainComplex:
         """The conormalized truncated complex with negated degrees: the

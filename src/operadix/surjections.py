@@ -482,7 +482,8 @@ def is_generated_up_to(max_labels: int = 3, max_length: int = 6) -> dict:
                     if all(s in index for s in v.terms)
                     and _component_of(next(iter(v.terms))) == (tuple(opens), out_open)
                 ]
-                spanned = _spans_full_lattice(vectors, len(basis))
+                # the rows span Z^dim: rank dim and no torsion
+                spanned = _rank_and_torsion(vectors) == (len(basis), [])
                 key = _component_name(opens, out_open)
                 report["components"][key] = {
                     "dimension": len(basis),
@@ -501,13 +502,6 @@ def _component_of(s: Surjection):
 
 def _component_name(opens, out_open) -> str:
     return ",".join("o" if o else "c" for o in opens) + ":" + ("o" if out_open else "c")
-
-
-def _spans_full_lattice(vectors: list[dict[int, int]], dim: int) -> bool:
-    """Whether the sparse integer rows ({coordinate: nonzero entry}) span
-    Z^dim: rank dim and no torsion."""
-    rank, torsion = _rank_and_torsion(vectors)
-    return rank == dim and not torsion
 
 
 def _compose_linear(v: LinComb, i: int, w: LinComb) -> LinComb:

@@ -158,6 +158,51 @@ class TestSmithNormalForm:
             assert abs(sympy.Matrix(left).det()) == 1
             assert abs(sympy.Matrix(right).det()) == 1
 
+    @staticmethod
+    def check_snf(mat) -> list[int]:
+        """The diagonal of ``mat``'s Smith normal form, after checking
+        L M R = D with unimodular L and R, D diagonal and nonnegative, and
+        each diagonal entry dividing the next."""
+        d, left, right = chains.smith_normal_form(mat)
+        rows, cols = len(mat), len(mat[0])
+        assert chains.mat_mul(chains.mat_mul(left, mat), right) == d
+        assert abs(sympy.Matrix(left).det()) == 1
+        assert abs(sympy.Matrix(right).det()) == 1
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        diag = [d[i][i] for i in range(min(rows, cols))]
+        assert all(x >= 0 for x in diag)
+        assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+        return diag
+
+    @pytest.mark.parametrize(
+        "mat, diag",
+        [
+            # coprime diagonals: only the divisibility step changes them
+            ([[2, 0], [0, 3]], [1, 6]),
+            ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]),
+            # every smallest entry ties with the (0, 0) one
+            ([[2, 2, 4], [-2, 6, 8]], [2, 4]),
+            ([[-3, 3], [3, 3]], [3, 6]),
+            ([[0, 0], [0, 0]], [0, 0]),
+            ([[0, 0, 0]], [0]),
+            ([[4, -6, 10]], [2]),
+            ([[4], [-6], [10]], [2]),
+            ([[0], [0]], [0]),
+        ],
+    )
+    def test_fixed_matrices(self, mat, diag):
+        assert self.check_snf(mat) == diag
+
+    def test_wide_random_matrices_match_sympy(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            bound = rng.choice([1, 2, 9, 100])
+            mat = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+            ref = sympy_snf(sympy.Matrix(mat))
+            theirs = [abs(ref[i, i]) for i in range(min(rows, cols))]
+            assert self.check_snf(mat) == sorted(theirs, key=lambda x: (x == 0, x))
+
 
 def from_dense(bases, boundary) -> ChainComplex:
     """The complex on ``bases`` whose boundary d is the dense matrix

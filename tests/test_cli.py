@@ -268,6 +268,22 @@ class TestVerify:
         assert code == 2
         assert not out and option in err and f"--suite {suite}" in err
 
+    @pytest.mark.parametrize(
+        "suite, option",
+        [
+            (suite, "--m")
+            for suite in ("chain-core", "loop-model", "cobar")
+        ]
+        + [
+            (suite, "--max-tokens")
+            for suite in ("chain-core", "rs-operad", "sc-geometry", "loop-model", "cobar")
+        ],
+    )
+    def test_suites_refuse_m_and_max_tokens_they_ignore(self, capsys, suite, option):
+        code, out, err = run(capsys, "verify", "--suite", suite, option, "3")
+        assert code == 2
+        assert not out and option in err and f"--suite {suite}" in err
+
     def test_rs_operad_failure_names_a_witness(self, capsys, monkeypatch):
         argv = ("verify", "--suite", "rs-operad", "--samples", "30", "--json")
         code, out, _ = run(capsys, *argv)
@@ -423,6 +439,14 @@ class TestLoopsCommand:
         # about 2^42 raw tuples would be scanned before any homology
         start = time.perf_counter()
         code, out, err = run(capsys, "loops", "--truncate", "40")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert not out and "window limit" in err
+
+    def test_oversized_monoid_fails_before_its_table_checks(self, capsys):
+        # building the cyclic monoid would check 10^15 associativity triples
+        start = time.perf_counter()
+        code, out, err = run(capsys, "loops", "--order", "100000")
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert not out and "window limit" in err

@@ -8,7 +8,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from operadix import strings, surjections
-from operadix.chains import LinComb
+from operadix.chains import LinComb, _rank_and_torsion
 from operadix.surjections import BarredClass, Surjection
 
 
@@ -423,7 +423,7 @@ class TestGenerators:
         ],
     )
     def test_spans_full_lattice(self, vectors, dim, spanned):
-        assert surjections._spans_full_lattice(vectors, dim) is spanned
+        assert (_rank_and_torsion(vectors) == (dim, [])) is spanned
 
 
 class TestHomology:
