@@ -243,7 +243,7 @@ def _cmd_loops(args) -> int:
         if args.sub
         else tuple(range(args.order))
     )
-    # before the monoid, whose table checks take order^3 steps
+    # before the monoid, whose table has order^2 entries
     loops.check_window(args.order, len(sub), args.truncate, args.kind)
     M = loops.FiniteMonoid.cyclic(args.order)
     tot = loops.TotComplex(M, sub, args.truncate, args.kind)
@@ -257,6 +257,8 @@ def _cmd_loops(args) -> int:
 
 
 def _cmd_cobar(args) -> int:
+    # before the bialgebra, whose dual takes order^3 steps to build
+    cobar.check_report_window(args.order, args.truncate, args.max_level)
     M = loops.FiniteMonoid.cyclic(args.order)
     B = cobar.dual_group_bialgebra(M) if args.dual else cobar.group_bialgebra(M)
     rep = cobar.rs2_experimental_report(

@@ -95,12 +95,28 @@ class FiniteMonoid:
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteMonoid":
-        """The cyclic group of order n, written multiplicatively as 0..n-1."""
-        elems = list(range(n))
-        return cls(elems, 0, {(a, b): (a + b) % n for a in elems for b in elems})
+        """The cyclic group of order n, written multiplicatively as 0..n-1.
+
+        Addition mod n is associative and unital by construction, so the
+        table is built unchecked, in order^2 steps instead of order^3."""
+        if n < 1:
+            raise ValueError(f"a cyclic group has order at least 1, not {n}")
+        elems = range(n)
+        return _unchecked(elems, 0, {(a, b): (a + b) % n for a in elems for b in elems})
 
     def __repr__(self) -> str:
         return f"FiniteMonoid({len(self.elements)} elements)"
+
+
+def _unchecked(elements, unit, table: dict) -> FiniteMonoid:
+    """Build a FiniteMonoid from its fields without re-running the table
+    checks.
+
+    Only for internal use on tables valid by construction: ``table`` is
+    defined, closed, unital and associative on ``elements``."""
+    M = object.__new__(FiniteMonoid)
+    M.elements, M.unit, M.table = tuple(elements), unit, table
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +313,9 @@ class TotComplex(CobarTot):
         B = monoid_bialgebra(M, lambda g: g)
         C = None
         if kind == "open":
-            ZN = monoid_bialgebra(FiniteMonoid(self.N, M.unit, M.table), lambda g: g)
+            # a submonoid of M inherits M's laws: check_submonoid has checked
+            # that it holds the unit and is closed
+            ZN = monoid_bialgebra(_unchecked(self.N, M.unit, M.table), lambda g: g)
             C = ComoduleAlgebra(B, ZN.basis, ZN.unit, ZN.product, ZN.coproduct)
         super().__init__(B, C, truncation)
 

@@ -460,6 +460,33 @@ class TestCobarCommand:
         data = json.loads(out)
         assert all(entry["holds"] for entry in data.values())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--order", "10", "--max-level", "2"),
+            ("--order", "100000", "--dual"),
+            ("--order", "2", "--truncate", "1000000000",
+             "--max-level", "1000000000"),
+        ],
+        ids=["order-10", "huge-dual", "huge-levels"],
+    )
+    def test_oversized_window_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cobar", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert not out and "window limit" in err
+
+    def test_benchmark_argv_still_run(self, capsys):
+        for argv in (
+            ("--order", "2"),
+            ("--order", "3"),
+            ("--order", "2", "--max-level", "2"),
+        ):
+            code, out, _ = run(capsys, "cobar", *argv, "--json")
+            assert code == 0
+            assert all(entry["holds"] for entry in json.loads(out).values())
+
 
 class _Recorder:
     """A namespace that notes each attribute a handler reads."""

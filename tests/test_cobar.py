@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from functools import reduce
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,7 @@ from operadix.cobar import (
     dual_group_bialgebra,
     group_bialgebra,
     mb_compose,
+    monoid_bialgebra,
     overline_fg,
     relative_cobar,
     relative_cobar_module,
@@ -944,8 +945,181 @@ class TestTotalizationOps:
         assert all(holds for holds, _ in rep.values())
         assert all(cases > 0 for _, cases in rep.values())
 
+    def test_window_limit_counts_the_report_cases(self, monkeypatch):
+        # the limit is met exactly by the cases the report checks
+        assert cobar.MAX_REPORT_CASES == 4000
+        windows = [
+            (group_bialgebra(Z2), range(6), range(-1, 4)),
+            (dual_group_bialgebra(FiniteMonoid.cyclic(3)), range(5), range(-1, 2)),
+        ]
+        for B, truncations, max_levels in windows:
+            for truncation, max_level in iproduct(truncations, max_levels):
+                rep = rs2_experimental_report(B, truncation, max_level)
+                cases = sum(n for _, n in rep.values())
+                monkeypatch.setattr(cobar, "MAX_REPORT_CASES", cases)
+                cobar.check_report_window(len(B.basis), truncation, max_level)
+                if cases:
+                    monkeypatch.setattr(cobar, "MAX_REPORT_CASES", cases - 1)
+                    with pytest.raises(ValueError, match="the window limit"):
+                        rs2_experimental_report(B, truncation, max_level)
+                monkeypatch.undo()
+
     def test_experimental_relations_dual(self):
         rep = rs2_experimental_report(
             dual_group_bialgebra(Z2), truncation=4, max_level=2
         )
         assert all(holds for holds, _ in rep.values())
+
+
+def iterative_projection(tot: CobarTot, v: LinComb) -> LinComb:
+    """The conormal projection prod (1 - d^i s^i) applied to a whole
+    combination, one level at a time, with i from the top down: the
+    reference for the per-basis table."""
+    by_len: dict[int, list] = {}
+    for b, c in v:
+        by_len.setdefault(len(tot._split(b)[0]), []).append((b, c))
+    out = []
+    for k, terms in by_len.items():
+        piece = LinComb(terms)
+        for i in range(k - 1, -1, -1):
+            degenerate = (
+                (t, -c * ct)
+                for s, c in tot.codegeneracy(i, piece)
+                for t, ct in tot._coface_basis(i, s)
+            )
+            piece = LinComb(chain(piece, degenerate))
+        out.extend(piece)
+    return LinComb(out)
+
+
+# x * y = x away from the unit 0: not commutative, so left and right
+# translations differ
+LEFT_ZERO = FiniteMonoid((0, 1, 2), 0, {
+    (x, y): y if x == 0 else x for x in range(3) for y in range(3)
+})
+
+# grouplike coproducts over Z/2, Z/3 and the band, and the dual of Z[Z/3],
+# whose indicators have non-grouplike coproducts
+TABLE_BIALGEBRAS = {
+    "Z/2": lambda: group_bialgebra(Z2),
+    "Z/3": lambda: group_bialgebra(FiniteMonoid.cyclic(3)),
+    "left-zero band": lambda: monoid_bialgebra(LEFT_ZERO, str),
+    "dual Z/3": lambda: dual_group_bialgebra(FiniteMonoid.cyclic(3)),
+}
+
+
+def both_parts(B: Bialgebra, truncation: int = 4) -> list:
+    return [CobarTot(B, None, truncation), CobarTot(B, diagonal_comodule(B), truncation)]
+
+
+class TestPerObjectTables:
+    """The tables that ``Bialgebra`` and ``CobarTot`` fill on first use
+    against the computations they replace."""
+
+    @pytest.mark.parametrize("name", list(TABLE_BIALGEBRAS))
+    def test_projection_matches_iterative_reference(self, name):
+        rng = random.Random(0)
+        for tot in both_parts(TABLE_BIALGEBRAS[name]()):
+            raw = [b for level in range(5) for b in tot.basis(level)]
+            for b in raw:
+                want = iterative_projection(tot, LinComb.unit(b))
+                # the fresh table entry, then the kept one
+                assert tot.conormal_project(LinComb.unit(b)) == want, b
+                assert tot.conormal_project(LinComb.unit(b)) == want, b
+            # the linear extension over mixed levels, with cancelling and
+            # repeated terms
+            for _ in range(20):
+                v = LinComb((rng.choice(raw), rng.randint(-3, 3)) for _ in range(6))
+                assert tot.conormal_project(v) == iterative_projection(tot, v)
+
+    def test_each_projection_computed_once(self, monkeypatch):
+        calls = Counter()
+        codegeneracy = CobarTot.codegeneracy
+
+        def counted(self, i, v):
+            calls[i] += 1
+            return codegeneracy(self, i, v)
+
+        monkeypatch.setattr(CobarTot, "codegeneracy", counted)
+        tot = CobarTot(group_bialgebra(Z2), truncation=4)
+        v = LinComb((b, 1) for b in tot.basis(3))
+        tot.conormal_project(v)
+        first = sum(calls.values())
+        # one codegeneracy per level below 3, for each of the 8 elements
+        assert first == 8 * 3
+        tot.conormal_project(v)
+        tot.conormal_project(2 * v)
+        assert sum(calls.values()) == first
+        # a new object starts with an empty table
+        CobarTot(tot.B, truncation=4).conormal_project(v)
+        assert sum(calls.values()) == 2 * first
+
+    def test_returned_combinations_are_fresh(self):
+        B = group_bialgebra(FiniteMonoid.cyclic(3))
+        closed, rel = both_parts(B)
+        b = ("1", "1", "2")
+        want = iterative_projection(closed, LinComb.unit(b))
+        got = closed.conormal_project(LinComb.unit(b))
+        got.terms.clear()
+        again = closed.conormal_project(LinComb.unit(b))
+        assert again == want
+        again.terms[b] = 7
+        assert closed.conormal_project(LinComb.unit(b)) == want
+        # the operations, whose kernels read the bialgebra tables
+        f = closed.conormal_project(LinComb.unit(("1",)))
+        g = closed.conormal_project(LinComb.unit(("2", "1")))
+        u = rel.conormal_project(LinComb.unit((("2",), "1")))
+        for op in (
+            lambda: cobar.cup(closed, f, g),
+            lambda: cobar.act_Tk(closed, g, [f]),
+            lambda: cobar.sqcup(rel, u, u),
+            lambda: cobar.act_Tj(rel, g, [u]),
+            lambda: mb_compose(B, g, 2, f),
+        ):
+            first = op()
+            assert first
+            kept = LinComb(dict(first.terms))
+            first.terms.clear()
+            assert op() == kept
+
+    @pytest.mark.parametrize("name", list(TABLE_BIALGEBRAS))
+    def test_translations_match_their_formula(self, name):
+        B = TABLE_BIALGEBRAS[name]()
+
+        def sweedler(x, k):
+            # the coproduct applied k - 1 times, each time to the last factor
+            if k == 0:
+                return LinComb.unit((), B.counit.get(x, 0))
+            terms = LinComb.unit((x,))
+            for _ in range(k - 1):
+                terms = LinComb(
+                    (t[:-1] + pair, c * cp) for t, c in terms for pair, cp in B.coproduct[t[-1]]
+                )
+            return terms
+
+        def translate(xs, t, left):
+            pairs = zip(xs, t) if left else zip(t, xs)
+            return reduce(
+                lambda acc, table: LinComb(
+                    (s + (p,), c * cp) for s, c in acc for p, cp in table
+                ),
+                [B.product[pair] for pair in pairs],
+                LinComb.unit(()),
+            )
+
+        for k in range(4):
+            for t in iproduct(B.basis, repeat=k):
+                for x in B.basis:
+                    assert LinComb(cobar._iterated_coproduct(B, x, k)) == sweedler(x, k)
+                    for left in (True, False):
+                        kernel = cobar._left_terms if left else cobar._right_terms
+                        args = (B, x, t) if left else (B, t, x)
+                        want = LinComb(
+                            (s, c * cs)
+                            for xs, c in sweedler(x, k)
+                            for s, cs in translate(xs, t, left)
+                        )
+                        assert LinComb(kernel(*args)) == want, (x, t)
+                        # the kept entry, a tuple no caller can change
+                        assert kernel(*args) is kernel(*args)
+                        assert isinstance(kernel(*args), tuple)

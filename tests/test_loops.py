@@ -1,5 +1,6 @@
 """Finite-monoid loop model: cosimplicial structure, totalizations, products."""
 
+import time
 from itertools import combinations, product as iproduct
 
 import pytest
@@ -69,6 +70,40 @@ class TestCosimplicial:
     def test_submonoid_enforced(self):
         with pytest.raises(ValueError):
             omega(Z3, (0, 1))
+
+
+class TestCyclic:
+    def test_matches_the_validated_construction(self):
+        for n in range(1, 7):
+            elems = range(n)
+            want = FiniteMonoid(
+                elems, 0, {(a, b): (a + b) % n for a in elems for b in elems}
+            )
+            got = FiniteMonoid.cyclic(n)
+            assert type(got) is FiniteMonoid
+            assert (got.elements, got.unit, got.table) == (
+                want.elements, want.unit, want.table
+            )
+        with pytest.raises(ValueError, match="order at least 1, not 0"):
+            FiniteMonoid.cyclic(0)
+
+    def test_outside_tables_are_still_checked(self):
+        # subtraction mod 3: 0 is only a right unit
+        table = {(a, b): (a - b) % 3 for a in range(3) for b in range(3)}
+        with pytest.raises(ValueError, match="unit law fails"):
+            FiniteMonoid(range(3), 0, table)
+        # with row 0 made the identity, 0 is a two-sided unit and the table
+        # is closed, but not associative
+        table.update({(0, b): b for b in range(3)})
+        with pytest.raises(ValueError, match="associativity fails"):
+            FiniteMonoid(range(3), 0, table)
+
+    def test_open_part_over_a_large_order_builds_quickly(self):
+        # the submonoid's table is M's, so it is not checked again either
+        start = time.perf_counter()
+        tot = TotComplex(FiniteMonoid.cyclic(150), range(150), truncation=0)
+        assert tot.homology() == {0: (150, [])}
+        assert time.perf_counter() - start < 2.0
 
 
 class TestTotalization:
