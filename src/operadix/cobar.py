@@ -17,9 +17,8 @@ Three layers:
    coefficient (``z_coface``).  Both compute through two basis-tuple
    kernels: ``_gamma_terms``, the composition gamma, and ``_wide_terms``,
    the wide left action lambda'.  These rest on the diagonal translations
-   of a tuple by a basis element, a <| t and t |> b, and on the Sweedler
-   expansions behind them; each is computed once per bialgebra and kept on
-   it.
+   of a tuple by a basis element, a <| t and t |> b; each is computed once
+   per bialgebra and kept on it.
 
 3. The truncated totalization ``CobarTot`` of the unreduced (relative)
    cobar complex, whose ``chain_complex()`` is that complex, with its
@@ -592,8 +591,7 @@ class Bialgebra:
     constants.
 
     The diagonal translations a <| t and t |> b of a tuple t by a basis
-    element, and the k-fold Sweedler expansion of each basis element, are
-    computed once, on first use, and kept on the object.  Edits to the
+    element are computed once, on first use, and kept on the object.  Edits to the
     product, coproduct or counit tables after construction are not seen by
     these kept results; ``validate`` reads the tables themselves.
     """
@@ -612,10 +610,9 @@ class Bialgebra:
 
     def __post_init__(self):
         _check_complete(self.basis, self.product, self.coproduct, "coproduct")
-        # filled on first use by _iterated_coproduct, _left_terms and
-        # _right_terms: (name, k) -> Sweedler expansion, (a, t) -> a <| t and
-        # (t, b) -> t |> b, each a tuple of (tuple, coefficient) pairs
-        self._sweedler: dict = {}
+        # filled on first use by _left_terms and _right_terms: (a, t) ->
+        # a <| t and (t, b) -> t |> b, each a tuple of (tuple, coefficient)
+        # pairs
         self._left: dict = {}
         self._right: dict = {}
 
@@ -720,18 +717,13 @@ def _iterate(table: dict, name, k: int) -> list:
     return [((done, last), c) for done, last, c in terms]
 
 
-def _iterated_coproduct(B: Bialgebra, name, k: int) -> tuple:
+def _iterated_coproduct(B: Bialgebra, name, k: int) -> list:
     """The k-fold Sweedler expansion of a basis element as (k-tuple,
     coefficient) pairs (k = 0 gives the counit on the empty tuple)."""
-    terms = B._sweedler.get((name, k))
-    if terms is None:
-        if k == 0:
-            terms = (((), B.counit.get(name, 0)),)
-        else:
-            split = _iterate(B.coproduct, name, k - 1)
-            terms = tuple((done + (last,), c) for (done, last), c in split)
-        B._sweedler[(name, k)] = terms
-    return terms
+    if k == 0:
+        return [((), B.counit.get(name, 0))]
+    split = _iterate(B.coproduct, name, k - 1)
+    return [(done + (last,), c) for (done, last), c in split]
 
 
 def _left_terms(B: Bialgebra, a_name, t: tuple) -> tuple:
@@ -1101,50 +1093,37 @@ def dual_group_bialgebra(M) -> Bialgebra:
     return Bialgebra(basis, U, prod, cop, counit)
 
 
-# The relations ``rs2_experimental_report`` checks, in report order: the
-# name, whether each argument is relative, and each argument's lowest level.
-# A relation with a relative right argument lives on the relative part.
-_REPORT_RELATIONS = (
-    ("cup-chain-map", False, False, 0, 0),
-    ("e11-commutator-homotopy", False, False, 1, 1),
-    ("mu-o-chain-map", True, True, 0, 0),
-    ("ej-commutator-homotopy", False, True, 1, 0),
-)
-
-# The most cases ``rs2_experimental_report`` may check: a relation reads
-# every pair of raw basis elements at levels df, dg <= max_level with
-# df + dg + 1 <= truncation, |B|^df |B|^dg pairs with one more factor |B|
-# per relative argument.  A case costs more at higher levels and with
-# non-grouplike coproducts.  On a shared 2-vCPU x86-64 machine the largest
-# accepted windows take up to about four seconds (the dual of Z[Z/4] at
-# max level 2: 3,945 cases, 3.8 s; Z[Z/7] at max level 1: 3,641 cases,
-# 0.9 s, its dual 2.5 s), while ``operadix cobar --order 10 --max-level 2``
-# would check 258,621 cases.
+# The most cases ``rs2_experimental_report`` may check when ``operadix
+# cobar`` runs it: a relation reads every pair of raw basis elements at
+# levels df, dg <= max_level with df + dg + 1 <= truncation, |B|^df |B|^dg
+# pairs with one more factor |B| per relative argument.  A case costs more
+# at higher levels and with non-grouplike coproducts.  On a shared 2-vCPU
+# x86-64 machine the largest accepted windows take up to about four seconds
+# (the dual of Z[Z/4] at max level 2: 3,945 cases, 3.8 s; Z[Z/7] at max
+# level 1: 3,641 cases, 0.9 s, its dual 2.5 s), while ``operadix cobar
+# --order 10 --max-level 2`` would check 258,621 cases.
 MAX_REPORT_CASES = 4000
-
-
-def _level_pairs(truncation: int, max_level: int, low_left: int, low_right: int):
-    """The pairs of argument levels (df, dg) a relation reads: from its
-    lowest levels up to max_level, with df + dg + 1 <= truncation."""
-    for df in range(low_left, min(max_level, truncation - 1) + 1):
-        for dg in range(low_right, min(max_level, truncation - 1 - df) + 1):
-            yield df, dg
 
 
 def check_report_window(order: int, truncation: int, max_level: int) -> None:
     """Raise ValueError when ``rs2_experimental_report`` over a bialgebra of
     ``order`` basis elements, whose diagonal comodule has as many, would
     check more than ``MAX_REPORT_CASES`` cases."""
+    # the report's relations in its order: the number of relative
+    # arguments and the lowest level of each argument
+    shapes = ((0, 0, 0), (0, 1, 1), (2, 0, 0), (1, 1, 0))
+    top = min(max_level, truncation - 1)
     cases = 0
-    for _, left_rel, right_rel, *lows in _REPORT_RELATIONS:
-        for df, dg in _level_pairs(truncation, max_level, *lows):
-            cases += order ** (df + dg + left_rel + right_rel)
-            if cases > MAX_REPORT_CASES:
-                raise ValueError(
-                    f"truncation {truncation} and max level {max_level} "
-                    f"over a {order}-element basis give more than "
-                    f"{MAX_REPORT_CASES} cases, the window limit"
-                )
+    for relative, low_left, low_right in shapes:
+        for df in range(low_left, top + 1):
+            for dg in range(low_right, min(top, truncation - 1 - df) + 1):
+                cases += order ** (df + dg + relative)
+                if cases > MAX_REPORT_CASES:
+                    raise ValueError(
+                        f"truncation {truncation} and max level {max_level} "
+                        f"over a {order}-element basis give more than "
+                        f"{MAX_REPORT_CASES} cases, the window limit"
+                    )
 
 
 def rs2_experimental_report(
@@ -1154,63 +1133,62 @@ def rs2_experimental_report(
     operations on the conormalized totalization, relation by relation.
 
     Returns a mapping from relation name to (holds, cases).  Nothing here is
-    assumed; a False entry is a finding, not an error.  Raises ValueError
-    when the window holds more than ``MAX_REPORT_CASES`` cases.
+    assumed; a False entry is a finding, not an error.
     """
-    check_report_window(len(B.basis), truncation, max_level)
     closed = CobarTot(B, None, truncation)
     rel = CobarTot(B, diagonal_comodule(B), truncation)
     report = {}
 
-    # the conormal representatives of every level a relation reads, closed
-    # (False) and relative (True)
+    # the conormal representatives of every level a relation reads: each
+    # pair of levels below has df + dg + 1 <= truncation
     levels = range(min(max_level, truncation - 1) + 1)
-    reps = {
-        relative: {
-            n: [tot.conormal_project(LinComb.unit(b)) for b in tot.basis(n)]
-            for n in levels
-        }
-        for relative, tot in ((False, closed), (True, rel))
+    closed_reps = {
+        n: [closed.conormal_project(LinComb.unit(b)) for b in closed.basis(n)]
+        for n in levels
+    }
+    rel_reps = {
+        n: [rel.conormal_project(LinComb.unit(b)) for b in rel.basis(n)]
+        for n in levels
     }
 
     def sign(n):
         return -1 if n % 2 else 1
 
     d_closed, d_rel = closed.differential, rel.differential
-    defects = {
+    relations = [
         # concatenation is a chain map
-        "cup-chain-map":
-            lambda f, g, df, dg: d_closed(cup(closed, f, g))
-            - cup(closed, d_closed(f), g)
-            - sign(df) * cup(closed, f, d_closed(g)),
+        ("cup-chain-map", closed, closed_reps, closed_reps, 0, 0,
+         lambda f, g, df, dg: d_closed(cup(closed, f, g))
+         - cup(closed, d_closed(f), g)
+         - sign(df) * cup(closed, f, d_closed(g))),
         # closed insertion closes the concatenation commutator
-        "e11-commutator-homotopy":
-            lambda f, g, df, dg: d_closed(act_Tk(closed, f, [g]))
-            + act_Tk(closed, d_closed(f), [g])
-            + sign(df) * act_Tk(closed, f, [d_closed(g)])
-            - cup(closed, f, g)
-            + sign(df * dg) * cup(closed, g, f),
+        ("e11-commutator-homotopy", closed, closed_reps, closed_reps, 1, 1,
+         lambda f, g, df, dg: d_closed(act_Tk(closed, f, [g]))
+         + act_Tk(closed, d_closed(f), [g])
+         + sign(df) * act_Tk(closed, f, [d_closed(g)])
+         - cup(closed, f, g)
+         + sign(df * dg) * cup(closed, g, f)),
         # twisted concatenation is a chain map
-        "mu-o-chain-map":
-            lambda u, v, du, dv: d_rel(sqcup(rel, u, v))
-            - sqcup(rel, d_rel(u), v)
-            - sign(du) * sqcup(rel, u, d_rel(v)),
+        ("mu-o-chain-map", rel, rel_reps, rel_reps, 0, 0,
+         lambda u, v, du, dv: d_rel(sqcup(rel, u, v))
+         - sqcup(rel, d_rel(u), v)
+         - sign(du) * sqcup(rel, u, d_rel(v))),
         # the one-argument relative insertion closes the twisted commutator
-        "ej-commutator-homotopy":
-            lambda f, u, df, du: d_rel(act_Tj(rel, f, [u]))
-            + act_Tj(rel, d_closed(f), [u])
-            + sign(df) * act_Tj(rel, f, [d_rel(u)])
-            - sqcup(rel, inc_tot(rel, f), u)
-            + sign(df * du) * sqcup(rel, u, inc_tot(rel, f)),
-    }
-    for name, left_rel, right_rel, *lows in _REPORT_RELATIONS:
-        tot, defect = (rel if right_rel else closed), defects[name]
+        ("ej-commutator-homotopy", rel, closed_reps, rel_reps, 1, 0,
+         lambda f, u, df, du: d_rel(act_Tj(rel, f, [u]))
+         + act_Tj(rel, d_closed(f), [u])
+         + sign(df) * act_Tj(rel, f, [d_rel(u)])
+         - sqcup(rel, inc_tot(rel, f), u)
+         + sign(df * du) * sqcup(rel, u, inc_tot(rel, f))),
+    ]
+    for name, tot, left, right, low_left, low_right, defect in relations:
         ok, cases = True, 0
-        for df, dg in _level_pairs(truncation, max_level, *lows):
-            for f in reps[left_rel][df]:
-                for g in reps[right_rel][dg]:
-                    cases += 1
-                    if tot.conormal_project(defect(f, g, df, dg)):
-                        ok = False
+        for df in range(low_left, min(max_level, truncation - 1) + 1):
+            for dg in range(low_right, min(max_level, truncation - 1 - df) + 1):
+                for f in left[df]:
+                    for g in right[dg]:
+                        cases += 1
+                        if tot.conormal_project(defect(f, g, df, dg)):
+                            ok = False
         report[name] = (ok, cases)
     return report

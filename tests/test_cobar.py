@@ -961,7 +961,9 @@ class TestTotalizationOps:
                 if cases:
                     monkeypatch.setattr(cobar, "MAX_REPORT_CASES", cases - 1)
                     with pytest.raises(ValueError, match="the window limit"):
-                        rs2_experimental_report(B, truncation, max_level)
+                        cobar.check_report_window(
+                            len(B.basis), truncation, max_level
+                        )
                 monkeypatch.undo()
 
     def test_experimental_relations_dual(self):
