@@ -518,7 +518,9 @@ def overline_fg(
     per map, on first use, and kept in the returned map: ``((), n)`` goes to
     g(n) and ``(x w, n)`` to f(x) acting on the image of ``(w, n)``, each
     read in the window of M; the terms of f(x) of negative degree read as
-    zero, as in the left-to-right product of the letters."""
+    zero, as in the left-to-right product of the letters.  Nothing the map
+    holds refers back to it, so its kept images, and M and A if nothing
+    else holds them, are freed as soon as the map is dropped."""
     relative_cobar_module(M, A)
     if cob.comodule is None:
         raise ValueError("the source must be the relative construction")
@@ -542,12 +544,18 @@ def overline_fg(
         return letters[x]
 
     def image(w) -> LinComb:
-        if w not in images:
-            word, n = w
-            if word:
-                images[w] = M.action(letter(word[0]), image((word[1:], n)))
-            else:
-                images[w] = M.action(LinComb.unit(()), g.get(n, LinComb()))
+        if w in images:
+            return images[w]
+        # fill the images of w's suffixes from the bare tail up
+        word, n = w
+        key = ((), n)
+        if key not in images:
+            images[key] = M.action(LinComb.unit(()), g.get(n, LinComb()))
+        for i in range(len(word) - 1, -1, -1):
+            tail = images[key]
+            key = (word[i:], n)
+            if key not in images:
+                images[key] = M.action(letter(word[i]), tail)
         return images[w]
 
     def phi(v: LinComb) -> LinComb:

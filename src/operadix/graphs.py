@@ -148,21 +148,22 @@ def validate(alpha: GraphElement) -> bool:
 
 
 def _acyclic(arcs: list[tuple[int, int]], n: int) -> bool:
-    """Whether the arcs between vertices 0..n-1 form no directed cycle."""
+    """Whether the arcs between vertices 0..n-1 form no directed cycle:
+    peeling the vertices no remaining arc enters removes them all."""
     succ: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
     for a, b in arcs:
         succ[a].append(b)
-    state = [0] * n  # 0 new, 1 on stack, 2 done
-
-    def dfs(v: int) -> bool:
-        state[v] = 1
-        for w in succ[v]:
-            if state[w] == 1 or (state[w] == 0 and not dfs(w)):
-                return False
-        state[v] = 2
-        return True
-
-    return all(state[v] != 0 or dfs(v) for v in range(n))
+        indegree[b] += 1
+    free = [v for v in range(n) if not indegree[v]]
+    peeled = 0
+    while free:
+        peeled += 1
+        for w in succ[free.pop()]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                free.append(w)
+    return peeled == n
 
 
 def leq(alpha: GraphElement, beta: GraphElement) -> bool:

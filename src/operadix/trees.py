@@ -128,8 +128,9 @@ def _emit(node: TreeNode, out: list[int], top: bool = False) -> None:
 def render_tree(t: RootedTree) -> str:
     """ASCII rendering, one vertex per line with indentation."""
     lines: list[str] = []
-
-    def walk(node: TreeNode, depth: int) -> None:
+    stack = [(t.root, 0)]  # preorder: the first child is popped first
+    while stack:
+        node, depth = stack.pop()
         if node.kind == "terminal":
             tag = f"#{node.label}"
         elif node.kind == "free":
@@ -137,9 +138,6 @@ def render_tree(t: RootedTree) -> str:
         else:
             tag = ("u" if node.open else "") + str(node.label)
         lines.append("  " * depth + tag)
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(t.root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     lines.append("output: " + ("o" if t.output_open else "c"))
     return "\n".join(lines)

@@ -35,6 +35,39 @@ def test_one_chain_complex_builder():
     assert [c.split(":")[0] for c in callers] == ["chains.py"], callers
 
 
+def test_no_self_referring_closures():
+    # a nested function that names itself holds itself through its own cell:
+    # every call of the enclosing function leaves a reference cycle, freed
+    # only by a full collection; and the library never calls the collector
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        nested = {
+            inner
+            for outer in ast.walk(tree)
+            if isinstance(outer, functions)
+            for inner in ast.walk(outer)
+            if inner is not outer and isinstance(inner, functions)
+        }
+        for inner in sorted(nested, key=lambda node: node.lineno):
+            if any(
+                isinstance(node, ast.Name) and node.id == inner.name
+                for node in ast.walk(inner)
+            ):
+                found.append(f"{path.name}:{inner.lineno} {inner.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "gc" in modules:
+                found.append(f"{path.name}:{node.lineno} imports gc")
+    assert not found, f"reference cycles in the library: {found}"
+
+
 def _referenced_names(root: Path) -> set:
     """Every name a file under ``root`` reads: Name and Attribute nodes,
     import aliases, and identifier-shaped strings (``"Class.method"`` counts
