@@ -10,9 +10,9 @@ reports, and per-module verification suites.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Each
 subcommand takes only the shared options its handler reads: ``--json``
 (every report but the tree view) switches to machine-readable JSON, ``--m``
-sets the filtration level, ``--seed`` the random seed, whose default the
-environment variable ``OPERADIX_SEED`` supplies, and ``--variant`` the
-filtration variant.
+sets the filtration level, ``--seed`` the random seed, read from the
+environment variable ``OPERADIX_SEED`` (else 0) when the option is absent,
+and ``--variant`` the filtration variant.
 """
 
 from __future__ import annotations
@@ -31,9 +31,37 @@ from .chains import LinComb
 __all__ = ["main"]
 
 
-def _seed_default() -> int:
-    env = os.environ.get("OPERADIX_SEED")
-    return int(env) if env else 0
+def _deferred_defaults() -> dict:
+    """The defaults of the options parsed as None when absent, so that a
+    handler can refuse one it would ignore: verify's window and sampling
+    options and cells' random-configuration options.  The seed is read from
+    ``OPERADIX_SEED`` here, on every call, and nowhere else."""
+    return {
+        "m": 2,
+        "max_tokens": 5,
+        "samples": 100,
+        "seed": int(os.environ.get("OPERADIX_SEED") or 0),
+        "closed": 2,
+        "open": 0,
+        "denominator": 16,
+    }
+
+
+def _fill_deferred(args, read, owner: str) -> None:
+    """Fill in each deferred option that ``args`` holds unset, and refuse
+    one that was given although ``owner`` reads only the options ``read``."""
+    for dest, default in _deferred_defaults().items():
+        if not hasattr(args, dest):
+            continue
+        option = "--" + dest.replace("_", "-")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif option not in read:
+            raise ValueError(
+                f"{owner} reads "
+                f"{' '.join(read) or 'no window or sampling option'}; "
+                f"{option} does not apply"
+            )
 
 
 def _emit(report: dict, as_json: bool, lines=None) -> None:
@@ -89,6 +117,19 @@ def _slot_of(f: strings.IntegerString, token: str) -> int:
     if token.startswith("u") and not any(t == -i for t in f.tokens):
         raise ValueError(f"letter {i} is not open in {strings.text(f)}")
     return i
+
+
+def _edges(alpha: graphs.GraphElement) -> dict:
+    """A graph's decorations as {"i,j": [level, orientation]}, by edge."""
+    return {f"{i},{j}": list(d) for (i, j), d in sorted(alpha.edge_dict().items())}
+
+
+def _homology_report(hom: dict) -> dict:
+    """Homology as {degree: {rank, torsion}}, by degree."""
+    return {
+        str(d): {"rank": rank, "torsion": torsion}
+        for d, (rank, torsion) in sorted(hom.items())
+    }
 
 
 def _string_report(x: strings.IntegerString) -> dict:
@@ -149,14 +190,10 @@ def _cmd_filtration(args) -> int:
 def _cmd_q(args) -> int:
     x = strings.parse(args.string)
     alpha = graphs.q(x)
-    edges = {
-        f"{i},{j}": [mu, orient]
-        for (i, j), (mu, orient) in sorted(alpha.edge_dict().items())
-    }
     report = {
         "vertexOpen": list(alpha.vertex_open),
         "outputOpen": alpha.output_open,
-        "edges": edges,
+        "edges": _edges(alpha),
     }
     lines = [
         f"{i}->{j} level {mu}" if orient == 1 else f"{j}->{i} level {mu}"
@@ -180,13 +217,7 @@ def _cmd_enumerate(args) -> int:
         _require_standard(args, "graphs have only the standard filtration")
         ins, out = _parse_component(args.component)
         basis = graphs.enumerate_graphs(ins, out, args.m)
-        texts = [
-            json.dumps(
-                {f"{i},{j}": list(d) for (i, j), d in sorted(a.edge_dict().items())},
-                sort_keys=True,
-            )
-            for a in basis
-        ]
+        texts = [json.dumps(_edges(a), sort_keys=True) for a in basis]
     else:
         ins, out = _parse_colours(args.colours)
         basis = strings.enumerate_strings(ins, out, args.m, args.variant)
@@ -205,20 +236,19 @@ def _cmd_tree(args) -> int:
 def _cmd_homology(args) -> int:
     ins, out = _parse_component(args.component)
     hom = surjections.component_homology(ins, out, args.m, args.variant)
-    report = {
-        str(d): {"rank": rank, "torsion": torsion}
-        for d, (rank, torsion) in sorted(hom.items())
-    }
     lines = [
         f"H_{d} = rank {rank}"
         + (f", torsion {torsion}" if torsion else "")
         for d, (rank, torsion) in sorted(hom.items())
     ]
-    _emit(report, args.json, lines)
+    _emit(_homology_report(hom), args.json, lines)
     return 0
 
 
 def _cmd_cells(args) -> int:
+    # a saved configuration reads none of the random-configuration options
+    options = ("--m", "--seed", "--closed", "--open", "--denominator")
+    _fill_deferred(args, () if args.config else options, "--config")
     if args.config:
         with open(args.config) as fh:
             cfg = geometry.config_from_json(json.load(fh))
@@ -227,12 +257,7 @@ def _cmd_cells(args) -> int:
             args.m, args.closed, args.open, seed=args.seed, denominator=args.denominator
         )
     alpha = geometry.cell_index(cfg)
-    report = {
-        "config": geometry.config_to_json(cfg),
-        "cell": {
-            f"{i},{j}": list(d) for (i, j), d in sorted(alpha.edge_dict().items())
-        },
-    }
+    report = {"config": geometry.config_to_json(cfg), "cell": _edges(alpha)}
     _emit(report, args.json)
     return 0
 
@@ -247,12 +272,7 @@ def _cmd_loops(args) -> int:
     loops.check_window(args.order, len(sub), args.truncate, args.kind)
     M = loops.FiniteMonoid.cyclic(args.order)
     tot = loops.TotComplex(M, sub, args.truncate, args.kind)
-    hom = tot.homology()
-    report = {
-        str(level): {"rank": rank, "torsion": torsion}
-        for level, (rank, torsion) in sorted(hom.items())
-    }
-    _emit(report, args.json)
+    _emit(_homology_report(tot.homology()), args.json)
     return 0
 
 
@@ -530,50 +550,30 @@ def _suite_cobar(_args) -> tuple[bool, dict]:
     return ok, details
 
 
+# each suite and the window and sampling options it reads; one given to a
+# suite that does not read it is refused rather than ignored
 _SUITES = {
-    "rl-operad": _suite_rl_operad,
-    "graph-operad": _suite_graph_operad,
-    "chain-core": _suite_chain_core,
-    "rs-operad": _suite_rs_operad,
-    "sc-geometry": _suite_sc_geometry,
-    "loop-model": _suite_loop_model,
-    "cobar": _suite_cobar,
-}
-
-
-# the window and sampling options each suite reads; one given to a suite
-# that does not read it is refused rather than ignored
-_SUITE_OPTIONS = {
-    "rl-operad": ("--m", "--max-tokens", "--samples", "--seed"),
-    "graph-operad": ("--m", "--max-tokens", "--samples", "--seed"),
-    "chain-core": ("--samples", "--seed"),
-    "rs-operad": ("--m", "--samples", "--seed"),
-    "sc-geometry": ("--m", "--samples", "--seed"),
-    "loop-model": (),
-    "cobar": (),
-    "all": ("--m", "--max-tokens", "--samples", "--seed"),
+    "rl-operad": (_suite_rl_operad, ("--m", "--max-tokens", "--samples", "--seed")),
+    "graph-operad": (
+        _suite_graph_operad, ("--m", "--max-tokens", "--samples", "--seed")
+    ),
+    "chain-core": (_suite_chain_core, ("--samples", "--seed")),
+    "rs-operad": (_suite_rs_operad, ("--m", "--samples", "--seed")),
+    "sc-geometry": (_suite_sc_geometry, ("--m", "--samples", "--seed")),
+    "loop-model": (_suite_loop_model, ()),
+    "cobar": (_suite_cobar, ()),
 }
 
 
 def _cmd_verify(args) -> int:
     _require_standard(args, "the verify suites check the standard filtration only")
-    read = _SUITE_OPTIONS[args.suite]
-    defaults = {"m": 2, "max_tokens": 5, "samples": 100, "seed": _seed_default()}
-    for dest, default in defaults.items():
-        option = "--" + dest.replace("_", "-")
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif option not in read:
-            raise ValueError(
-                f"--suite {args.suite} reads "
-                f"{' '.join(read) or 'no window or sampling option'}; "
-                f"{option} does not apply"
-            )
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    read = [option for name in names for option in _SUITES[name][1]]
+    _fill_deferred(args, read, f"--suite {args.suite}")
     overall = True
     report = {}
     for name in names:
-        ok, details = _SUITES[name](args)
+        ok, details = _SUITES[name][0](args)
         overall = overall and ok
         report[name] = {"ok": ok, **details}
     lines = [
@@ -589,16 +589,10 @@ def _cmd_verify(args) -> int:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, with ``--seed`` defaulting to ``OPERADIX_SEED`` as it is
-    set now."""
-    return _parser(_seed_default())
-
-
 @functools.cache
-def _parser(seed_default: int) -> argparse.ArgumentParser:
-    # built once per seed default: building takes milliseconds, parsing
-    # does not change the parser
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building takes milliseconds, parsing does not
+    # change the parser, and no default depends on the environment
     parser = argparse.ArgumentParser(
         prog="operadix",
         description="Exact-arithmetic workbench for lattice-path operads.",
@@ -608,7 +602,6 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     shared = {
         "--json": dict(action="store_true", help="machine-readable output"),
         "--m": dict(type=int, default=2, help="filtration level"),
-        "--seed": dict(type=int, default=seed_default, help="random seed"),
         "--variant": dict(
             choices=("standard", "primed-variant"),
             default="standard",
@@ -671,12 +664,14 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     p.add_argument("--component", required=True, help="like 'c,c:c'")
     p.set_defaults(func=_cmd_homology)
 
-    p = command(
-        "cells", "cube configurations and cell indices", "--json", "--m", "--seed"
-    )
-    p.add_argument("--closed", type=int, default=2)
-    p.add_argument("--open", type=int, default=0)
-    p.add_argument("--denominator", type=int, default=16)
+    p = command("cells", "cube configurations and cell indices", "--json")
+    # read in _cmd_cells, which fills in their defaults or, with --config,
+    # refuses each
+    p.add_argument("--m", type=int, help="filtration level")
+    p.add_argument("--seed", type=int, help="random seed")
+    p.add_argument("--closed", type=int)
+    p.add_argument("--open", type=int)
+    p.add_argument("--denominator", type=int)
     p.add_argument("--config", help="JSON configuration file")
     p.set_defaults(func=_cmd_cells)
 
@@ -697,21 +692,19 @@ def _parser(seed_default: int) -> argparse.ArgumentParser:
     p = command("verify", "run a module invariant suite", "--json", "--variant")
     p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
     # read in _cmd_verify, which refuses each on the suites that ignore it
-    # and fills in the defaults (--m 2, --max-tokens 5, 100 samples, the seed
-    # from OPERADIX_SEED) elsewhere
-    p.add_argument("--m", type=int, default=None, help="filtration level")
-    p.add_argument("--max-tokens", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="random seed")
+    # and fills in its default elsewhere
+    p.add_argument("--m", type=int, help="filtration level")
+    p.add_argument("--max-tokens", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int, help="random seed")
     p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -22,14 +22,16 @@ Three layers:
 
 3. The truncated totalization ``CobarTot`` of the unreduced (relative)
    cobar complex, whose ``chain_complex()`` is that complex, with its
-   kernel conormalization.  The conormal projection of each basis element
-   is computed once per totalization and kept on it; a combination is
-   projected as the sum of its terms' projections.  It carries the
-   experimental homotopy operations, each under one name: the
-   concatenation ``cup``, the closed-to-relative inclusion ``inc_tot``, the
-   twisted concatenation ``sqcup``, and the closed and open insertion sums
-   ``act_Tk`` and ``act_Tj``, the two kernels placed in one signed sum
-   ``_insertion_sum``; relation checks are reported, not assumed.
+   kernel conormalization; like the word complexes, its ``differential``
+   and ``conormal_project`` read a term outside the window as zero.  The
+   conormal projection of each basis element is computed once per
+   totalization and kept on it; a combination is projected as the sum of
+   its terms' projections.  It carries the experimental homotopy
+   operations, each under one name: the concatenation ``cup``, the
+   closed-to-relative inclusion ``inc_tot``, the twisted concatenation
+   ``sqcup``, and the closed and open insertion sums ``act_Tk`` and
+   ``act_Tj``, the two kernels placed in one signed sum ``_insertion_sum``;
+   relation checks are reported, not assumed.
 
 Conventions: the desuspension shifts degree down by one and anti-commutes
 with the differential; word differentials carry the Koszul prefix sign
@@ -857,7 +859,8 @@ class CobarTot:
     The cochain degree is the tensor length; the differential is the full
     alternating coface sum; the conormal projector cuts down to the
     intersection of the codegeneracy kernels, where the operations below
-    satisfy their homotopy identities.
+    satisfy their homotopy identities.  Both maps read a term outside
+    levels 0..truncation as zero, on input and on output.
 
     The projection of each basis element is computed once, on first use,
     and kept on the object; ``conormal_project`` returns a fresh sum of
@@ -887,11 +890,6 @@ class CobarTot:
         if self.C is None:
             return words
         return [(w, c) for w in words for c in self.C.basis]
-
-    def truncate(self, v: LinComb) -> LinComb:
-        return LinComb(
-            [(b, c) for b, c in v if len(self._split(b)[0]) <= self.truncation]
-        )
 
     def _coface_basis(self, i: int, b) -> list:
         """The i-th coface of one basis element as (element, coefficient)
@@ -927,20 +925,23 @@ class CobarTot:
         return LinComb(terms())
 
     def differential(self, v: LinComb) -> LinComb:
-        return self.truncate(
-            LinComb(
-                (e, (-1) ** (i % 2) * c * ce)
-                for b, c in v
-                for i in range(len(self._split(b)[0]) + 2)
-                for e, ce in self._coface_basis(i, b)
-            )
+        # every coface raises the level by one
+        return LinComb(
+            (e, (-1) ** (i % 2) * c * ce)
+            for b, c in v
+            if (k := len(self._split(b)[0])) < self.truncation
+            for i in range(k + 2)
+            for e, ce in self._coface_basis(i, b)
         )
 
     def conormal_project(self, v: LinComb) -> LinComb:
-        """The conormal projection prod (1 - d^i s^i), extended linearly
-        from the projections of the basis elements."""
+        """The conormal projection prod (1 - d^i s^i) of v's in-window part,
+        extended linearly from the projections of the basis elements."""
         return LinComb(
-            (t, c * ct) for b, c in v for t, ct in self._project_basis(b)
+            (t, c * ct)
+            for b, c in v
+            if len(self._split(b)[0]) <= self.truncation
+            for t, ct in self._project_basis(b)
         )
 
     def _project_basis(self, b) -> tuple:
@@ -973,7 +974,7 @@ def cup(tot: CobarTot, f: LinComb, g: LinComb) -> LinComb:
     if tot.C is not None:
         raise ValueError("cup lives on the closed part")
     out = LinComb((a + b, ca * cb) for a, ca in f for b, cb in g)
-    return tot.conormal_project(tot.truncate(out))
+    return tot.conormal_project(out)
 
 
 def inc_tot(tot: CobarTot, f: LinComb) -> LinComb:
@@ -981,7 +982,7 @@ def inc_tot(tot: CobarTot, f: LinComb) -> LinComb:
     if tot.C is None:
         raise ValueError("the inclusion lands in the relative part")
     out = LinComb(((a, tot.C.unit), ca) for a, ca in f)
-    return tot.conormal_project(tot.truncate(out))
+    return tot.conormal_project(out)
 
 
 def sqcup(tot: CobarTot, u: LinComb, v: LinComb) -> LinComb:
@@ -999,7 +1000,7 @@ def sqcup(tot: CobarTot, u: LinComb, v: LinComb) -> LinComb:
         for wt, ct in _right_terms(B, wb, z)
         for cn, cc in C.product[(cb_name, c2)]
     )
-    return tot.conormal_project(tot.truncate(out))
+    return tot.conormal_project(out)
 
 
 def _insertion_sign(positions, arg_degrees, n) -> int:
@@ -1018,8 +1019,8 @@ def _insertion_sum(tot: CobarTot, f: LinComb, args: list[LinComb], place) -> Lin
     """The insertion sum of the arguments into the closed combination f: for
     each tuple a of f, each choice of len(args) letters of a and each term
     of the arguments, ``place(positions, a, term)`` gives the inserted
-    terms, signed by ``_insertion_sign``; the sum is truncated and
-    conormally projected."""
+    terms, signed by ``_insertion_sign``; the sum is conormally projected,
+    which drops its terms above the window."""
     terms = [(t, c, [len(tot._split(b)[0]) for b in t]) for t, c in _expand_terms(args)]
 
     def inserted():
@@ -1030,7 +1031,7 @@ def _insertion_sum(tot: CobarTot, f: LinComb, args: list[LinComb], place) -> Lin
                     for t, ct in place(positions, a, term):
                         yield t, c * ct
 
-    return tot.conormal_project(tot.truncate(LinComb(inserted())))
+    return tot.conormal_project(LinComb(inserted()))
 
 
 def act_Tk(tot: CobarTot, f: LinComb, gs: list[LinComb]) -> LinComb:

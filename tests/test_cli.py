@@ -221,11 +221,21 @@ class TestSeededReports:
         assert out1 == out2
 
     def test_seed_env_default(self, capsys, monkeypatch):
+        # an absent --seed reads OPERADIX_SEED in the handler; the parser
+        # has no seed default, so one parser serves every value
+        for argv in (
+            ("cells", "--closed", "1", "--open", "0", "--json"),
+            ("verify", "--suite", "chain-core", "--samples", "20", "--json"),
+        ):
+            monkeypatch.setenv("OPERADIX_SEED", "3")
+            _, from_env, _ = run(capsys, *argv)
+            monkeypatch.delenv("OPERADIX_SEED")
+            _, seed3, _ = run(capsys, *argv, "--seed", "3")
+            assert from_env == seed3, argv
         monkeypatch.setenv("OPERADIX_SEED", "3")
-        parser_seeded = cli._build_parser().parse_args(
-            ["cells", "--closed", "1", "--open", "0"]
-        )
-        assert parser_seeded.seed == 3
+        parser = cli._parser()
+        monkeypatch.setenv("OPERADIX_SEED", "4")
+        assert cli._parser() is parser
 
     def test_seed_env_read_on_every_call(self, capsys, monkeypatch):
         argv = ("cells", "--closed", "2", "--open", "1", "--json")
@@ -239,6 +249,22 @@ class TestSeededReports:
         assert unset == seed0 != seed3
         _, again, _ = run(capsys, *argv)
         assert again == unset
+
+    @pytest.mark.parametrize(
+        "option", ["--closed", "--open", "--denominator", "--m", "--seed"]
+    )
+    def test_config_refuses_random_configuration_options(
+        self, capsys, tmp_path, option
+    ):
+        # a saved configuration reads none of them: each would be ignored
+        config = tmp_path / "config.json"
+        _, out, _ = run(capsys, "cells", "--json")
+        config.write_text(json.dumps(json.loads(out)["config"]))
+        code, saved, _ = run(capsys, "cells", "--config", str(config))
+        assert code == 0 and saved
+        code, out, err = run(capsys, "cells", "--config", str(config), option, "3")
+        assert code == 2
+        assert not out and option in err and "--config" in err
 
     def test_verify_byte_stable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "chain-core",
@@ -529,7 +555,7 @@ def test_every_option_is_read(capsys, tmp_path):
     config = tmp_path / "config.json"
     cli.main(["cells", "--json"])
     config.write_text(json.dumps(json.loads(capsys.readouterr().out)["config"]))
-    parser = cli._build_parser()
+    parser = cli._parser()
     (commands,) = [
         action.choices
         for action in parser._actions

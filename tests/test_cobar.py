@@ -1034,6 +1034,42 @@ class TestPerObjectTables:
                 v = LinComb((rng.choice(raw), rng.randint(-3, 3)) for _ in range(6))
                 assert tot.conormal_project(v) == iterative_projection(tot, v)
 
+    @pytest.mark.parametrize("name", list(TABLE_BIALGEBRAS))
+    def test_terms_above_the_window_read_as_zero(self, name):
+        # the window rule lives in differential and conormal_project: a term
+        # at level truncation + 1 maps to zero under both
+        for tot in both_parts(TABLE_BIALGEBRAS[name]()):
+            top = tot.truncation
+            above = CobarTot(tot.B, tot.C, top + 1).basis(top + 1)
+            assert above
+            for b in above:
+                assert not tot.differential(LinComb.unit(b)), b
+                assert not tot.conormal_project(LinComb.unit(b)), b
+
+    @pytest.mark.parametrize("name", list(TABLE_BIALGEBRAS))
+    def test_cup_projects_the_in_window_concatenations(self, name):
+        closed = CobarTot(TABLE_BIALGEBRAS[name](), None, 4)
+        rng = random.Random(2)
+        conormal = {
+            level: [
+                v
+                for b in closed.basis(level)
+                if (v := closed.conormal_project(LinComb.unit(b)))
+            ]
+            for level in (1, 2, 3)
+        }
+        overflowing = 0
+        for _ in range(20):
+            # levels 1 and 3 times levels 1 and 2: concatenations at levels
+            # 2 to 5, so part of each product lies above the window
+            f = rng.choice(conormal[1]) + rng.choice(conormal[3])
+            g = rng.choice(conormal[1]) + rng.choice(conormal[2])
+            sums = LinComb((a + b, ca * cb) for a, ca in f for b, cb in g)
+            in_window = LinComb((b, c) for b, c in sums if len(b) <= 4)
+            overflowing += in_window != sums
+            assert cobar.cup(closed, f, g) == iterative_projection(closed, in_window)
+        assert overflowing == 20
+
     def test_each_projection_computed_once(self, monkeypatch):
         calls = Counter()
         codegeneracy = CobarTot.codegeneracy

@@ -100,9 +100,9 @@ def cli_calls():
     ids=lambda calls: calls.__name__,
 )
 def test_no_cyclic_garbage(calls):
-    # the CLI parser is built once per seed default and kept; building it
-    # leaves argparse's own help formatters in cycles, once per process
-    cli._build_parser()
+    # the CLI parser is built once per process and kept; building it leaves
+    # argparse's own help formatters in cycles, so it is built first
+    cli._parser()
     gc.collect()
     gc.disable()
     try:

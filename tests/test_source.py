@@ -68,6 +68,29 @@ def test_no_self_referring_closures():
     assert not found, f"reference cycles in the library: {found}"
 
 
+def test_environment_read_in_one_function():
+    # the environment is read on each call of one function, so no library
+    # result and no cached object (such as the CLI parser) depends on it
+    env_names = ("environ", "environb", "getenv")
+    readers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # the innermost function around each node: ast.walk visits outer
+        # functions first, so inner ones overwrite
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in env_names) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in env_names for alias in node.names)
+            ):
+                readers.add(f"{path.name}:{owner.get(node, '<module level>')}")
+    assert len(readers) == 1 and "<module level>" not in next(iter(readers)), readers
+
+
 def _referenced_names(root: Path) -> set:
     """Every name a file under ``root`` reads: Name and Attribute nodes,
     import aliases, and identifier-shaped strings (``"Class.method"`` counts
