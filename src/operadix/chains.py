@@ -224,9 +224,11 @@ def build_complex(bases: dict[int, list], image) -> ChainComplex:
     present."""
     columns = {}
     for d, elems in bases.items():
+        if d + 1 not in bases:
+            _row_index(elems, d)  # no column of degree d + 1 indexes these
         if d - 1 not in bases:
             continue
-        index = {e: r for r, e in enumerate(bases[d - 1])}
+        index = _row_index(bases[d - 1], d - 1)
         cols = columns[d] = []
         for e in elems:
             col: dict[int, int] = {}
@@ -239,6 +241,16 @@ def build_complex(bases: dict[int, list], image) -> ChainComplex:
                 col[row] = col.get(row, 0) + c
             cols.append({r: c for r, c in sorted(col.items()) if c})
     return ChainComplex(bases, columns)
+
+
+def _row_index(elems: list, d: int) -> dict:
+    """The row of each basis element of degree d; raises ValueError when
+    the basis lists an element twice."""
+    index = {e: r for r, e in enumerate(elems)}
+    if len(index) != len(elems):
+        twice = next(e for r, e in enumerate(elems) if index[e] != r)
+        raise ValueError(f"the degree-{d} basis lists {twice!r} twice")
+    return index
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -34,34 +34,50 @@ __all__ = ["main"]
 def _deferred_defaults() -> dict:
     """The defaults of the options parsed as None when absent, so that a
     handler can refuse one it would ignore: verify's window and sampling
-    options and cells' random-configuration options.  The seed is read from
-    ``OPERADIX_SEED`` here, on every call, and nowhere else."""
+    options and cells' random-configuration options.  The seed has none
+    here: :func:`_environment_seed` reads it when it is needed."""
     return {
         "m": 2,
         "max_tokens": 5,
         "samples": 100,
-        "seed": int(os.environ.get("OPERADIX_SEED") or 0),
+        "seed": None,
         "closed": 2,
         "open": 0,
         "denominator": 16,
     }
 
 
+def _environment_seed() -> int:
+    """The default seed: ``OPERADIX_SEED``, else 0.  The environment is read
+    here, on every call, and nowhere else."""
+    value = os.environ.get("OPERADIX_SEED") or "0"
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"OPERADIX_SEED must be an integer, not {value!r}") from None
+
+
 def _fill_deferred(args, read, owner: str) -> None:
-    """Fill in each deferred option that ``args`` holds unset, and refuse
-    one that was given although ``owner`` reads only the options ``read``."""
+    """Fill in the default of each deferred option in ``read`` that ``args``
+    holds unset, and refuse one given below its least value or although
+    ``owner`` reads only the options ``read``."""
+    least = {"max_tokens": 1, "samples": 0}
     for dest, default in _deferred_defaults().items():
         if not hasattr(args, dest):
             continue
         option = "--" + dest.replace("_", "-")
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
+        value = getattr(args, dest)
+        if value is None:
+            if option in read:
+                setattr(args, dest, _environment_seed() if dest == "seed" else default)
         elif option not in read:
             raise ValueError(
                 f"{owner} reads "
                 f"{' '.join(read) or 'no window or sampling option'}; "
                 f"{option} does not apply"
             )
+        elif value < least.get(dest, value):
+            raise ValueError(f"{option} must be at least {least[dest]}, not {value}")
 
 
 def _emit(report: dict, as_json: bool, lines=None) -> None:

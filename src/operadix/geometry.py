@@ -223,9 +223,24 @@ def random_config(
 
     Boxes are added one at a time and re-drawn until strictly separated from
     every earlier box on some axis (so the cell index is always defined).
+    Raises ValueError on m < 1, a negative box count, a grid too coarse for
+    the boxes, or when sampling gives up.
     """
-    rng = seed if isinstance(seed, Random) else Random(seed)
+    if m < 1:
+        raise ValueError(f"a configuration needs m >= 1, not {m}")
+    if n_closed < 0 or n_open < 0:
+        raise ValueError(
+            f"box counts must be nonnegative, not {n_closed} closed and {n_open} open"
+        )
     output_open = n_open > 0
+    # a closed box over an open output lies on two grid lines strictly
+    # between the floor and the top of the cube
+    least = 3 if n_closed and output_open else 2
+    if denominator < least:
+        raise ValueError(
+            f"these boxes need a denominator of at least {least}, not {denominator}"
+        )
+    rng = seed if isinstance(seed, Random) else Random(seed)
     boxes: list[tuple[Box, bool]] = []
 
     def draw(open_: bool) -> Box:
@@ -258,7 +273,7 @@ def random_config(
         else:
             break
     else:
-        raise RuntimeError("rejection sampling failed; lower the box count")
+        raise ValueError("rejection sampling failed; lower the box count")
     closed = tuple(b for b, o in boxes if not o)
     open_boxes = tuple(b for b, o in boxes if o)
     return CubeConfig(m, closed, open_boxes, output_open)

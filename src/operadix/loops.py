@@ -59,7 +59,8 @@ __all__ = [
 
 
 class NotSubmonoid(ValueError):
-    """The designated subset is not closed or misses the unit."""
+    """The designated subset is not a submonoid: it lists an element twice
+    or outside the monoid, misses the unit or is not closed."""
 
 
 class FiniteMonoid:
@@ -86,6 +87,11 @@ class FiniteMonoid:
 
     def check_submonoid(self, subset) -> tuple:
         sub = tuple(subset)
+        for a in sub:
+            if a not in self.elements:
+                raise NotSubmonoid(f"{a!r} is not an element of the monoid")
+            if sub.count(a) > 1:
+                raise NotSubmonoid(f"{a!r} is listed twice in the subset")
         if self.unit not in sub:
             raise NotSubmonoid("unit missing from the subset")
         for a, b in product(sub, repeat=2):

@@ -610,41 +610,35 @@ def joyal_to_string(
 ) -> IntegerString:
     """The unary string of colour pair (n; m) dual to ``psi: [n] -> [m]``.
 
-    The t-th bar is placed after ``#{s : psi(s) < t}`` letters.
+    The t-th bar is placed after ``#{s : psi(s) < t}`` letters: in closed
+    form, ``psi(s)`` bars go before the s-th letter and ``m - psi(n)`` after
+    the last.
     """
     if input_open and not output_open:
         raise ClosedOutputWithOpenLetter("no unary strings from open to closed")
     letter = -1 if input_open else 1
     tokens: list[int] = []
-    letters_done = 0
-    for t in range(1, psi.m + 1):
-        cut = sum(1 for v in psi.values if v < t)
-        tokens.extend([letter] * (cut - letters_done))
-        tokens.append(BAR)
-        letters_done = cut
-    tokens.extend([letter] * (psi.n + 1 - letters_done))
+    bars = 0
+    for v in psi.values:
+        tokens += [BAR] * (v - bars) + [letter]
+        bars = v
+    tokens += [BAR] * (psi.m - bars)
     return IntegerString(tuple(tokens), output_open)
 
 
 def string_to_joyal(x: IntegerString) -> MonotoneMap:
-    """Inverse of :func:`joyal_to_string` on unary strings."""
+    """Inverse of :func:`joyal_to_string` on unary strings: ``psi(s)`` is
+    the number of bars before the s-th letter, read in one pass."""
     if arity(x) != 1:
         raise LabelOutOfRange("duality applies to unary strings only")
-    n = occurrences(x, 1) - 1
-    m = sum(1 for t in x.tokens if t == BAR)
-    # phi(t) = number of letters before the t-th bar; phi(m+1) = n+1.
-    phi = [0]
-    letters = 0
+    values = []
+    bars = 0
     for t in x.tokens:
         if t == BAR:
-            phi.append(letters)
+            bars += 1
         else:
-            letters += 1
-    phi.append(n + 1)
-    values = []
-    for i in range(n + 1):
-        values.append(min(t for t, p in enumerate(phi) if p > i) - 1)
-    return MonotoneMap(n, m, tuple(values))
+            values.append(bars)
+    return MonotoneMap(len(values) - 1, bars, tuple(values))
 
 
 def enumerate_strings(

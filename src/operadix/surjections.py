@@ -406,63 +406,51 @@ def is_generated_up_to(max_labels: int = 3, max_length: int = 6) -> dict:
     that the resulting combinations span every component over the integers,
     at filtration level 2, the one level :func:`generators` covers.
 
+    The closure is a worklist: each combination, when first reached, is
+    relabelled by every permutation and composed in both orders with every
+    combination reached before it and with itself; a composite with a term
+    of more than ``max_labels`` labels or ``max_length`` tokens is dropped.
+
     Returns a report with, per component within the bound, the component
     dimension and whether the lattice spanned by reachable combinations is
     the full basis lattice (established by Smith normal form).
     """
-    gens = generators(max_labels)
-    reachable: set = set()
-    frontier: list[LinComb] = []
-    for gen in gens:
-        v = _canonical_sign(LinComb.unit(gen))
-        if v not in reachable:
-            reachable.add(v)
-            frontier.append(v)
+    reachable: list[LinComb] = []
+    seen: set = set()
 
-    def admissible(s: Surjection) -> bool:
-        return (
-            arity(s.underlying) <= max_labels
-            and len(s.underlying.tokens) <= max_length
-        )
+    def reach(v: LinComb) -> None:
+        if v and v not in seen:
+            seen.add(v)
+            reachable.append(v)
 
-    def relabelings(v: LinComb):
-        some = next(iter(v.terms))
-        k = arity(some.underlying)
-        for sigma in permutations(range(1, k + 1)):
-            yield _canonical_sign(_signed_act(sigma, v))
+    def composites(v: LinComb, w: LinComb):
+        sv, sw = next(iter(v.terms)).underlying, next(iter(w.terms)).underlying
+        if (
+            arity(sv) + arity(sw) - 1 > max_labels
+            or len(sv.tokens) + len(sw.tokens) - 1 > max_length
+        ):
+            return
+        for i in range(1, arity(sv) + 1):
+            try:
+                comp = _compose_linear(v, i, w)
+            except ColourMismatch:
+                continue
+            if all(
+                arity(s.underlying) <= max_labels
+                and len(s.underlying.tokens) <= max_length
+                for s in comp.terms
+            ):
+                yield _canonical_sign(comp)
 
-    while frontier:
-        new: list[LinComb] = []
-        for v in frontier:
-            for w in relabelings(v):
-                if w and w not in reachable:
-                    reachable.add(w)
-                    new.append(w)
-        pool = list(reachable)
-        for v in pool:
-            sv = next(iter(v.terms))
-            for w in pool:
-                sw = next(iter(w.terms))
-                if (
-                    arity(sv.underlying) + arity(sw.underlying) - 1 > max_labels
-                    or len(sv.underlying.tokens) + len(sw.underlying.tokens) - 1
-                    > max_length
-                ):
-                    continue
-                for i in range(1, arity(sv.underlying) + 1):
-                    try:
-                        comp = _compose_linear(v, i, w)
-                    except ColourMismatch:
-                        continue
-                    if not comp:
-                        continue
-                    if not all(admissible(s) for s in comp.terms):
-                        continue
-                    comp = _canonical_sign(comp)
-                    if comp not in reachable:
-                        reachable.add(comp)
-                        new.append(comp)
-        frontier = new
+    for gen in generators(max_labels):
+        reach(_canonical_sign(LinComb.unit(gen)))
+    for k, v in enumerate(reachable):  # grows while it is walked
+        labels = range(1, arity(next(iter(v.terms)).underlying) + 1)
+        for sigma in permutations(labels):
+            reach(_canonical_sign(_signed_act(sigma, v)))
+        for w in reachable[: k + 1]:
+            for comp in (*composites(v, w), *composites(w, v)):
+                reach(comp)
 
     report: dict = {"components": {}, "all_spanned": True}
     for k in range(1, max_labels + 1):

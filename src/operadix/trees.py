@@ -11,6 +11,7 @@ unlabelled auxiliary vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .strings import BAR, IntegerString, arity, in_filtration, text
 
@@ -40,65 +41,46 @@ class RootedTree:
 
 
 def tree_view(x: IntegerString) -> RootedTree:
-    """The canonical planar tree of a filtration-2 string."""
+    """The canonical planar tree of a filtration-2 string, built in one
+    left-to-right pass over the tokens.
+
+    In filtration 2 the spans of two letters are either disjoint or one lies
+    inside a single gap of the other, so a letter's last occurrence in the
+    whole string closes its span, and the gaps between its consecutive
+    occurrences are its child slots.
+    """
     if arity(x) >= 2 and not in_filtration(x, 2):
         raise ValueError("tree view needs a filtration-2 string")
-    items = _parse_items(list(x.tokens))
-    counter = [0]
-    if len(items) == 1:
-        root = _build(items[0], counter)
-    else:
-        root = TreeNode("free", children=tuple(_build(it, counter) for it in items))
-    return RootedTree(root, x.output_open)
+    tokens = x.tokens
+    last = {t: q for q, t in enumerate(tokens)}
+    items, _ = _items(tokens, last, count(1), 0, None)
+    return RootedTree(_group(items), x.output_open)
 
 
-def _parse_items(tokens: list[int]) -> list:
-    """Split a token span into top-level items: bars and letter spans.
-
-    A letter span runs from the first to the last occurrence of its letter;
-    the gaps between consecutive occurrences are the child slots.
-    """
-    items = []
-    pos = 0
-    while pos < len(tokens):
+def _items(tokens, last: dict, terminals, pos: int, stop) -> tuple[list, int]:
+    """The nodes of the items from ``pos`` up to the next token ``stop`` (or
+    the end), and the position where they end.  An item is a bar, or a
+    letter's span from its first to its last occurrence."""
+    nodes = []
+    while pos < len(tokens) and tokens[pos] != stop:
         t = tokens[pos]
         if t == BAR:
-            items.append(("bar",))
-            pos += 1
-            continue
-        last = max(q for q, s in enumerate(tokens) if s == t)
-        slots = []
-        gap: list[int] = []
-        for q in range(pos + 1, last + 1):
-            if tokens[q] == t:
-                slots.append(_parse_items(gap))
-                gap = []
-            else:
-                gap.append(tokens[q])
-        items.append(("letter", t, slots))
-        pos = last + 1
-    return items
-
-
-def _build(item, counter: list[int]) -> TreeNode:
-    if item[0] == "bar":
-        counter[0] += 1
-        return TreeNode("terminal", label=counter[0])
-    _, token, slots = item
-    children = []
-    for slot_items in slots:
-        if len(slot_items) == 1:
-            children.append(_build(slot_items[0], counter))
+            nodes.append(TreeNode("terminal", label=next(terminals)))
         else:
-            children.append(
-                TreeNode(
-                    "free",
-                    children=tuple(_build(it, counter) for it in slot_items),
-                )
+            slots = []
+            while pos < last[t]:
+                slot, pos = _items(tokens, last, terminals, pos + 1, t)
+                slots.append(_group(slot))
+            nodes.append(
+                TreeNode("letter", label=abs(t), open=t < 0, children=tuple(slots))
             )
-    return TreeNode(
-        "letter", label=abs(token), open=token < 0, children=tuple(children)
-    )
+        pos += 1
+    return nodes, pos
+
+
+def _group(nodes: list) -> TreeNode:
+    """One item as itself, any other number under an unlabelled vertex."""
+    return nodes[0] if len(nodes) == 1 else TreeNode("free", children=tuple(nodes))
 
 
 def tree_to_string(t: RootedTree) -> IntegerString:

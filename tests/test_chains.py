@@ -23,6 +23,7 @@ from operadix.cobar import (
     diagonal_comodule,
     dual_group_bialgebra,
     group_bialgebra,
+    monoid_bialgebra,
 )
 from operadix.loops import FiniteMonoid, TotComplex
 from operadix.surjections import component_complex, component_homology, differential
@@ -554,6 +555,21 @@ class TestBuildComplex:
         cx = build_complex(bases, images.__getitem__)
         assert matrices(cx) == {1: [[-1], [1]]}
         assert cx.bases == bases
+
+    @pytest.mark.parametrize(
+        "bases", [{0: ["v", "w", "v"], 1: ["e"]}, {0: ["v", "w"], 1: ["e", "e"]}]
+    )
+    def test_basis_listing_an_element_twice_is_refused(self, bases):
+        # the top degree too, which no column indexes
+        images = {"e": LinComb({"w": 1, "v": -1})}
+        with pytest.raises(ValueError, match="lists '(v|e)' twice"):
+            build_complex(bases, images.__getitem__)
+
+    def test_non_injective_naming_is_refused(self):
+        # both elements of Z/2 named "x": a doubled basis in every level
+        B = monoid_bialgebra(FiniteMonoid.cyclic(2), lambda g: "x")
+        with pytest.raises(ValueError, match="twice"):
+            CobarTot(B, truncation=2).chain_complex()
 
     def test_repeated_image_terms_are_summed(self):
         bases = {0: ["v", "w"], 1: ["e"]}

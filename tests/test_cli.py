@@ -250,6 +250,23 @@ class TestSeededReports:
         _, again, _ = run(capsys, *argv)
         assert again == unset
 
+    def test_seed_env_read_only_for_an_absent_seed(self, capsys, monkeypatch, tmp_path):
+        config = tmp_path / "config.json"
+        _, out, _ = run(capsys, "cells", "--json")
+        config.write_text(json.dumps(json.loads(out)["config"]))
+        monkeypatch.setenv("OPERADIX_SEED", "abc")
+        for argv in (
+            ("cells", "--seed", "3"),
+            ("cells", "--config", str(config)),
+            ("verify", "--suite", "chain-core", "--samples", "5", "--seed", "3"),
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out, argv
+        for argv in (("cells",), ("verify", "--suite", "chain-core", "--samples", "5")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out
+            assert err == "error: OPERADIX_SEED must be an integer, not 'abc'\n"
+
     @pytest.mark.parametrize(
         "option", ["--closed", "--open", "--denominator", "--m", "--seed"]
     )
@@ -512,6 +529,35 @@ class TestCobarCommand:
             code, out, _ = run(capsys, "cobar", *argv, "--json")
             assert code == 0
             assert all(entry["holds"] for entry in json.loads(out).values())
+
+
+# bad input that printed a report, died with a traceback or ended in an
+# uncaught sampler error, each with the text its message must hold
+BAD_INPUT = [
+    (("loops", "--order", "3", "--sub", "0,0,0", "--json"), "0 is listed twice"),
+    (("loops", "--order", "2", "--sub", "0,7"), "7 is not an element"),
+    (("cells", "--m", "0"), "m >= 1"),
+    (("cells", "--closed", "13", "--m", "1"), "rejection sampling failed"),
+    (("cells", "--denominator", "1"), "denominator of at least 2"),
+    (("cells", "--closed", "-1"), "nonnegative"),
+    (("verify", "--suite", "rl-operad", "--max-tokens", "0"), "--max-tokens"),
+    (("verify", "--suite", "graph-operad", "--max-tokens", "0"), "--max-tokens"),
+    (("verify", "--suite", "rs-operad", "--samples", "-1"), "--samples"),
+    (("verify", "--suite", "sc-geometry", "--samples", "-2"), "--samples"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", BAD_INPUT, ids=[" ".join(argv) for argv, _ in BAD_INPUT]
+)
+def test_bad_input_exits_2(capsys, monkeypatch, argv, named):
+    # fewer sampler restarts: a box count the grid cannot hold is refused
+    # the same way, in milliseconds rather than seconds
+    monkeypatch.setattr(geometry, "_MAX_TRIES", 3)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out and err.startswith("error: ") and named in err
+    assert "Traceback" not in err
 
 
 class _Recorder:

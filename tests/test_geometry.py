@@ -122,6 +122,36 @@ class TestRandomConfig:
         b = geometry.random_config(2, 2, 1, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 2, 0, 16), "m >= 1"),
+            ((2, -1, 0, 16), "nonnegative"),
+            ((2, 1, -1, 16), "nonnegative"),
+            ((2, 1, 0, 1), "at least 2"),
+            ((2, 0, 1, 1), "at least 2"),
+            ((2, 1, 1, 2), "at least 3"),
+        ],
+    )
+    def test_bad_arguments_refused_before_any_draw(self, args, message):
+        m, n_closed, n_open, denominator = args
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=message):
+            geometry.random_config(m, n_closed, n_open, rng, denominator)
+        assert rng.getstate() == state
+
+    def test_coarsest_grids_sample(self):
+        for n_closed, n_open, denominator in ((1, 0, 2), (0, 1, 2), (1, 1, 3)):
+            cfg = geometry.random_config(2, n_closed, n_open, 3, denominator)
+            assert (len(cfg.closed_boxes), len(cfg.open_boxes)) == (n_closed, n_open)
+
+    def test_exhausted_sampler_raises_value_error(self, monkeypatch):
+        # two open boxes cannot both sit on the floor of a 1-cube
+        monkeypatch.setattr(geometry, "_MAX_TRIES", 3)
+        with pytest.raises(ValueError, match="rejection sampling failed"):
+            geometry.random_config(1, 0, 2, seed=0)
+
     def test_grid_denominator(self):
         cfg = geometry.random_config(2, 2, 0, seed=9, denominator=8)
         for box in cfg.closed_boxes + cfg.open_boxes:

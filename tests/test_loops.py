@@ -71,6 +71,15 @@ class TestCosimplicial:
         with pytest.raises(ValueError):
             omega(Z3, (0, 1))
 
+    @pytest.mark.parametrize(
+        "sub, named",
+        [((0, 0, 0), "0 is listed twice"), ((0, 7), "7 is not an element")],
+    )
+    def test_repeated_or_foreign_element_named(self, sub, named):
+        for check in (Z3.check_submonoid, lambda N: omega(Z3, N)):
+            with pytest.raises(loops.NotSubmonoid, match=named):
+                check(sub)
+
 
 class TestCyclic:
     def test_matches_the_validated_construction(self):

@@ -160,6 +160,28 @@ class TestJoyalDuality:
                         cases += 1
         assert cases == 1368
 
+    def test_bars_placed_by_the_rule(self):
+        # the t-th bar comes after #{s : psi(s) < t} letters; a round trip
+        # alone would pass an error made the same way in both directions
+        cases = 0
+        for n in range(6):
+            for m in range(6):
+                for values in combinations_with_replacement(range(m + 1), n + 1):
+                    psi = MonotoneMap(n, m, values)
+                    for input_open, output_open in OPENNESS_PAIRS:
+                        x = strings.joyal_to_string(psi, input_open, output_open)
+                        letter = -1 if input_open else 1
+                        want = []
+                        for t in range(1, m + 1):
+                            before = sum(1 for v in values if v < t)
+                            want += [letter] * (before - want.count(letter))
+                            want.append(BAR)
+                        want += [letter] * (n + 1 - want.count(letter))
+                        assert x.tokens == tuple(want), (values, input_open)
+                        assert x.output_open == output_open
+                        cases += 1
+        assert cases == 3 * 1709
+
     def test_strings_round_trip(self):
         cases = 0
         for k in range(5):

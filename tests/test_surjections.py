@@ -397,6 +397,12 @@ class TestGenerators:
         # closed under the signed action; plain relabelling reached 265
         assert report["reachable"] == 247
 
+    def test_closure_in_arity_four(self):
+        report = surjections.is_generated_up_to(max_labels=4, max_length=4)
+        assert report["reachable"] == 649
+        assert report["all_spanned"]
+        assert all(info["spanned"] for info in report["components"].values())
+
     def test_library_caesura_sign_matches_the_oracle(self):
         cases = negative = 0
         for u in colour_basis(2):

@@ -1,5 +1,7 @@
 """Planar-tree view of filtration-2 strings."""
 
+import hashlib
+
 import pytest
 
 from operadix import strings, trees
@@ -15,6 +17,15 @@ def test_round_trip_exhaustive_small():
         assert trees.tree_to_string(t) == x
         count += 1
     assert count > 1000
+
+
+def test_renderings_frozen():
+    # every tree of the small window, terminal numbers and unlabelled
+    # vertices included
+    xs = small_strings(5, 3, m=2)
+    texts = "\n\n".join(trees.render_tree(trees.tree_view(x)) for x in xs)
+    assert len(xs) == 4179
+    assert hashlib.sha256(texts.encode()).hexdigest().startswith("7c01b221ae78cffc")
 
 
 def test_rejects_higher_filtration():
