@@ -57,11 +57,22 @@ def _environment_seed() -> int:
         raise ValueError(f"OPERADIX_SEED must be an integer, not {value!r}") from None
 
 
+# The most tokens ``verify --max-tokens`` accepts.  The rl-operad and
+# graph-operad suites build the whole ``strings.small_strings(max_tokens, 3,
+# m)`` window before they draw a sample, and each extra token multiplies
+# that work about four times.  On a shared 2-vCPU x86-64 machine
+# ``--suite graph-operad --samples 1`` took 5.6-6.9 s and 167 MB at 8
+# tokens, 11 s and 263 MB with ``--m 4`` (rl-operad the same), and 14.2 s
+# and 288 MB at 9.
+_MAX_TOKENS = 8
+
+
 def _fill_deferred(args, read, owner: str) -> None:
     """Fill in the default of each deferred option in ``read`` that ``args``
-    holds unset, and refuse one given below its least value or although
+    holds unset, and refuse one given outside its bounds or although
     ``owner`` reads only the options ``read``."""
     least = {"max_tokens": 1, "samples": 0}
+    most = {"max_tokens": _MAX_TOKENS}
     for dest, default in _deferred_defaults().items():
         if not hasattr(args, dest):
             continue
@@ -78,6 +89,8 @@ def _fill_deferred(args, read, owner: str) -> None:
             )
         elif value < least.get(dest, value):
             raise ValueError(f"{option} must be at least {least[dest]}, not {value}")
+        elif value > most.get(dest, value):
+            raise ValueError(f"{option} must be at most {most[dest]}, not {value}")
 
 
 def _emit(report: dict, as_json: bool, lines=None) -> None:
@@ -503,7 +516,8 @@ def _suite_sc_geometry(args) -> tuple[bool, dict]:
     rng = Random(args.seed)
     tally = _Tally()
     for trial in range(args.samples):
-        n_open = rng.randint(0, 2)
+        # two open boxes overlap on the floor of a 1-cube
+        n_open = rng.randint(0, 2 if args.m > 1 else 1)
         n_closed = rng.randint(1 if not n_open else 0, 2)
         cfg = geometry.random_config(args.m, n_closed, n_open, seed=rng)
         alpha = geometry.cell_index(cfg)

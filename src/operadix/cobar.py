@@ -15,10 +15,11 @@ Three layers:
    with components the tensor powers of the bialgebra (``mb_compose``),
    and the wide module structure on tensor powers with a comodule-algebra
    coefficient (``z_coface``).  Both compute through two basis-tuple
-   kernels: ``_gamma_terms``, the composition gamma, and ``_wide_terms``,
-   the wide left action lambda'.  These rest on the diagonal translations
-   of a tuple by a basis element, a <| t and t |> b; each is computed once
-   per bialgebra and kept on it.
+   kernels: ``_gamma_terms``, the composition gamma, and ``_twisted_terms``,
+   the twisted concatenation, whose left-to-right fold over the slots is
+   the wide left action lambda' (``_wide_terms``).  These rest on the
+   diagonal translations of a tuple by a basis element, a <| t and t |> b;
+   each is computed once per bialgebra and kept on it.
 
 3. The truncated totalization ``CobarTot`` of the unreduced (relative)
    cobar complex, whose ``chain_complex()`` is that complex, with its
@@ -29,8 +30,9 @@ Three layers:
    its terms' projections.  It carries the experimental homotopy
    operations, each under one name: the concatenation ``cup``, the
    closed-to-relative inclusion ``inc_tot``, the twisted concatenation
-   ``sqcup``, and the closed and open insertion sums ``act_Tk`` and
-   ``act_Tj``, the two kernels placed in one signed sum ``_insertion_sum``;
+   ``sqcup`` (one step of that fold), and the closed and open insertion
+   sums ``act_Tk`` and ``act_Tj``, gamma and lambda' placed in one signed
+   sum ``_insertion_sum``;
    relation checks are reported, not assumed.
 
 Conventions: the desuspension shifts degree down by one and anti-commutes
@@ -615,9 +617,6 @@ class Bialgebra:
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
         return bilinear(self.product, u, v)
 
-    def delta(self, v: LinComb) -> LinComb:
-        return linear(self.coproduct, v)
-
     def __post_init__(self):
         _check_complete(self.basis, self.product, self.coproduct, "coproduct")
         # filled on first use by _left_terms and _right_terms: (a, t) ->
@@ -627,47 +626,69 @@ class Bialgebra:
         self._right: dict = {}
 
     def validate(self) -> None:
-        _check_complete(self.basis, self.product, self.coproduct, "coproduct")
-        one = LinComb.unit(self.unit)
-        for a in self.basis:
-            va = LinComb.unit(a)
-            if self.mul(one, va) != va or self.mul(va, one) != va:
-                raise ValueError(f"unit law fails at {a}")
-        for a, b, c in product(self.basis, repeat=3):
-            lhs = self.mul(self.mul(LinComb.unit(a), LinComb.unit(b)), LinComb.unit(c))
-            rhs = self.mul(LinComb.unit(a), self.mul(LinComb.unit(b), LinComb.unit(c)))
-            if lhs != rhs:
-                raise ValueError(f"associativity fails at {(a, b, c)}")
-        # the counit and coassociativity laws: the coalgebra in degree zero
-        DGCoalgebra(
-            dict.fromkeys(self.basis, 0), {}, self.coproduct, self.counit, self.unit
-        ).validate()
-        # the coproduct is an algebra map (bialgebra axiom)
-        for a, b in product(self.basis, repeat=2):
-            ab = self.mul(LinComb.unit(a), LinComb.unit(b))
-            lhs = self.delta(ab)
-            rhs = LinComb(
-                ((px, py), c1 * c2 * cx * cy)
-                for (x1, y1), c1 in self.coproduct[a]
-                for (x2, y2), c2 in self.coproduct[b]
-                for px, cx in self.mul(LinComb.unit(x1), LinComb.unit(x2))
-                for py, cy in self.mul(LinComb.unit(y1), LinComb.unit(y2))
-            )
-            if lhs != rhs:
-                raise ValueError(f"coproduct is not multiplicative at {(a, b)}")
-        # the unit is grouplike; with the counit law this gives eps(1) = 1
-        if self.coproduct[self.unit] != LinComb.unit((self.unit, self.unit)):
-            raise ValueError("coproduct of the unit is not 1 (x) 1")
+        # the bialgebra is a comodule algebra over itself through its
+        # coproduct: the algebra laws, the left counit law, coassociativity
+        # and the bialgebra axiom
+        _check_comodule_algebra(
+            self, self.basis, self.unit, self.product, self.coproduct, "coproduct"
+        )
+        # the right counit law, and with the unit 1 (x) 1 this gives
+        # eps(1) = 1
         eps = self.counit.get
+        for x in self.basis:
+            right = LinComb((a, c * eps(b, 0)) for (a, b), c in self.coproduct[x])
+            if right != LinComb.unit(x):
+                raise ValueError(f"right counit law fails at {x}")
         for a, b in product(self.basis, repeat=2):
             ab = self.mul(LinComb.unit(a), LinComb.unit(b))
             if sum(c * eps(p, 0) for p, c in ab) != eps(a, 0) * eps(b, 0):
                 raise ValueError(f"counit is not multiplicative at {(a, b)}")
 
 
+def _check_comodule_algebra(
+    B: Bialgebra, basis, unit, mul_table: dict, coaction: dict, name: str
+) -> None:
+    """Raise ValueError naming the law and the element at which an algebra
+    with a coaction of B (its coproduct, for B itself) is no comodule
+    algebra: complete tables, unit and associativity, the comodule laws in
+    degree zero, and a coaction that is a map of unital algebras."""
+    _check_complete(basis, mul_table, coaction, name)
+    mul = partial(bilinear, mul_table)
+    one = LinComb.unit(unit)
+    for a in basis:
+        va = LinComb.unit(a)
+        if mul(one, va) != va or mul(va, one) != va:
+            raise ValueError(f"unit law fails at {a}")
+    for a, b, c in product(basis, repeat=3):
+        va, vb, vc = LinComb.unit(a), LinComb.unit(b), LinComb.unit(c)
+        if mul(mul(va, vb), vc) != mul(va, mul(vb, vc)):
+            raise ValueError(f"associativity fails at {(a, b, c)}")
+    # the left counit and coassociativity laws
+    coalgebra = DGCoalgebra(
+        dict.fromkeys(B.basis, 0), {}, B.coproduct, B.counit, B.unit
+    )
+    DGComodule(coalgebra, dict.fromkeys(basis, 0), {}, coaction).validate()
+    if coaction[unit] != LinComb.unit((B.unit, unit)):
+        raise ValueError(f"{name} of the unit is not 1 (x) 1")
+    for a, b in product(basis, repeat=2):
+        lhs = linear(coaction, mul(LinComb.unit(a), LinComb.unit(b)))
+        rhs = LinComb(
+            ((px, py), c1 * c2 * cx * cy)
+            for (x1, y1), c1 in coaction[a]
+            for (x2, y2), c2 in coaction[b]
+            for px, cx in B.product.get((x1, x2), ())
+            for py, cy in mul_table.get((y1, y2), ())
+        )
+        if lhs != rhs:
+            raise ValueError(f"{name} is not multiplicative at {(a, b)}")
+
+
 @dataclass
 class ComoduleAlgebra:
-    """Left comodule over a bialgebra in the category of unital algebras."""
+    """Left comodule over a bialgebra in the category of unital algebras.
+
+    The constructor checks only that the tables are complete; ``validate``
+    checks the laws, on which the wide left action's fold relies."""
 
     bialgebra: Bialgebra
     basis: tuple
@@ -677,6 +698,15 @@ class ComoduleAlgebra:
 
     def __post_init__(self):
         _check_complete(self.basis, self.product, self.coaction, "coaction")
+
+    def validate(self) -> None:
+        """Complete tables, unit and associativity of the product, the
+        comodule laws in degree zero, and a coaction that is a map of unital
+        algebras: rho(1) = 1 (x) 1 and rho(xy) = rho(x) rho(y)."""
+        _check_comodule_algebra(
+            self.bialgebra, self.basis, self.unit, self.product, self.coaction,
+            "coaction",
+        )
 
 
 def monoid_bialgebra(M, name) -> Bialgebra:
@@ -714,26 +744,20 @@ def _mul_terms(table: dict, a: tuple, b: tuple) -> list:
     return _expand_terms([table[(x, y)] for x, y in zip(a, b)])
 
 
-def _iterate(table: dict, name, k: int) -> list:
-    """Apply a coproduct or coaction table k times, each time to the last
-    component: ((split-off k-tuple, last name), coefficient) pairs."""
-    terms = [((), name, 1)]
-    for _ in range(k):
-        terms = [
-            (done + (x,), y, c * c2)
-            for done, last, c in terms
-            for (x, y), c2 in table[last]
-        ]
-    return [((done, last), c) for done, last, c in terms]
-
-
 def _iterated_coproduct(B: Bialgebra, name, k: int) -> list:
     """The k-fold Sweedler expansion of a basis element as (k-tuple,
-    coefficient) pairs (k = 0 gives the counit on the empty tuple)."""
+    coefficient) pairs (k = 0 gives the counit on the empty tuple): the
+    coproduct applied k - 1 times, each time to the last component."""
     if k == 0:
         return [((), B.counit.get(name, 0))]
-    split = _iterate(B.coproduct, name, k - 1)
-    return [(done + (last,), c) for (done, last), c in split]
+    terms = [((name,), 1)]
+    for _ in range(k - 1):
+        terms = [
+            (done[:-1] + pair, c * c2)
+            for done, c in terms
+            for pair, c2 in B.coproduct[done[-1]]
+        ]
+    return terms
 
 
 def _left_terms(B: Bialgebra, a_name, t: tuple) -> tuple:
@@ -783,51 +807,49 @@ def _gamma_terms(B: Bialgebra, a: tuple, fills) -> list:
     return [(sum(body, ()), c) for body, c in _expand_terms(blocks)]
 
 
-def _wide_terms(B: Bialgebra, C: ComoduleAlgebra, beta, tf: tuple, us: tuple):
-    """The wide left action on basis elements: ``tf`` a name tuple, ``us``
-    one (tuple, coefficient name) argument per selected slot of ``beta``.
-    The arguments fill the selected slots, coaction components of their
-    coefficients fill the later slots, and the final coaction components
-    multiply onto the output coefficient; yields (element, coefficient)
-    pairs."""
-    k = len(tf)
-    if list(beta) != sorted(set(beta)) or any(not 1 <= b <= k for b in beta):
-        raise ValueError("selector must be strictly increasing within 1..k")
-    # (nabla_B^{(k-b-1)} ox id) nabla_C of each argument coefficient: the
-    # k - b later slots receive a component, the last is the coefficient
-    spreads = [_iterate(C.coaction, cname, k - b) for (_, cname), b in zip(us, beta)]
-    slot = {b: t for t, b in enumerate(beta)}
-    for combo, coeff in _expand_terms(spreads):
-        # combo[t] = (z components, final coefficient name) of argument t
-        blocks = []
-        for p, a in enumerate(tf, start=1):
-            entry = [(us[slot[p]][0] if p in slot else (B.unit,), 1)]
-            # the earlier components act as the product z_s ... z_1, as the
-            # endpoints do in loops.varsigma_prime: the latest goes on first
-            for t, b in reversed(list(enumerate(beta))):
-                if b < p:
-                    z = combo[t][0][p - b - 1]
-                    entry = [
-                        (s, c * cs) for e, c in entry for s, cs in _right_terms(B, e, z)
-                    ]
-            blocks.append(
-                [(s, c * cs) for e, c in entry for s, cs in _left_terms(B, a, e)]
-            )
-        # coefficient: c_s^{(...)} ... c_1^{(...)} multiplied in C
-        cprod = [(C.unit, 1)]
-        for _, tail in reversed(combo):
-            cprod = [(n, c * cn) for m, c in cprod for n, cn in C.product[(m, tail)]]
-        for body, cb in _expand_terms(blocks):
-            for cn, cc in cprod:
-                yield (sum(body, ()), cn), coeff * cb * cc
+def _twisted_terms(B: Bialgebra, C: ComoduleAlgebra, u: tuple, v: tuple) -> list:
+    """The twisted concatenation of two relative basis elements (tuple,
+    coefficient name): a coaction component z of u's coefficient
+    right-translates v's tuple, and the rest of that coefficient multiplies
+    onto v's from the right; (element, coefficient) pairs."""
+    (wa, ca), (wb, cb) = u, v
+    return [
+        ((wa + wt, cn), cz * ct * cc)
+        for (z, c2), cz in C.coaction[ca]
+        for wt, ct in _right_terms(B, wb, z)
+        for cn, cc in C.product[(cb, c2)]
+    ]
+
+
+def _wide_terms(B: Bialgebra, C: ComoduleAlgebra, beta, tf: tuple, us: tuple) -> list:
+    """The wide left action lambda' on basis elements: ``tf`` a name tuple,
+    ``us`` one (tuple, coefficient name) argument per selected slot of
+    ``beta``, the unit tuple and coefficient in every other slot.  From the
+    left, each slot's letter left-translates its filling and the result is
+    twisted-concatenated onto the product so far, as
+    ``loops.varsigma_prime`` accumulates the endpoints; (element,
+    coefficient) pairs."""
+    fills = [((B.unit,), C.unit)] * len(tf)
+    for p, u in zip(beta, us):
+        fills[p - 1] = u
+    terms = [(((), C.unit), 1)]
+    for a, (w, cname) in zip(tf, fills):
+        terms = [
+            (e, c * cs * ce)
+            for u, c in terms
+            for s, cs in _left_terms(B, a, w)
+            for e, ce in _twisted_terms(B, C, u, (s, cname))
+        ]
+    return terms
 
 
 def z_coface(B: Bialgebra, C: ComoduleAlgebra, i: int, u: LinComb) -> LinComb:
     """Cofaces of the tensor-power module built from the actions: the first
     inserts through the wide left action of the multiplication, middle ones
     act through the right action gamma, the last through the one-slot wide
-    left action.  Linear: each term is taken at its own tensor length l,
-    where i must lie in 0..l+1."""
+    left action (both wide actions folds of the twisted concatenation).
+    Linear: each term is taken at its own tensor length l, where i must lie
+    in 0..l+1."""
     mu = (B.unit, B.unit)
     out = []
     for (w, cname), c in u:
@@ -892,13 +914,11 @@ class CobarTot:
         return [(w, c) for w in words for c in self.C.basis]
 
     def _coface_basis(self, i: int, b) -> list:
-        """The i-th coface of one basis element as (element, coefficient)
-        pairs."""
+        """The i-th coface of one basis element of level k as (element,
+        coefficient) pairs, for i in 0..k+1."""
         B = self.B
         w, tail = self._split(b)
         k = len(w)
-        if not 0 <= i <= k + 1:
-            raise ValueError(f"coface index {i} out of range at level {k}")
         if i == 0:
             return [(self._join((B.unit,) + w, tail), 1)]
         if i <= k:
@@ -986,19 +1006,16 @@ def inc_tot(tot: CobarTot, f: LinComb) -> LinComb:
 
 
 def sqcup(tot: CobarTot, u: LinComb, v: LinComb) -> LinComb:
-    """Twisted concatenation on the relative part: the second word is
-    right-translated by a coaction component of the first coefficient, which
-    multiplies onto the second coefficient."""
+    """Twisted concatenation on the relative part: the bilinear extension of
+    ``_twisted_terms``, conormally projected.  It is one step of the wide
+    left action's fold (``_wide_terms``)."""
     if tot.C is None:
         raise ValueError("the twisted product lives on the relative part")
-    B, C = tot.B, tot.C
     out = LinComb(
-        ((wa + wt, cn), cu * cv * cz * ct * cc)
-        for (wa, ca_name), cu in u
-        for (wb, cb_name), cv in v
-        for (z, c2), cz in C.coaction[ca_name]
-        for wt, ct in _right_terms(B, wb, z)
-        for cn, cc in C.product[(cb_name, c2)]
+        (e, cu * cv * ce)
+        for a, cu in u
+        for b, cv in v
+        for e, ce in _twisted_terms(tot.B, tot.C, a, b)
     )
     return tot.conormal_project(out)
 
@@ -1051,10 +1068,11 @@ def act_Tk(tot: CobarTot, f: LinComb, gs: list[LinComb]) -> LinComb:
 
 
 def act_Tj(tot: CobarTot, f: LinComb, hs: list[LinComb]) -> LinComb:
-    """Insertion sum with relative arguments: selected letters receive the
+    """Insertion sum with relative arguments through the wide left action,
+    the fold of the twisted concatenation: selected letters receive the
     argument words, later letters are right-translated by coaction
-    components of the argument coefficients, and the final components
-    multiply onto the output coefficient (the wide left action)."""
+    components of the argument coefficients, and the rest of each multiplies
+    onto the output coefficient."""
     if tot.C is None:
         raise ValueError("the open insertion sum lives on the relative part")
     return _insertion_sum(tot, f, hs, partial(_wide_terms, tot.B, tot.C))

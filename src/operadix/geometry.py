@@ -223,8 +223,8 @@ def random_config(
 
     Boxes are added one at a time and re-drawn until strictly separated from
     every earlier box on some axis (so the cell index is always defined).
-    Raises ValueError on m < 1, a negative box count, a grid too coarse for
-    the boxes, or when sampling gives up.
+    Raises ValueError on m < 1, a negative box count, two or more open boxes
+    in a 1-cube, a grid too coarse for the boxes, or when sampling gives up.
     """
     if m < 1:
         raise ValueError(f"a configuration needs m >= 1, not {m}")
@@ -232,6 +232,10 @@ def random_config(
         raise ValueError(
             f"box counts must be nonnegative, not {n_closed} closed and {n_open} open"
         )
+    # open boxes start at the floor of the last axis, so in a 1-cube any two
+    # of them overlap
+    if m == 1 and n_open >= 2:
+        raise ValueError(f"a 1-cube holds at most one open box, not {n_open}")
     output_open = n_open > 0
     # a closed box over an open output lies on two grid lines strictly
     # between the floor and the top of the cube

@@ -302,6 +302,15 @@ class TestVerify:
         assert code == 0
         assert "ok" in out
 
+    def test_sc_geometry_in_a_1_cube(self, capsys):
+        # at most one open box per configuration: two would overlap on the
+        # floor of the cube's only axis
+        code, out, _ = run(
+            capsys, "verify", "--suite", "sc-geometry", "--m", "1", "--samples", "100"
+        )
+        assert code == 0
+        assert "ok" in out
+
     @pytest.mark.parametrize("suite", ["loop-model", "cobar"])
     @pytest.mark.parametrize("option", ["--samples", "--seed"])
     def test_fixed_suites_refuse_samples_and_seed(self, capsys, suite, option):
@@ -540,8 +549,13 @@ BAD_INPUT = [
     (("cells", "--closed", "13", "--m", "1"), "rejection sampling failed"),
     (("cells", "--denominator", "1"), "denominator of at least 2"),
     (("cells", "--closed", "-1"), "nonnegative"),
+    (("cells", "--open", "2", "--closed", "0", "--m", "1"), "at most one open box"),
     (("verify", "--suite", "rl-operad", "--max-tokens", "0"), "--max-tokens"),
     (("verify", "--suite", "graph-operad", "--max-tokens", "0"), "--max-tokens"),
+    (
+        ("verify", "--suite", "graph-operad", "--max-tokens", "9"),
+        "--max-tokens must be at most 8, not 9",
+    ),
     (("verify", "--suite", "rs-operad", "--samples", "-1"), "--samples"),
     (("verify", "--suite", "sc-geometry", "--samples", "-2"), "--samples"),
 ]

@@ -3,13 +3,19 @@
 import random
 from collections import Counter
 from functools import reduce
-from itertools import chain, product as iproduct
+from itertools import chain, combinations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from operadix import cobar
-from operadix.chains import InvalidComplex, LinComb, build_complex, homology
+from operadix.chains import (
+    InvalidComplex,
+    LinComb,
+    _expand_terms,
+    build_complex,
+    homology,
+)
 from operadix.cobar import (
     Bialgebra,
     CobarObject,
@@ -34,7 +40,7 @@ from operadix.cobar import (
     universal_twisting,
     z_coface,
 )
-from operadix.loops import FiniteMonoid
+from operadix.loops import FiniteMonoid, TotComplex
 
 U = "1"
 
@@ -832,6 +838,42 @@ class TestBialgebraLayer:
         with pytest.raises(ValueError, match="coaction table .*'0'"):
             ComoduleAlgebra(C.bialgebra, C.basis, C.unit, C.product, coaction)
 
+    def test_library_comodule_algebras_validate(self):
+        Z3 = FiniteMonoid.cyclic(3)
+        for B in (
+            group_bialgebra(Z2),
+            group_bialgebra(Z3),
+            dual_group_bialgebra(Z2),
+            dual_group_bialgebra(Z3),
+            monoid_bialgebra(LEFT_ZERO, str),
+        ):
+            diagonal_comodule(B).validate()
+        # Z[N] over Z[M] for a proper submonoid N
+        TotComplex(FiniteMonoid.cyclic(4), (0, 2), 2, "open").C.validate()
+
+    # each edit breaks one comodule-algebra law of the diagonal comodule of
+    # Z[Z/2] or Z[Z/3]; validate must name that law
+    @pytest.mark.parametrize(
+        "order, table, key, value, law",
+        [
+            (2, "product", ("0", "1"), {}, "^unit law fails at 1"),
+            (3, "product", ("1", "1"), {"1": 1}, "^associativity fails"),
+            (2, "coaction", "1", {("1", "0"): 1}, "^left counit law fails at 1"),
+            (3, "coaction", "1", {("1", "1"): 1, ("2", "1"): 1, ("0", "1"): -1},
+             "^coassociativity fails at 1"),
+            (2, "coaction", "0", {("1", "0"): 1}, "^coaction of the unit"),
+            (3, "coaction", "1", {("0", "1"): 1},
+             r"^coaction is not multiplicative at \('1', '1'\)"),
+        ],
+        ids=["unit", "associativity", "counit", "coassociativity",
+             "unit-coaction", "multiplicativity"],
+    )
+    def test_broken_comodule_algebra_law_named(self, order, table, key, value, law):
+        C = diagonal_comodule(group_bialgebra(FiniteMonoid.cyclic(order)))
+        getattr(C, table)[key] = LinComb(value)
+        with pytest.raises(ValueError, match=law):
+            C.validate()
+
     def test_unreduced_complexes_d_squared(self):
         B = group_bialgebra(Z2)
         cx = CobarTot(B, truncation=4).chain_complex()
@@ -1161,3 +1203,144 @@ class TestPerObjectTables:
                         # the kept entry, a tuple no caller can change
                         assert kernel(*args) is kernel(*args)
                         assert isinstance(kernel(*args), tuple)
+
+
+def reference_wide_terms(B: Bialgebra, C: ComoduleAlgebra, beta, tf, us):
+    """The wide left action as one coaction spread per argument, every slot
+    right-translated by the components of the earlier arguments, latest
+    first, and the final components multiplied onto the coefficient: the
+    oracle for the left-to-right fold of ``cobar._wide_terms``."""
+
+    def spread(name, k):
+        # the coaction applied k times, each time to the last component
+        terms = [((), name, 1)]
+        for _ in range(k):
+            terms = [
+                (done + (x,), y, c * c2)
+                for done, last, c in terms
+                for (x, y), c2 in C.coaction[last]
+            ]
+        return [((done, last), c) for done, last, c in terms]
+
+    k = len(tf)
+    spreads = [spread(cname, k - b) for (_, cname), b in zip(us, beta)]
+    slot = {b: t for t, b in enumerate(beta)}
+    for combo, coeff in _expand_terms(spreads):
+        blocks = []
+        for p, a in enumerate(tf, start=1):
+            entry = [(us[slot[p]][0] if p in slot else (B.unit,), 1)]
+            for t, b in reversed(list(enumerate(beta))):
+                if b < p:
+                    z = combo[t][0][p - b - 1]
+                    entry = [
+                        (s, c * cs)
+                        for e, c in entry
+                        for s, cs in cobar._right_terms(B, e, z)
+                    ]
+            blocks.append(
+                [(s, c * cs) for e, c in entry for s, cs in cobar._left_terms(B, a, e)]
+            )
+        cprod = [(C.unit, 1)]
+        for _, tail in reversed(combo):
+            cprod = [(n, c * cn) for m, c in cprod for n, cn in C.product[(m, tail)]]
+        for body, cb in _expand_terms(blocks):
+            for cn, cc in cprod:
+                yield (sum(body, ()), cn), coeff * cb * cc
+
+
+class TestWideAction:
+    # Z/2 and its dual (non-grouplike coproducts) with every selector; the
+    # non-commutative band with selectors of at most two slots, since its
+    # three-slot selectors alone would add 46,656 cases
+    @pytest.mark.parametrize(
+        "bialgebra, most_args, cases",
+        [
+            (lambda: group_bialgebra(Z2), 3, 2955),
+            (lambda: dual_group_bialgebra(Z2), 3, 2955),
+            (lambda: monoid_bialgebra(LEFT_ZERO, str), 2, 14224),
+        ],
+        ids=["Z/2", "dual Z/2", "left-zero band"],
+    )
+    def test_fold_matches_per_argument_spreads(self, bialgebra, most_args, cases):
+        B = bialgebra()
+        C = diagonal_comodule(B)
+        # every argument of level 0 or 1
+        args = [
+            (w, c) for l in range(2) for w in iproduct(B.basis, repeat=l) for c in C.basis
+        ]
+        seen = 0
+        for k in range(4):
+            for tf in iproduct(B.basis, repeat=k):
+                for s in range(min(k, most_args) + 1):
+                    for beta in combinations(range(1, k + 1), s):
+                        for us in iproduct(args, repeat=s):
+                            want = LinComb(reference_wide_terms(B, C, beta, tf, us))
+                            got = LinComb(cobar._wide_terms(B, C, beta, tf, us))
+                            assert got == want, (tf, beta, us)
+                            seen += 1
+        assert seen == cases
+
+
+_C = sample_coalgebra()
+_CLOSED, _REL = both_parts(group_bialgebra(Z2))
+_F = LinComb.unit(("1",))
+_U = LinComb.unit((("1",), "0"))
+
+# each public entry point of the module on a bad input it refuses, with the
+# message it must give
+REFUSED = [
+    pytest.param(
+        lambda: relative_cobar(_C, diagonal_dg_comodule(sample_coalgebra()), 4),
+        "comodule is not over the given coalgebra",
+        id="relative_cobar",
+    ),
+    pytest.param(
+        lambda: cobar_algebra(relative_cobar(_C, diagonal_dg_comodule(_C), 4)),
+        "use the closed construction",
+        id="cobar_algebra",
+    ),
+    pytest.param(
+        lambda: relative_cobar_module(cobar.cobar(_C, 4), cobar.cobar(_C, 4)),
+        "use the relative construction",
+        id="relative_cobar_module",
+    ),
+    pytest.param(
+        lambda: mb_compose(_CLOSED.B, LinComb.unit(("1", "0")), 3, _F),
+        "slot 3 out of range",
+        id="mb_compose",
+    ),
+    pytest.param(
+        lambda: _CLOSED.codegeneracy(2, LinComb.unit(("1", "0"))),
+        "codegeneracy index 2 out of range at level 2",
+        id="codegeneracy",
+    ),
+    pytest.param(
+        lambda: cobar.cup(_REL, _U, _U), "cup lives on the closed part", id="cup"
+    ),
+    pytest.param(
+        lambda: cobar.inc_tot(_CLOSED, _F),
+        "the inclusion lands in the relative part",
+        id="inc_tot",
+    ),
+    pytest.param(
+        lambda: cobar.sqcup(_CLOSED, _F, _F),
+        "the twisted product lives on the relative part",
+        id="sqcup",
+    ),
+    pytest.param(
+        lambda: cobar.act_Tk(_REL, _F, [_F]),
+        "the closed insertion sum lives on the closed part",
+        id="act_Tk",
+    ),
+    pytest.param(
+        lambda: cobar.act_Tj(_CLOSED, _F, [_U]),
+        "the open insertion sum lives on the relative part",
+        id="act_Tj",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSED)
+def test_public_api_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -131,6 +131,7 @@ class TestRandomConfig:
             ((2, 1, 0, 1), "at least 2"),
             ((2, 0, 1, 1), "at least 2"),
             ((2, 1, 1, 2), "at least 3"),
+            ((1, 0, 2, 16), "at most one open box"),
         ],
     )
     def test_bad_arguments_refused_before_any_draw(self, args, message):
@@ -147,10 +148,11 @@ class TestRandomConfig:
             assert (len(cfg.closed_boxes), len(cfg.open_boxes)) == (n_closed, n_open)
 
     def test_exhausted_sampler_raises_value_error(self, monkeypatch):
-        # two open boxes cannot both sit on the floor of a 1-cube
+        # thirteen closed boxes on the 1/16 grid of a 1-cube: three restarts
+        # draw no separated set
         monkeypatch.setattr(geometry, "_MAX_TRIES", 3)
         with pytest.raises(ValueError, match="rejection sampling failed"):
-            geometry.random_config(1, 0, 2, seed=0)
+            geometry.random_config(1, 13, 0, seed=0)
 
     def test_grid_denominator(self):
         cfg = geometry.random_config(2, 2, 0, seed=9, denominator=8)
