@@ -118,6 +118,25 @@ def _parse_component(spec: str):
         raise ValueError(f"bad component spec {spec!r}; expected like 'c,o:o'")
 
 
+def _parse_ints(spec: str, name: str) -> list[int]:
+    """'2,1,3' -> [2, 1, 3]; ``name`` names the list in the error."""
+    try:
+        return [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"{name} must be comma-separated integers, not {spec!r}"
+        ) from None
+
+
+def _refuse_negative(args, *dests: str) -> None:
+    """Refuse a negative value of each option in ``dests``, before any work."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value < 0:
+            option = "--" + dest.replace("_", "-")
+            raise ValueError(f"{option} must be at least 0, not {value}")
+
+
 def _parse_colours(spec: str):
     """'c0,c1:o2' -> ([Colour(0,False), Colour(1,False)], Colour(2,True))."""
     try:
@@ -191,7 +210,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_act(args) -> int:
     x = strings.parse(args.string)
-    sigma = [int(s) for s in args.perm.split(",")]
+    sigma = _parse_ints(args.perm, "the permutation")
     out = strings.sym_act(sigma, x)
     _emit({"result": strings.text(out)}, args.json, [strings.text(out)])
     return 0
@@ -292,10 +311,9 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_loops(args) -> int:
-    sub = (
-        tuple(int(s) for s in args.sub.split(","))
-        if args.sub
-        else tuple(range(args.order))
+    _refuse_negative(args, "truncate")
+    sub = tuple(
+        range(args.order) if args.sub is None else _parse_ints(args.sub, "--sub")
     )
     # before the monoid, whose table has order^2 entries
     loops.check_window(args.order, len(sub), args.truncate, args.kind)
@@ -306,6 +324,7 @@ def _cmd_loops(args) -> int:
 
 
 def _cmd_cobar(args) -> int:
+    _refuse_negative(args, "truncate", "max_level")
     # before the bialgebra, whose dual takes order^3 steps to build
     cobar.check_report_window(args.order, args.truncate, args.max_level)
     M = loops.FiniteMonoid.cyclic(args.order)
@@ -538,10 +557,13 @@ def _suite_sc_geometry(args) -> tuple[bool, dict]:
 def _suite_loop_model(_args) -> tuple[bool, dict]:
     M = loops.FiniteMonoid.cyclic(2)
     om = loops.omega(M, M.elements)
-    om.check_identities(3)
+    tally = _Tally()
+    try:
+        om.check_identities(3)
+    except ValueError as exc:  # a broken identity is a failure, not bad input
+        tally.fail(str(exc))
     tot = loops.TotComplex(M, M.elements, 4, "open")
     closed = loops.TotComplex(M, M.elements, 4, "closed")
-    tally = _Tally()
     cases = 0
     # every closed basis element of degree 1 or 2 against every open one of
     # degree 0 or 1

@@ -9,6 +9,11 @@ producing an element of the complete-graph poset operad.  Composition
 substitutes one configuration into a box of another by the unique
 axis-aligned affine map, all in exact rational arithmetic.
 
+``Box`` and ``CubeConfig`` are slotted frozen dataclasses that check their
+fields and convert none: a box endpoint is a ``Fraction`` or an ``int``, and a
+float, a string or a bool is refused.  ``config_from_json`` is where numbers
+from outside become Fractions, and it checks what it reads.
+
 Slot numbering: closed boxes first (1..s), then open boxes (s+1..s+t).
 """
 
@@ -35,6 +40,7 @@ __all__ = [
 ]
 
 ONE = Fraction(1)
+_EXACT = (Fraction, int)  # box endpoint types, matched exactly: a bool is refused
 _MAX_TRIES = 5000  # random_config's restarts of a whole configuration
 
 
@@ -42,25 +48,24 @@ class NoSeparation(ValueError):
     """Two boxes admit no strictly separating axis."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
-    """A product of rational intervals, one [lo, hi] pair per axis."""
+    """A product of rational intervals, one [lo, hi] pair per axis, each
+    endpoint a Fraction or an int."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
-    def __init__(self, intervals):
-        ivs = tuple((Fraction(a), Fraction(b)) for a, b in intervals)
-        for h, (a, b) in enumerate(ivs, start=1):
-            if not -ONE < a < b < ONE:
+    def __post_init__(self) -> None:
+        for h, (a, b) in enumerate(self.intervals, start=1):
+            if not (type(a) in _EXACT and type(b) in _EXACT and -ONE < a < b < ONE):
                 raise ValueError(f"axis {h}: bad interval [{a}, {b}]")
-        object.__setattr__(self, "intervals", ivs)
 
     @property
     def m(self) -> int:
         return len(self.intervals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubeConfig:
     """Disjoint boxes in the standard cube; open boxes touch the floor x_m = 0."""
 
@@ -69,31 +74,25 @@ class CubeConfig:
     open_boxes: tuple[Box, ...]
     output_open: bool
 
-    def __init__(self, m, closed_boxes, open_boxes, output_open):
-        closed_boxes = tuple(closed_boxes)
-        open_boxes = tuple(open_boxes)
-        output_open = bool(output_open)
-        if not output_open and open_boxes:
+    def __post_init__(self) -> None:
+        m = self.m
+        if not self.output_open and self.open_boxes:
             raise ValueError("a closed-output configuration has no open boxes")
-        for box in closed_boxes + open_boxes:
+        boxes = self.boxes
+        for box in boxes:
             if box.m != m:
                 raise ValueError("box dimension does not match the configuration")
-        if output_open:
-            for box in closed_boxes:
+        if self.output_open:
+            for box in self.closed_boxes:
                 if box.intervals[m - 1][0] <= 0:
                     raise ValueError("closed boxes live strictly above the floor")
-        for box in open_boxes:
+        for box in self.open_boxes:
             if box.intervals[m - 1][0] != 0:
                 raise ValueError("open boxes sit on the floor x_m = 0")
-        boxes = closed_boxes + open_boxes
         for a in range(len(boxes)):
             for b in range(a + 1, len(boxes)):
                 if not _interiors_disjoint(boxes[a], boxes[b]):
                     raise ValueError(f"boxes {a + 1} and {b + 1} overlap")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "closed_boxes", closed_boxes)
-        object.__setattr__(self, "open_boxes", open_boxes)
-        object.__setattr__(self, "output_open", output_open)
 
     @property
     def boxes(self) -> tuple[Box, ...]:
@@ -299,17 +298,41 @@ def config_to_json(x: CubeConfig) -> dict:
     }
 
 
-def config_from_json(data: dict) -> CubeConfig:
-    def load(raw) -> Box:
-        return Box(
-            tuple(
-                (Fraction(a[0], a[1]), Fraction(b[0], b[1])) for a, b in raw
-            )
-        )
+def config_from_json(data) -> CubeConfig:
+    """The configuration of :func:`config_to_json`'s form.  Numbers from
+    outside become Fractions here and nowhere else, so every value is checked
+    first: raises ValueError naming the first malformed one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a configuration is a JSON object, not {data!r}")
+    for key in ("m", "outputOpen"):
+        if key not in data:
+            raise ValueError(f"the configuration has no {key!r}")
+    m, output_open = data["m"], data["outputOpen"]
+    if type(m) is not int or m < 1:
+        raise ValueError(f"'m' must be an integer >= 1, not {m!r}")
+    if type(output_open) is not bool:
+        raise ValueError(f"'outputOpen' must be true or false, not {output_open!r}")
 
-    return CubeConfig(
-        data["m"],
-        tuple(load(b) for b in data.get("closed", [])),
-        tuple(load(b) for b in data.get("open", [])),
-        data["outputOpen"],
-    )
+    def endpoint(raw) -> Fraction:
+        p, q = _json_list(raw, "an endpoint", 2)
+        if type(p) is not int or type(q) is not int or not q:
+            raise ValueError(f"an endpoint is [int, nonzero int], not {raw!r}")
+        return Fraction(p, q)
+
+    def interval(raw) -> tuple[Fraction, Fraction]:
+        a, b = _json_list(raw, "an interval", 2)
+        return endpoint(a), endpoint(b)
+
+    def boxes(key: str) -> tuple[Box, ...]:
+        raw = _json_list(data.get(key, []), repr(key))
+        return tuple(Box(tuple(map(interval, _json_list(b, "a box")))) for b in raw)
+
+    return CubeConfig(m, boxes("closed"), boxes("open"), output_open)
+
+
+def _json_list(raw, what: str, length: int | None = None) -> list:
+    """``raw``, if it is a JSON list (of ``length`` entries, when given)."""
+    if not isinstance(raw, list) or length not in (None, len(raw)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise ValueError(f"{what} must be {shape}, not {raw!r}")
+    return raw

@@ -588,7 +588,7 @@ def identity_string(colour: Colour) -> IntegerString:
     return IntegerString(tuple(tokens), colour.open)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotoneMap:
     """A weakly monotone map [n] -> [m], given by its n+1 values."""
 

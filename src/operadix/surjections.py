@@ -85,34 +85,6 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class Surjection:
-    """A bar-free nondegenerate surjective string (a chain-level basis element)."""
-
-    underlying: IntegerString
-
-    def __post_init__(self) -> None:
-        x = self.underlying
-        if any(t == BAR for t in x.tokens):
-            raise ValueError("a basis surjection has no bars")
-        if not _nondegenerate(x.tokens):
-            raise ValueError("degenerate string: adjacent equal letters")
-
-    @property
-    def degree(self) -> int:
-        tokens = self.underlying.tokens
-        return len(tokens) - _top_label(tokens)
-
-    # the token tuple alone, hashed in one frame: equal values have equal
-    # tokens, and an open- and a closed-output string with the same tokens
-    # share a hash and stay unequal
-    def __hash__(self) -> int:
-        return hash(self.underlying.tokens)
-
-    def __repr__(self) -> str:
-        return f"Surjection({text(self.underlying)})"
-
-
-@dataclass(frozen=True, slots=True)
 class BarredClass:
     """A normalized-chain class: bars allowed, no adjacent equal letters
     without a bar between them."""
@@ -123,11 +95,33 @@ class BarredClass:
         if not _nondegenerate(self.underlying.tokens):
             raise ValueError("degenerate string: adjacent equal letters")
 
+    # the token tuple alone, hashed in one frame: equal values have equal
+    # tokens, and an open- and a closed-output string with the same tokens
+    # share a hash and stay unequal
     def __hash__(self) -> int:
         return hash(self.underlying.tokens)
 
     def __repr__(self) -> str:
-        return f"BarredClass({text(self.underlying)})"
+        return f"{type(self).__name__}({text(self.underlying)})"
+
+
+# eq=False and repr=False keep the inherited __eq__, which requires the same
+# class on both sides, the token hash and the repr
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Surjection(BarredClass):
+    """A bar-free nondegenerate surjective string (a chain-level basis
+    element): a normalized class without bars."""
+
+    def __post_init__(self) -> None:
+        if any(t == BAR for t in self.underlying.tokens):
+            raise ValueError("a basis surjection has no bars")
+        # by name: zero-argument super() fails in a slotted dataclass
+        BarredClass.__post_init__(self)
+
+    @property
+    def degree(self) -> int:
+        tokens = self.underlying.tokens
+        return len(tokens) - _top_label(tokens)
 
 
 def _nondegenerate(tokens) -> bool:
@@ -143,23 +137,21 @@ def _nondegenerate(tokens) -> bool:
 
 
 def _unwrap(u) -> IntegerString:
-    if isinstance(u, (Surjection, BarredClass)):
+    if isinstance(u, BarredClass):
         return u.underlying
     return u
 
 
-_SET_UNDERLYING = {
-    cls: cls.__dict__["underlying"].__set__ for cls in (Surjection, BarredClass)
-}
+_set_underlying = BarredClass.__dict__["underlying"].__set__
 
 
 def _unchecked(cls, x: IntegerString):
     """Wrap ``x`` in ``cls`` (``Surjection`` or ``BarredClass``) without
-    re-running its checks, setting the field through the class's slot.
+    re-running its checks, setting the field through the slot.
 
     Only for internal use on strings that are valid by construction."""
     s = object.__new__(cls)
-    _SET_UNDERLYING[cls](s, x)
+    _set_underlying(s, x)
     return s
 
 
@@ -182,7 +174,7 @@ def differential(u) -> LinComb:
             where.setdefault(t if t > 0 else -t, []).append(pos)
     out_open = x.output_open
     wrap = type(u)
-    set_underlying = _SET_UNDERLYING.get(wrap)  # None for a raw string
+    set_underlying = _set_underlying if x is not u else None  # None: raw string
     new = object.__new__
     end = len(tokens) - 1
     terms = {}

@@ -18,7 +18,7 @@ from .strings import BAR, IntegerString, arity, in_filtration, text
 __all__ = ["TreeNode", "RootedTree", "tree_view", "tree_to_string", "render_tree"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     """A tree vertex: labelled (letter), terminal (bar) or unlabelled."""
 
@@ -34,7 +34,7 @@ class TreeNode:
             raise ValueError("terminal vertices have no children")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootedTree:
     root: TreeNode
     output_open: bool

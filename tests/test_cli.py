@@ -471,6 +471,25 @@ class TestVerify:
             loops.sqcup(tot, f, u) - sign * loops.sqcup(tot, u, f)
         )
 
+    def test_broken_coface_is_a_failure(self, capsys, monkeypatch):
+        # a broken cosimplicial identity fails the suite (exit 1), and the
+        # other suites still report
+        argv = self._passing_argv(capsys, "loop-model", samples=None)
+        coface = loops.CosimplicialAbGroup.coface
+
+        def broken(self, i, elem):
+            xs, y = coface(self, i, elem)
+            return (xs, y) if i else (xs[::-1], y)
+
+        monkeypatch.setattr(loops.CosimplicialAbGroup, "coface", broken)
+        assert self._witness(capsys, argv).startswith("coface identity fails at")
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--samples", "4", "--json"
+        )
+        report = json.loads(out)
+        assert code == 1 and sorted(report) == sorted(cli._SUITES) and len(report) == 7
+        assert not report["loop-model"]["ok"]
+
     def test_sampled_string_suites_pass(self, capsys):
         for suite in ("rl-operad", "graph-operad"):
             code, _, _ = run(
@@ -558,6 +577,15 @@ BAD_INPUT = [
     ),
     (("verify", "--suite", "rs-operad", "--samples", "-1"), "--samples"),
     (("verify", "--suite", "sc-geometry", "--samples", "-2"), "--samples"),
+    (("loops", "--truncate", "-1", "--json"), "--truncate must be at least 0, not -1"),
+    (("cobar", "--truncate", "-1", "--json"), "--truncate must be at least 0, not -1"),
+    (
+        ("cobar", "--max-level", "-1", "--json"),
+        "--max-level must be at least 0, not -1",
+    ),
+    (("loops", "--sub", "0,x"), "--sub must be comma-separated integers"),
+    (("loops", "--sub", ""), "--sub must be comma-separated integers, not ''"),
+    (("act", "2,x", "(12)^c"), "the permutation must be comma-separated integers"),
 ]
 
 
@@ -569,6 +597,43 @@ def test_bad_input_exits_2(capsys, monkeypatch, argv, named):
     # the same way, in milliseconds rather than seconds
     monkeypatch.setattr(geometry, "_MAX_TRIES", 3)
     code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out and err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+MALFORMED_CONFIGS = {
+    "no outputOpen": ({"m": 2, "closed": []}, "no 'outputOpen'"),
+    "float endpoint": (
+        {"m": 1, "closed": [[[[0.25, 0.5], [1, 2]]]], "outputOpen": False},
+        "an endpoint is [int, nonzero int], not [0.25, 0.5]",
+    ),
+    "top-level list": ([[1, 2]], "a configuration is a JSON object"),
+    "zero denominator": (
+        {"m": 1, "closed": [[[[1, 0], [1, 2]]]], "outputOpen": False},
+        "not [1, 0]",
+    ),
+    "outputOpen a string": (
+        {"m": 1, "closed": [], "outputOpen": "no"},
+        "'outputOpen' must be true or false, not 'no'",
+    ),
+    "m zero": ({"m": 0, "outputOpen": False}, "'m' must be an integer >= 1"),
+    "boxes not a list": (
+        {"m": 1, "closed": {}, "outputOpen": False},
+        "'closed' must be a list",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "data, named", MALFORMED_CONFIGS.values(), ids=list(MALFORMED_CONFIGS)
+)
+def test_malformed_config_exits_2(capsys, tmp_path, data, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cells", "--config", str(config))
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert not out and err.startswith("error: ") and named in err
     assert "Traceback" not in err

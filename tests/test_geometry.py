@@ -47,6 +47,13 @@ class TestCubeConfig:
         with pytest.raises(ValueError):
             CubeConfig(2, (), (lifted,), True)
 
+    def test_endpoints_are_fractions_or_ints(self):
+        assert Box(((F(-1, 2), 0),)).intervals == ((F(-1, 2), 0),)
+        # refused by type, not converted: 0.5 and False lie within bounds
+        for bad in (0.5, "1/2", False):
+            with pytest.raises(ValueError, match="axis 1: bad interval"):
+                Box(((F(-1, 2), bad),))
+
     def test_json_round_trip(self):
         cfg = two_closed_boxes()
         data = json.loads(json.dumps(geometry.config_to_json(cfg)))

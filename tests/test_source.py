@@ -142,21 +142,30 @@ def test_every_exported_name_exists():
 
 
 def test_value_classes_are_slotted_frozen_dataclasses():
-    # one construction idiom for the operad values: slotted frozen
-    # dataclasses whose unchecked constructors set fields through the slots
+    # one construction idiom for the values: every frozen dataclass of the
+    # library is slotted, and unchecked constructors set fields through the
+    # slots, never through object.__setattr__
     import dataclasses
 
-    from operadix.graphs import GraphElement
-    from operadix.strings import IntegerString
-    from operadix.surjections import BarredClass, Surjection
-
-    for cls in (IntegerString, Surjection, BarredClass, GraphElement):
-        assert dataclasses.is_dataclass(cls), cls
-        assert cls.__dataclass_params__.frozen, cls
-        assert "__slots__" in cls.__dict__ and "__dict__" not in cls.__dict__, cls
+    frozen = []
+    unslotted = []
+    for path in sorted(SOURCE.glob("*.py")):
+        module = importlib.import_module(f"operadix.{path.stem}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if (
+                cls.__module__ == module.__name__
+                and dataclasses.is_dataclass(cls)
+                and cls.__dataclass_params__.frozen
+            ):
+                frozen.append(cls.__name__)
+                if "__slots__" not in cls.__dict__ or "__dict__" in cls.__dict__:
+                    unslotted.append(cls.__name__)
+    # the scan sees the operad values
+    assert {"IntegerString", "GraphElement", "Surjection", "BarredClass"} <= set(
+        frozen
+    ), frozen
     found = []
-    for name in ("strings.py", "graphs.py", "surjections.py"):
-        path = SOURCE / name
+    for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (
                 isinstance(node, ast.Attribute)
@@ -164,8 +173,11 @@ def test_value_classes_are_slotted_frozen_dataclasses():
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "object"
             ):
-                found.append(f"{name}:{node.lineno}")
-    assert not found, f"object.__setattr__ in the value modules: {found}"
+                found.append(f"{path.name}:{node.lineno}")
+    assert not unslotted + found, (
+        f"unslotted frozen dataclasses and object.__setattr__ calls: "
+        f"{unslotted + found}"
+    )
 
 
 def _unread_parameters(path: Path) -> list:

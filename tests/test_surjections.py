@@ -104,6 +104,16 @@ class TestHashAndEquality:
         assert LinComb.unit(s) + LinComb.unit(b) == v
         assert (LinComb.unit(s) - LinComb.unit(b)).terms == {s: 1, b: -1}
 
+    def test_a_surjection_is_a_bar_free_barred_class(self):
+        x = strings.parse("(121)^c")
+        s, b = Surjection(x), BarredClass(x)
+        assert isinstance(s, BarredClass) and not isinstance(b, Surjection)
+        assert repr(s) == "Surjection((121)^c)"
+        assert repr(b) == "BarredClass((121)^c)"
+        # the bar check runs before the inherited nondegeneracy check
+        with pytest.raises(ValueError, match="no bars"):
+            Surjection(strings.parse("(1|11)^c"))
+
     def test_output_colour_twins_are_two_terms(self):
         closed, open_ = strings.parse("(121)^c"), strings.parse("(121)^o")
         for cls in (Surjection, BarredClass):
@@ -124,7 +134,7 @@ class TestVartheta:
         v = surjections.vartheta(s, 1)
         for b, c in v:
             assert c == 1
-            assert isinstance(b, BarredClass)
+            assert type(b) is BarredClass
             assert sum(1 for t in b.underlying.tokens if t == strings.BAR) == 1
 
     def test_rejects_barred_input(self):
