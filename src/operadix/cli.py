@@ -66,13 +66,23 @@ def _environment_seed() -> int:
 # and 288 MB at 9.
 _MAX_TOKENS = 8
 
+# the bounds of the integer options that have them
+_LEAST = {"--max-tokens": 1, "--samples": 0, "--truncate": 0, "--max-level": 0}
+_MOST = {"--max-tokens": _MAX_TOKENS}
+
+
+def _check_bounds(option: str, value: int) -> None:
+    """Refuse ``value`` for ``option`` outside the option's bounds."""
+    if value < _LEAST.get(option, value):
+        raise ValueError(f"{option} must be at least {_LEAST[option]}, not {value}")
+    if value > _MOST.get(option, value):
+        raise ValueError(f"{option} must be at most {_MOST[option]}, not {value}")
+
 
 def _fill_deferred(args, read, owner: str) -> None:
     """Fill in the default of each deferred option in ``read`` that ``args``
     holds unset, and refuse one given outside its bounds or although
     ``owner`` reads only the options ``read``."""
-    least = {"max_tokens": 1, "samples": 0}
-    most = {"max_tokens": _MAX_TOKENS}
     for dest, default in _deferred_defaults().items():
         if not hasattr(args, dest):
             continue
@@ -87,10 +97,8 @@ def _fill_deferred(args, read, owner: str) -> None:
                 f"{' '.join(read) or 'no window or sampling option'}; "
                 f"{option} does not apply"
             )
-        elif value < least.get(dest, value):
-            raise ValueError(f"{option} must be at least {least[dest]}, not {value}")
-        elif value > most.get(dest, value):
-            raise ValueError(f"{option} must be at most {most[dest]}, not {value}")
+        else:
+            _check_bounds(option, value)
 
 
 def _emit(report: dict, as_json: bool, lines=None) -> None:
@@ -126,15 +134,6 @@ def _parse_ints(spec: str, name: str) -> list[int]:
         raise ValueError(
             f"{name} must be comma-separated integers, not {spec!r}"
         ) from None
-
-
-def _refuse_negative(args, *dests: str) -> None:
-    """Refuse a negative value of each option in ``dests``, before any work."""
-    for dest in dests:
-        value = getattr(args, dest)
-        if value < 0:
-            option = "--" + dest.replace("_", "-")
-            raise ValueError(f"{option} must be at least 0, not {value}")
 
 
 def _parse_colours(spec: str):
@@ -311,7 +310,7 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_loops(args) -> int:
-    _refuse_negative(args, "truncate")
+    _check_bounds("--truncate", args.truncate)
     sub = tuple(
         range(args.order) if args.sub is None else _parse_ints(args.sub, "--sub")
     )
@@ -324,7 +323,8 @@ def _cmd_loops(args) -> int:
 
 
 def _cmd_cobar(args) -> int:
-    _refuse_negative(args, "truncate", "max_level")
+    _check_bounds("--truncate", args.truncate)
+    _check_bounds("--max-level", args.max_level)
     # before the bialgebra, whose dual takes order^3 steps to build
     cobar.check_report_window(args.order, args.truncate, args.max_level)
     M = loops.FiniteMonoid.cyclic(args.order)

@@ -10,8 +10,9 @@ substitutes one configuration into a box of another by the unique
 axis-aligned affine map, all in exact rational arithmetic.
 
 ``Box`` and ``CubeConfig`` are slotted frozen dataclasses that check their
-fields and convert none: a box endpoint is a ``Fraction`` or an ``int``, and a
-float, a string or a bool is refused.  ``config_from_json`` is where numbers
+fields and convert none: their box and interval containers are tuples, the
+output flag is a bool, and a box endpoint is a ``Fraction`` or an ``int`` (a
+float, a string or a bool is refused).  ``config_from_json`` is where numbers
 from outside become Fractions, and it checks what it reads.
 
 Slot numbering: closed boxes first (1..s), then open boxes (s+1..s+t).
@@ -56,6 +57,8 @@ class Box:
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
+        if type(self.intervals) is not tuple:
+            raise ValueError("a box's intervals are a tuple")
         for h, (a, b) in enumerate(self.intervals, start=1):
             if not (type(a) in _EXACT and type(b) in _EXACT and -ONE < a < b < ONE):
                 raise ValueError(f"axis {h}: bad interval [{a}, {b}]")
@@ -76,6 +79,10 @@ class CubeConfig:
 
     def __post_init__(self) -> None:
         m = self.m
+        if type(self.closed_boxes) is not tuple or type(self.open_boxes) is not tuple:
+            raise ValueError("a configuration's boxes are tuples")
+        if type(self.output_open) is not bool:
+            raise ValueError(f"output_open must be a bool, not {self.output_open!r}")
         if not self.output_open and self.open_boxes:
             raise ValueError("a closed-output configuration has no open boxes")
         boxes = self.boxes

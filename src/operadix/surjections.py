@@ -142,16 +142,15 @@ def _unwrap(u) -> IntegerString:
     return u
 
 
-_set_underlying = BarredClass.__dict__["underlying"].__set__
-
-
 def _unchecked(cls, x: IntegerString):
     """Wrap ``x`` in ``cls`` (``Surjection`` or ``BarredClass``) without
     re-running its checks, setting the field through the slot.
 
+    The slot is looked up on ``cls``: before Python 3.11 a slotted dataclass
+    subclass declares its own ``underlying`` slot, which hides the base one.
     Only for internal use on strings that are valid by construction."""
     s = object.__new__(cls)
-    _set_underlying(s, x)
+    cls.underlying.__set__(s, x)
     return s
 
 
@@ -174,7 +173,8 @@ def differential(u) -> LinComb:
             where.setdefault(t if t > 0 else -t, []).append(pos)
     out_open = x.output_open
     wrap = type(u)
-    set_underlying = _set_underlying if x is not u else None  # None: raw string
+    # the slot of type(u) (see _unchecked); None: a raw string
+    set_underlying = wrap.underlying.__set__ if x is not u else None
     new = object.__new__
     end = len(tokens) - 1
     terms = {}

@@ -54,6 +54,17 @@ class TestCubeConfig:
             with pytest.raises(ValueError, match="axis 1: bad interval"):
                 Box(((F(-1, 2), bad),))
 
+    def test_containers_are_tuples_and_the_flag_a_bool(self):
+        box = Box(((F(-1, 2), F(-1, 4)), (F(1, 8), F(1, 2))))
+        with pytest.raises(ValueError, match="intervals are a tuple"):
+            Box(list(box.intervals))
+        for closed, open_ in (([box], ()), ((box,), [])):
+            with pytest.raises(ValueError, match="boxes are tuples"):
+                CubeConfig(2, closed, open_, True)
+        # a truthy 1 would be written back as "outputOpen": 1
+        with pytest.raises(ValueError, match="must be a bool, not 1"):
+            CubeConfig(2, (box,), (), 1)
+
     def test_json_round_trip(self):
         cfg = two_closed_boxes()
         data = json.loads(json.dumps(geometry.config_to_json(cfg)))

@@ -114,6 +114,19 @@ class TestHashAndEquality:
         with pytest.raises(ValueError, match="no bars"):
             Surjection(strings.parse("(1|11)^c"))
 
+    def test_unchecked_wraps_set_the_subclass_slot(self):
+        # before Python 3.11 a slotted dataclass subclass redeclares the
+        # inherited slot; the unchecked wraps must write the one it reads
+        class Shadowed(Surjection):
+            __slots__ = ("underlying",)
+
+        x = strings.parse("(1212)^c")
+        s = surjections._unchecked(Shadowed, x)
+        assert s.underlying is x
+        terms = surjections.differential(s).terms
+        assert terms and all(type(b) is Shadowed for b in terms)
+        assert {strings.text(b.underlying) for b in terms} == {"(212)^c", "(121)^c"}
+
     def test_output_colour_twins_are_two_terms(self):
         closed, open_ = strings.parse("(121)^c"), strings.parse("(121)^o")
         for cls in (Surjection, BarredClass):
