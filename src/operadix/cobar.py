@@ -85,6 +85,7 @@ __all__ = [
     "sqcup",
     "act_Tj",
     "dual_group_bialgebra",
+    "relation_defects",
     "check_report_window",
     "rs2_experimental_report",
 ]
@@ -1120,6 +1121,53 @@ def dual_group_bialgebra(M) -> Bialgebra:
     return Bialgebra(basis, U, prod, cop, counit)
 
 
+# The report's relations in order: the name, the part ("closed" or
+# "relative") each of the two arguments lives on, and their lowest levels.
+RELATIONS = (
+    ("cup-chain-map", ("closed", "closed"), (0, 0)),
+    ("e11-commutator-homotopy", ("closed", "closed"), (1, 1)),
+    ("mu-o-chain-map", ("relative", "relative"), (0, 0)),
+    ("ej-commutator-homotopy", ("closed", "relative"), (1, 0)),
+)
+
+
+def _level_pairs(truncation: int, max_level: int, lows):
+    """The level pairs (df, dg) a relation whose arguments' lowest levels
+    are ``lows`` reads: each at most ``max_level``, df + dg + 1 <= truncation."""
+    top = min(max_level, truncation - 1)
+    for df in range(lows[0], top + 1):
+        for dg in range(lows[1], min(top, truncation - 1 - df) + 1):
+            yield df, dg
+
+
+def relation_defects(closed: CobarTot, rel: CobarTot) -> dict:
+    """Each relation's defect on conormal arguments f, g of levels df, dg, by
+    name: zero after conormal projection exactly where the relation holds."""
+    d_closed, d_rel = closed.differential, rel.differential
+    return {
+        # concatenation is a chain map
+        "cup-chain-map": lambda f, g, df, dg: d_closed(cup(closed, f, g))
+        - cup(closed, d_closed(f), g)
+        - (-1) ** (df % 2) * cup(closed, f, d_closed(g)),
+        # closed insertion closes the concatenation commutator
+        "e11-commutator-homotopy": lambda f, g, df, dg: d_closed(act_Tk(closed, f, [g]))
+        + act_Tk(closed, d_closed(f), [g])
+        + (-1) ** (df % 2) * act_Tk(closed, f, [d_closed(g)])
+        - cup(closed, f, g)
+        + (-1) ** (df * dg % 2) * cup(closed, g, f),
+        # twisted concatenation is a chain map
+        "mu-o-chain-map": lambda u, v, du, dv: d_rel(sqcup(rel, u, v))
+        - sqcup(rel, d_rel(u), v)
+        - (-1) ** (du % 2) * sqcup(rel, u, d_rel(v)),
+        # the one-argument relative insertion closes the twisted commutator
+        "ej-commutator-homotopy": lambda f, u, df, du: d_rel(act_Tj(rel, f, [u]))
+        + act_Tj(rel, d_closed(f), [u])
+        + (-1) ** (df % 2) * act_Tj(rel, f, [d_rel(u)])
+        - sqcup(rel, inc_tot(rel, f), u)
+        + (-1) ** (df * du % 2) * sqcup(rel, u, inc_tot(rel, f)),
+    }
+
+
 # The most cases ``rs2_experimental_report`` may check when ``operadix
 # cobar`` runs it: a relation reads every pair of raw basis elements at
 # levels df, dg <= max_level with df + dg + 1 <= truncation, |B|^df |B|^dg
@@ -1136,21 +1184,16 @@ def check_report_window(order: int, truncation: int, max_level: int) -> None:
     """Raise ValueError when ``rs2_experimental_report`` over a bialgebra of
     ``order`` basis elements, whose diagonal comodule has as many, would
     check more than ``MAX_REPORT_CASES`` cases."""
-    # the report's relations in its order: the number of relative
-    # arguments and the lowest level of each argument
-    shapes = ((0, 0, 0), (0, 1, 1), (2, 0, 0), (1, 1, 0))
-    top = min(max_level, truncation - 1)
     cases = 0
-    for relative, low_left, low_right in shapes:
-        for df in range(low_left, top + 1):
-            for dg in range(low_right, min(top, truncation - 1 - df) + 1):
-                cases += order ** (df + dg + relative)
-                if cases > MAX_REPORT_CASES:
-                    raise ValueError(
-                        f"truncation {truncation} and max level {max_level} "
-                        f"over a {order}-element basis give more than "
-                        f"{MAX_REPORT_CASES} cases, the window limit"
-                    )
+    for _, parts, lows in RELATIONS:
+        for df, dg in _level_pairs(truncation, max_level, lows):
+            cases += order ** (df + dg + parts.count("relative"))
+            if cases > MAX_REPORT_CASES:
+                raise ValueError(
+                    f"truncation {truncation} and max level {max_level} "
+                    f"over a {order}-element basis give more than "
+                    f"{MAX_REPORT_CASES} cases, the window limit"
+                )
 
 
 def rs2_experimental_report(
@@ -1162,60 +1205,25 @@ def rs2_experimental_report(
     Returns a mapping from relation name to (holds, cases).  Nothing here is
     assumed; a False entry is a finding, not an error.
     """
-    closed = CobarTot(B, None, truncation)
-    rel = CobarTot(B, diagonal_comodule(B), truncation)
-    report = {}
-
-    # the conormal representatives of every level a relation reads: each
-    # pair of levels below has df + dg + 1 <= truncation
+    parts = {
+        "closed": CobarTot(B, None, truncation),
+        "relative": CobarTot(B, diagonal_comodule(B), truncation),
+    }
+    defects = relation_defects(parts["closed"], parts["relative"])
+    # the conormal representatives of every level a relation reads
     levels = range(min(max_level, truncation - 1) + 1)
-    closed_reps = {
-        n: [closed.conormal_project(LinComb.unit(b)) for b in closed.basis(n)]
-        for n in levels
+    reps = {
+        part: {n: [tot.conormal_project(LinComb.unit(b)) for b in tot.basis(n)]
+               for n in levels}
+        for part, tot in parts.items()
     }
-    rel_reps = {
-        n: [rel.conormal_project(LinComb.unit(b)) for b in rel.basis(n)]
-        for n in levels
-    }
-
-    def sign(n):
-        return -1 if n % 2 else 1
-
-    d_closed, d_rel = closed.differential, rel.differential
-    relations = [
-        # concatenation is a chain map
-        ("cup-chain-map", closed, closed_reps, closed_reps, 0, 0,
-         lambda f, g, df, dg: d_closed(cup(closed, f, g))
-         - cup(closed, d_closed(f), g)
-         - sign(df) * cup(closed, f, d_closed(g))),
-        # closed insertion closes the concatenation commutator
-        ("e11-commutator-homotopy", closed, closed_reps, closed_reps, 1, 1,
-         lambda f, g, df, dg: d_closed(act_Tk(closed, f, [g]))
-         + act_Tk(closed, d_closed(f), [g])
-         + sign(df) * act_Tk(closed, f, [d_closed(g)])
-         - cup(closed, f, g)
-         + sign(df * dg) * cup(closed, g, f)),
-        # twisted concatenation is a chain map
-        ("mu-o-chain-map", rel, rel_reps, rel_reps, 0, 0,
-         lambda u, v, du, dv: d_rel(sqcup(rel, u, v))
-         - sqcup(rel, d_rel(u), v)
-         - sign(du) * sqcup(rel, u, d_rel(v))),
-        # the one-argument relative insertion closes the twisted commutator
-        ("ej-commutator-homotopy", rel, closed_reps, rel_reps, 1, 0,
-         lambda f, u, df, du: d_rel(act_Tj(rel, f, [u]))
-         + act_Tj(rel, d_closed(f), [u])
-         + sign(df) * act_Tj(rel, f, [d_rel(u)])
-         - sqcup(rel, inc_tot(rel, f), u)
-         + sign(df * du) * sqcup(rel, u, inc_tot(rel, f))),
-    ]
-    for name, tot, left, right, low_left, low_right, defect in relations:
-        ok, cases = True, 0
-        for df in range(low_left, min(max_level, truncation - 1) + 1):
-            for dg in range(low_right, min(max_level, truncation - 1 - df) + 1):
-                for f in left[df]:
-                    for g in right[dg]:
-                        cases += 1
-                        if tot.conormal_project(defect(f, g, df, dg)):
-                            ok = False
+    report = {}
+    for name, (left, right), lows in RELATIONS:
+        ok, cases, tot = True, 0, parts[right]
+        for df, dg in _level_pairs(truncation, max_level, lows):
+            for f, g in product(reps[left][df], reps[right][dg]):
+                cases += 1
+                if tot.conormal_project(defects[name](f, g, df, dg)):
+                    ok = False
         report[name] = (ok, cases)
     return report

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from operadix import chains, cli, geometry, graphs, loops, strings, surjections
+from operadix import chains, cli, cobar, geometry, graphs, loops, strings, surjections
 from operadix.chains import LinComb
 
 from corpus import CORPUS
@@ -458,7 +458,7 @@ class TestVerify:
     def test_loop_model_witness(self, capsys, monkeypatch):
         # two of the 8 pairs have products that differ
         argv = self._passing_argv(capsys, "loop-model", samples=None)
-        monkeypatch.setattr(loops, "homotopy_H", lambda tot, f, u: LinComb())
+        monkeypatch.setattr(cobar, "act_Tj", lambda tot, f, hs: LinComb())
         fb, (xs, y) = self._witness(capsys, argv)
         M = loops.FiniteMonoid.cyclic(2)
         tot = loops.TotComplex(M, M.elements, 4, "open")

@@ -35,6 +35,21 @@ def test_one_chain_complex_builder():
     assert [c.split(":")[0] for c in callers] == ["chains.py"], callers
 
 
+
+def test_cli_states_no_relation():
+    # each homotopy relation is stated once, in cobar.relation_defects: the
+    # CLI calls none of the operations the relations are made of
+    operations = {"homotopy_H", "sqcup", "inc_tot", "cup", "act_Tk", "act_Tj"}
+    path = SOURCE / "cli.py"
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in operations:
+                calls.append(f"cli.py:{node.lineno} {name}")
+    assert not calls, calls
+
 def test_no_self_referring_closures():
     # a nested function that names itself holds itself through its own cell:
     # every call of the enclosing function leaves a reference cycle, freed
