@@ -34,5 +34,5 @@ print("\nunreduced cobar of Z[Z/2] has a valid differential (d^2 = 0)")
 
 rep = cobar.rs2_experimental_report(B, truncation=4, max_level=2)
 print("experimental structure relations on the cobar totalization:")
-for name, (holds, cases) in rep.items():
+for name, (holds, cases, _) in rep.items():
     print("  %-28s %s (%d cases)" % (name, "holds" if holds else "FAILS", cases))

@@ -332,11 +332,15 @@ def _cmd_cobar(args) -> int:
     rep = cobar.rs2_experimental_report(
         B, truncation=args.truncate, max_level=args.max_level
     )
-    report = {
-        name: {"holds": ok, "cases": cases} for name, (ok, cases) in rep.items()
-    }
+    report = {}
+    for name, (ok, cases, witness) in rep.items():
+        # the witness is reported only on failure, so a passing report keeps
+        # its bytes
+        report[name] = {"holds": ok, "cases": cases}
+        if not ok:
+            report[name]["witness"] = witness
     _emit(report, args.json)
-    return 0 if all(ok for ok, _ in rep.values()) else 1
+    return 0 if all(ok for ok, _, _ in rep.values()) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +586,7 @@ def _suite_cobar(_args) -> tuple[bool, dict]:
     M = loops.FiniteMonoid.cyclic(2)
     B = cobar.group_bialgebra(M)
     rep = cobar.rs2_experimental_report(B, truncation=4, max_level=2)
-    details = {name: holds for name, (holds, _) in rep.items()}
+    details = {name: holds for name, (holds, _, _) in rep.items()}
     cx = cobar.CobarTot(B, truncation=4).chain_complex()
     try:
         cx.validate()
@@ -590,7 +594,12 @@ def _suite_cobar(_args) -> tuple[bool, dict]:
         details["unreducedDSquared"] = False
     else:
         details["unreducedDSquared"] = True
-    return all(details.values()), details
+    ok = all(details.values())
+    # the first failing relation with its witness, only on failure
+    failed = [[name, witness] for name, (_, _, witness) in rep.items() if witness]
+    if failed:
+        details["witness"] = failed[0]
+    return ok, details
 
 
 # each suite and the window and sampling options it reads; one given to a

@@ -33,7 +33,13 @@ Three layers:
    ``sqcup`` (one step of that fold), and the closed and open insertion
    sums ``act_Tk`` and ``act_Tj``, gamma and lambda' placed in one signed
    sum ``_insertion_sum``;
-   relation checks are reported, not assumed.
+   relation checks are reported, not assumed.  The report's four relations
+   are stated once: ``RELATIONS`` names each with the part each argument
+   lives on and their lowest levels, and ``relation_defects`` gives each
+   defect.  ``check_report_window`` reads the table to refuse a window that
+   leaves a relation without a case or holds more than ``MAX_REPORT_CASES``;
+   ``rs2_experimental_report`` reads both and names the first failing pair
+   of each failing relation as its witness.
 
 Conventions: the desuspension shifts degree down by one and anti-commutes
 with the differential; word differentials carry the Koszul prefix sign
@@ -1183,10 +1189,18 @@ MAX_REPORT_CASES = 4000
 def check_report_window(order: int, truncation: int, max_level: int) -> None:
     """Raise ValueError when ``rs2_experimental_report`` over a bialgebra of
     ``order`` basis elements, whose diagonal comodule has as many, would
-    check more than ``MAX_REPORT_CASES`` cases."""
+    leave a relation without a case or check more than ``MAX_REPORT_CASES``
+    cases."""
     cases = 0
-    for _, parts, lows in RELATIONS:
-        for df, dg in _level_pairs(truncation, max_level, lows):
+    for name, parts, lows in RELATIONS:
+        pairs = _level_pairs(truncation, max_level, lows)
+        first = next(pairs, None)
+        if first is None:
+            raise ValueError(
+                f"truncation {truncation} and max level {max_level} leave "
+                f"{name} without a case"
+            )
+        for df, dg in chain([first], pairs):
             cases += order ** (df + dg + parts.count("relative"))
             if cases > MAX_REPORT_CASES:
                 raise ValueError(
@@ -1202,28 +1216,37 @@ def rs2_experimental_report(
     """Check the homotopy relations of the closed/relative insertion
     operations on the conormalized totalization, relation by relation.
 
-    Returns a mapping from relation name to (holds, cases).  Nothing here is
-    assumed; a False entry is a finding, not an error.
+    Returns a mapping from relation name, in ``RELATIONS`` order, to
+    (holds, cases, witness): the witness is None when the relation holds,
+    else its first failing pair of raw basis elements with their levels,
+    ((df, f), (dg, g)).  Nothing here is assumed; a False entry is a
+    finding, not an error.
     """
     parts = {
         "closed": CobarTot(B, None, truncation),
         "relative": CobarTot(B, diagonal_comodule(B), truncation),
     }
     defects = relation_defects(parts["closed"], parts["relative"])
-    # the conormal representatives of every level a relation reads
+    # each raw basis element of every level a relation reads, with its
+    # conormal representative
     levels = range(min(max_level, truncation - 1) + 1)
     reps = {
-        part: {n: [tot.conormal_project(LinComb.unit(b)) for b in tot.basis(n)]
-               for n in levels}
+        part: {
+            n: [(b, tot.conormal_project(LinComb.unit(b))) for b in tot.basis(n)]
+            for n in levels
+        }
         for part, tot in parts.items()
     }
     report = {}
     for name, (left, right), lows in RELATIONS:
-        ok, cases, tot = True, 0, parts[right]
+        cases, witness, tot = 0, None, parts[right]
         for df, dg in _level_pairs(truncation, max_level, lows):
-            for f, g in product(reps[left][df], reps[right][dg]):
+            for (fb, f), (gb, g) in product(reps[left][df], reps[right][dg]):
                 cases += 1
-                if tot.conormal_project(defects[name](f, g, df, dg)):
-                    ok = False
-        report[name] = (ok, cases)
+                # after the first failure the remaining pairs are only counted
+                if witness is None and tot.conormal_project(
+                    defects[name](f, g, df, dg)
+                ):
+                    witness = ((df, fb), (dg, gb))
+        report[name] = (witness is None, cases, witness)
     return report

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 BAR = 0
@@ -505,12 +506,18 @@ class _PairWalk:
 
     def __init__(self, k: int, m: int, variant: str) -> None:
         self.limit = _pair_limits(m, variant)
-        # indexed by label, entry 0 unused; a pair's projection ends in
-        # whichever of its labels occurred last
+        self.k = k
+        # indexed by label, entry 0 unused
         self.open = [False] * (k + 1)
-        self.last = [-1] * (k + 1)
+        # the labels that occurred, by last occurrence: a pair's projection
+        # ends in whichever of its labels comes later
+        self.order: list[int] = []
         # limit minus changes so far, never negative
         self.room = [[0] * (k + 1) for _ in range(k + 1)]
+        # per label b, the pairs (b, c) with no room left and c after b in
+        # ``order``: b cannot occur again while one remains, since it would
+        # move c, and only an occurrence of b puts c before b
+        self.blocked = [0] * (k + 1)
         self.word: list[int] = []
         self._undo: list[tuple[int, list[int]]] = []
 
@@ -518,32 +525,45 @@ class _PairWalk:
         """Append the letter ``t`` if every pair stays within its limit, and
         report whether it did."""
         a = abs(t)
-        last, room = self.last, self.room
-        old = last[a]
-        # the pair rule of _pair_levels: b moves when last[b] > old
-        moved = [b for b, p in enumerate(last) if p > old]
+        if self.blocked[a]:
+            return False
+        order, room, blocked = self.order, self.room, self.blocked
         row = room[a]
-        if old < 0:
+        # the pair rule of _pair_levels: b moves when it occurred last after a
+        if a in order:
+            i = order.index(a)
+            moved = order[i + 1 :]
+        else:
+            i, moved = -1, order[:]
             oa = self.open[a] = t < 0
             for b in moved:
                 row[b] = room[b][a] = self.limit[self.open[b]][oa]
-        for b in moved:
-            if not row[b]:
-                return False
+                if not row[b]:
+                    return False
         for b in moved:
             row[b] = room[b][a] = row[b] - 1
-        self._undo.append((old, moved))
-        last[a] = len(self.word)
+            if not row[b]:
+                blocked[b] += 1
+        if i >= 0:
+            del order[i]
+        order.append(a)
+        self._undo.append((i, moved))
         self.word.append(t)
         return True
 
     def pop(self) -> None:
         """Remove the last letter."""
         a = abs(self.word.pop())
-        old, moved = self._undo.pop()
-        self.last[a] = old
+        i, moved = self._undo.pop()
+        order, room = self.order, self.room
+        order.pop()
+        if i >= 0:
+            order.insert(i, a)
+        row = room[a]
         for b in moved:
-            self.room[a][b] = self.room[b][a] = self.room[a][b] + 1
+            if not row[b]:
+                self.blocked[b] -= 1
+            row[b] = room[b][a] = row[b] + 1
 
     def words(
         self, letters: Sequence[int], counts: list[int] | None = None
@@ -551,20 +571,36 @@ class _PairWalk:
         """The extensions of the word by ``letters`` inside the filtration:
         with ``counts``, those with exactly ``counts[a]`` more ``letters[a]``;
         without, the nondegenerate ones that use every label (finitely many,
-        since each repeated label moves some pair)."""
-        word = self.word
-        done = -1 not in self.last[1:] if counts is None else not any(counts)
-        if done:
+        since each repeated label moves some pair).  Depth first, each word
+        before its extensions, letters tried in the order given."""
+        word, order = self.word, self.order
+
+        def done() -> bool:
+            return len(order) == self.k if counts is None else not any(counts)
+
+        if done():
             yield tuple(word)
-        for a, t in enumerate(letters):
+        # per letter pushed by this walk, and one for the starting word: the
+        # index in ``letters`` of the next letter to try after it
+        tries = [0]
+        while tries:
+            a = tries[-1]
+            if a == len(letters):
+                tries.pop()
+                if tries:
+                    self.pop()
+                    if counts is not None:
+                        counts[tries[-1] - 1] += 1
+                continue
+            tries[-1] = a + 1
+            t = letters[a]
             free = counts[a] if counts is not None else not word or word[-1] != t
             if free and self.push(t):
                 if counts is not None:
                     counts[a] -= 1
-                yield from self.words(letters, counts)
-                if counts is not None:
-                    counts[a] += 1
-                self.pop()
+                if done():
+                    yield tuple(word)
+                tries.append(0)
 
 
 def in_filtration(x: IntegerString, m: int, variant: str = "standard") -> bool:
@@ -641,13 +677,22 @@ def string_to_joyal(x: IntegerString) -> MonotoneMap:
     return MonotoneMap(len(values) - 1, bars, tuple(values))
 
 
+# The most strings enumerate_strings builds.  On a shared 2-vCPU x86-64
+# machine 139,920 strings (c2,c2,c2:c3 at m=3) take 0.6 s and 55 MB, and
+# c3,c3,c3:c5 at m=3 (15,853,656 strings, 105 s and 5 GB) is refused in
+# 0.01 s.  Bar-free words are walked one string each, so c3,c3,c3,c3:c0 at
+# m=3 reaches the limit only after 5 s.
+MAX_STRINGS = 250_000
+
+
 def enumerate_strings(
     input_colours: Sequence[Colour],
     output_colour: Colour,
     m: int,
     variant: str = "standard",
 ) -> list[IntegerString]:
-    """All filtration-m strings with the given colours, in canonical text order."""
+    """All filtration-m strings with the given colours, in canonical text
+    order.  Raises ValueError when there are more than ``MAX_STRINGS``."""
     for a, c in enumerate(input_colours, start=1):
         if c.index < 0:
             raise ValueError(f"input colour {a} {c!r} has a negative index")
@@ -657,9 +702,21 @@ def enumerate_strings(
     if not output_colour.open and any(c.open for c in input_colours):
         return []
     letters = [-a if c.open else a for a, c in enumerate(input_colours, start=1)]
+    counts = [c.index + 1 for c in input_colours]
     bars = output_colour.index
+    # every word has sum(counts) letters, and each placement of the bars
+    # makes one string; the words are counted before any string is built
+    per_word = comb(sum(counts) + bars, bars)
+    words = []
+    for word in walk.words(letters, counts):
+        words.append(word)
+        if len(words) * per_word > MAX_STRINGS:
+            raise ValueError(
+                f"the colours give more than {MAX_STRINGS} strings at m={m}, "
+                f"the enumeration limit"
+            )
     found = []
-    for word in walk.words(letters, [c.index + 1 for c in input_colours]):
+    for word in words:
         for cut in combinations(range(len(word) + bars), bars):
             tokens = list(word)
             for p in cut:

@@ -497,11 +497,19 @@ def _compose_linear(v: LinComb, i: int, w: LinComb) -> LinComb:
 # components
 
 
+# The most cells enumerate_component lists, so that E_4 in arity 4 (202,560
+# cells) fits.  On a shared 2-vCPU x86-64 machine that enumeration takes
+# 0.9 s and 63 MB, while the walk finds E_3 in arity 5 (2,090,520 cells, 34 s
+# and 516 MB to enumerate) over the limit in 0.5-0.6 s and 46 MB.
+MAX_CELLS = 210_000
+
+
 def enumerate_component(
     input_open, output_open: bool, m: int, variant: str = "standard"
 ) -> list[Surjection]:
     """All basis surjections with the given openness pattern inside the
-    filtration, ordered by (degree, string text).
+    filtration, ordered by (degree, string text).  Raises ValueError when
+    there are more than ``MAX_CELLS``.
 
     The sort key is one integer: the tokens read as digits in base 2k + 1,
     an open letter ``-a`` as the digit k + a, after every closed letter.  No
@@ -527,7 +535,15 @@ def enumerate_component(
             n = n * base + (t if t > 0 else k - t)
         return n
 
-    words = sorted(walk.words(letters), key=key)
+    words = []
+    for word in walk.words(letters):
+        words.append(word)
+        if len(words) > MAX_CELLS:
+            raise ValueError(
+                f"{k} inputs at m={m} give more than {MAX_CELLS} cells, "
+                f"the enumeration limit"
+            )
+    words.sort(key=key)
     # the walk's words are bar-free, nondegenerate and use every label
     return [_unchecked(Surjection, _unchecked_string(w, output_open)) for w in words]
 

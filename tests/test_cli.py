@@ -126,6 +126,29 @@ class TestEnumerateAndTree:
         assert not out and "enumeration limit" in err
 
     @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (
+                ("enumerate", "--kind", "strings", "--colours", "c3,c3,c3:c5"),
+                "more than 250000 strings at m=3",
+            ),
+            (
+                ("homology", "--component", "c,c,c,c,c:c"),
+                "5 inputs at m=3 give more than 210000 cells",
+            ),
+        ],
+        ids=["strings", "component"],
+    )
+    def test_oversized_enumeration_fails_fast(self, capsys, argv, named):
+        # 15,853,656 strings and 2,090,520 cells
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--m", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert not out and err.startswith("error: ") and named in err
+        assert "enumeration limit" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("enumerate", "--kind", "component", "--component", "c:c"),
@@ -490,6 +513,26 @@ class TestVerify:
         assert code == 1 and sorted(report) == sorted(cli._SUITES) and len(report) == 7
         assert not report["loop-model"]["ok"]
 
+    def test_broken_unreduced_differential_is_a_failure(self, capsys, monkeypatch):
+        # without its first coproduct coface the unreduced differential no
+        # longer squares to zero: a failure (exit 1), and the other suites
+        # still report
+        argv = self._passing_argv(capsys, "cobar", samples=None)
+        coface = cobar.CobarTot._coface_basis
+        monkeypatch.setattr(
+            cobar.CobarTot,
+            "_coface_basis",
+            lambda tot, i, b: [] if i == 1 else coface(tot, i, b),
+        )
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and '"unreducedDSquared": false' in out
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--samples", "4", "--json"
+        )
+        report = json.loads(out)
+        assert code == 1 and sorted(report) == sorted(cli._SUITES) and len(report) == 7
+        assert report["cobar"]["unreducedDSquared"] is False
+
     def test_sampled_string_suites_pass(self, capsys):
         for suite in ("rl-operad", "graph-operad"):
             code, _, _ = run(
@@ -548,6 +591,37 @@ class TestCobarCommand:
         assert code == 2
         assert not out and "window limit" in err
 
+    def test_failing_relation_names_its_witness(self, capsys, monkeypatch):
+        # twisted concatenation with its arguments swapped is no chain map;
+        # the report and the verify suite name the same first failing pair
+        sqcup = cobar.sqcup
+
+        def swapped(tot, u, v):
+            return sqcup(tot, v, u)
+
+        monkeypatch.setattr(cobar, "sqcup", swapped)
+        code, out, _ = run(capsys, "cobar", "--order", "2", "--json")
+        entry = json.loads(out)["mu-o-chain-map"]
+        assert code == 1 and not entry["holds"]
+        (du, (wu, cu)), (dv, (wv, cv)) = witness = entry["witness"]
+        assert (len(wu), len(wv)) == (du, dv)
+        code, out, _ = run(capsys, "verify", "--suite", "cobar", "--json")
+        assert code == 1
+        assert json.loads(out)["cobar"]["witness"] == ["mu-o-chain-map", witness]
+        # the named pair breaks the relation with the swapped product only
+        B = cobar.group_bialgebra(loops.FiniteMonoid.cyclic(2))
+        rel = cobar.CobarTot(B, cobar.diagonal_comodule(B), 4)
+        u = rel.conormal_project(LinComb.unit((tuple(wu), cu)))
+        v = rel.conormal_project(LinComb.unit((tuple(wv), cv)))
+        d = rel.differential
+
+        def defect(op):
+            return rel.conormal_project(
+                d(op(rel, u, v)) - op(rel, d(u), v) - (-1) ** du * op(rel, u, d(v))
+            )
+
+        assert defect(swapped) and not defect(sqcup)
+
     def test_benchmark_argv_still_run(self, capsys):
         for argv in (
             ("--order", "2"),
@@ -582,6 +656,15 @@ BAD_INPUT = [
     (
         ("cobar", "--max-level", "-1", "--json"),
         "--max-level must be at least 0, not -1",
+    ),
+    (("cobar", "--truncate", "0", "--json"), "leave cup-chain-map without a case"),
+    (
+        ("cobar", "--truncate", "1", "--json"),
+        "leave e11-commutator-homotopy without a case",
+    ),
+    (
+        ("cobar", "--truncate", "2", "--max-level", "0", "--json"),
+        "leave e11-commutator-homotopy without a case",
     ),
     (("loops", "--sub", "0,x"), "--sub must be comma-separated integers"),
     (("loops", "--sub", ""), "--sub must be comma-separated integers, not ''"),

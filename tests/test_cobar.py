@@ -984,35 +984,47 @@ class TestTotalizationOps:
         rep = rs2_experimental_report(
             group_bialgebra(Z2), truncation=4, max_level=2
         )
-        assert all(holds for holds, _ in rep.values())
-        assert all(cases > 0 for _, cases in rep.values())
+        assert all(holds for holds, _, _ in rep.values())
+        assert all(cases > 0 for _, cases, _ in rep.values())
+        assert all(witness is None for _, _, witness in rep.values())
+        assert list(rep) == [name for name, _, _ in cobar.RELATIONS]
 
     def test_window_limit_counts_the_report_cases(self, monkeypatch):
-        # the limit is met exactly by the cases the report checks
+        # the limit is met exactly by the cases the report checks, and a
+        # window that leaves a relation without a case is refused by name
         assert cobar.MAX_REPORT_CASES == 4000
         windows = [
             (group_bialgebra(Z2), range(6), range(-1, 4)),
             (dual_group_bialgebra(FiniteMonoid.cyclic(3)), range(5), range(-1, 2)),
         ]
+        refused = 0
         for B, truncations, max_levels in windows:
             for truncation, max_level in iproduct(truncations, max_levels):
                 rep = rs2_experimental_report(B, truncation, max_level)
-                cases = sum(n for _, n in rep.values())
+                cases = sum(n for _, n, _ in rep.values())
                 monkeypatch.setattr(cobar, "MAX_REPORT_CASES", cases)
-                cobar.check_report_window(len(B.basis), truncation, max_level)
-                if cases:
-                    monkeypatch.setattr(cobar, "MAX_REPORT_CASES", cases - 1)
-                    with pytest.raises(ValueError, match="the window limit"):
+                empty = [name for name, (_, n, _) in rep.items() if not n]
+                if empty:
+                    refused += 1
+                    with pytest.raises(ValueError, match=f"leave {empty[0]} without"):
                         cobar.check_report_window(
                             len(B.basis), truncation, max_level
                         )
+                    monkeypatch.undo()
+                    continue
+                cobar.check_report_window(len(B.basis), truncation, max_level)
+                monkeypatch.setattr(cobar, "MAX_REPORT_CASES", cases - 1)
+                with pytest.raises(ValueError, match="the window limit"):
+                    cobar.check_report_window(len(B.basis), truncation, max_level)
                 monkeypatch.undo()
+        # the sweep reaches both sides of the refusal
+        assert 0 < refused < sum(len(t) * len(m) for _, t, m in windows)
 
     def test_experimental_relations_dual(self):
         rep = rs2_experimental_report(
             dual_group_bialgebra(Z2), truncation=4, max_level=2
         )
-        assert all(holds for holds, _ in rep.values())
+        assert all(holds for holds, _, _ in rep.values())
 
 
 def iterative_projection(tot: CobarTot, v: LinComb) -> LinComb:

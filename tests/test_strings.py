@@ -329,6 +329,23 @@ class TestWalkAgainstBruteForce:
         ]:
             assert len(strings.enumerate_strings(ins, out, 2)) == count
 
+    def test_enumeration_limits_are_exact(self, monkeypatch):
+        # a window of exactly the limit is listed and one past it refused;
+        # E_4 in arity 4, the largest component wanted, is within the limit
+        ins, out = [Colour(2, False)] * 3, Colour(2, False)
+        monkeypatch.setattr(strings, "MAX_STRINGS", 3960)
+        assert len(strings.enumerate_strings(ins, out, 2)) == 3960
+        monkeypatch.setattr(strings, "MAX_STRINGS", 3959)
+        with pytest.raises(ValueError, match="more than 3959 strings at m=2"):
+            strings.enumerate_strings(ins, out, 2)
+        monkeypatch.setattr(surjections, "MAX_CELLS", 528)
+        assert len(surjections.enumerate_component([False] * 4, False, 2)) == 528
+        monkeypatch.setattr(surjections, "MAX_CELLS", 527)
+        with pytest.raises(ValueError, match="4 inputs at m=2 give more than 527"):
+            surjections.enumerate_component([False] * 4, False, 2)
+        monkeypatch.undo()
+        assert len(surjections.enumerate_component([False] * 4, False, 4)) == 202560
+
     @pytest.mark.parametrize("m", [0, -1])
     def test_level_below_one_rejected(self, m):
         with pytest.raises(ValueError, match="m must be >= 1"):
