@@ -1153,24 +1153,24 @@ def relation_defects(closed: CobarTot, rel: CobarTot) -> dict:
     return {
         # concatenation is a chain map
         "cup-chain-map": lambda f, g, df, dg: d_closed(cup(closed, f, g))
-        - cup(closed, d_closed(f), g)
-        - (-1) ** (df % 2) * cup(closed, f, d_closed(g)),
+            - cup(closed, d_closed(f), g)
+            - (-1) ** (df % 2) * cup(closed, f, d_closed(g)),
         # closed insertion closes the concatenation commutator
         "e11-commutator-homotopy": lambda f, g, df, dg: d_closed(act_Tk(closed, f, [g]))
-        + act_Tk(closed, d_closed(f), [g])
-        + (-1) ** (df % 2) * act_Tk(closed, f, [d_closed(g)])
-        - cup(closed, f, g)
-        + (-1) ** (df * dg % 2) * cup(closed, g, f),
+            + act_Tk(closed, d_closed(f), [g])
+            + (-1) ** (df % 2) * act_Tk(closed, f, [d_closed(g)])
+            - cup(closed, f, g)
+            + (-1) ** (df * dg % 2) * cup(closed, g, f),
         # twisted concatenation is a chain map
         "mu-o-chain-map": lambda u, v, du, dv: d_rel(sqcup(rel, u, v))
-        - sqcup(rel, d_rel(u), v)
-        - (-1) ** (du % 2) * sqcup(rel, u, d_rel(v)),
+            - sqcup(rel, d_rel(u), v)
+            - (-1) ** (du % 2) * sqcup(rel, u, d_rel(v)),
         # the one-argument relative insertion closes the twisted commutator
         "ej-commutator-homotopy": lambda f, u, df, du: d_rel(act_Tj(rel, f, [u]))
-        + act_Tj(rel, d_closed(f), [u])
-        + (-1) ** (df % 2) * act_Tj(rel, f, [d_rel(u)])
-        - sqcup(rel, inc_tot(rel, f), u)
-        + (-1) ** (df * du % 2) * sqcup(rel, u, inc_tot(rel, f)),
+            + act_Tj(rel, d_closed(f), [u])
+            + (-1) ** (df % 2) * act_Tj(rel, f, [d_rel(u)])
+            - sqcup(rel, inc_tot(rel, f), u)
+            + (-1) ** (df * du % 2) * sqcup(rel, u, inc_tot(rel, f)),
     }
 
 
@@ -1193,14 +1193,9 @@ def check_report_window(order: int, truncation: int, max_level: int) -> None:
     cases."""
     cases = 0
     for name, parts, lows in RELATIONS:
-        pairs = _level_pairs(truncation, max_level, lows)
-        first = next(pairs, None)
-        if first is None:
-            raise ValueError(
-                f"truncation {truncation} and max level {max_level} leave "
-                f"{name} without a case"
-            )
-        for df, dg in chain([first], pairs):
+        pairs = 0
+        for df, dg in _level_pairs(truncation, max_level, lows):
+            pairs += 1
             cases += order ** (df + dg + parts.count("relative"))
             if cases > MAX_REPORT_CASES:
                 raise ValueError(
@@ -1208,6 +1203,11 @@ def check_report_window(order: int, truncation: int, max_level: int) -> None:
                     f"over a {order}-element basis give more than "
                     f"{MAX_REPORT_CASES} cases, the window limit"
                 )
+        if not pairs:
+            raise ValueError(
+                f"truncation {truncation} and max level {max_level} leave "
+                f"{name} without a case"
+            )
 
 
 def rs2_experimental_report(
