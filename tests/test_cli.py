@@ -515,8 +515,9 @@ class TestVerify:
 
     def test_broken_unreduced_differential_is_a_failure(self, capsys, monkeypatch):
         # without its first coproduct coface the unreduced differential no
-        # longer squares to zero: a failure (exit 1), and the other suites
-        # still report
+        # longer squares to zero: a failure (exit 1), reported beside the
+        # first relation the broken coface fails, and the other suites still
+        # report
         argv = self._passing_argv(capsys, "cobar", samples=None)
         coface = cobar.CobarTot._coface_basis
         monkeypatch.setattr(
@@ -526,6 +527,7 @@ class TestVerify:
         )
         code, out, _ = run(capsys, *argv)
         assert code == 1 and '"unreducedDSquared": false' in out
+        assert json.loads(out)["cobar"]["witness"][0] == "cup-chain-map"
         code, out, _ = run(
             capsys, "verify", "--suite", "all", "--samples", "4", "--json"
         )
