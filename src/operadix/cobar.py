@@ -5,21 +5,27 @@ Three layers:
 1. Graded dg-coalgebras and comodules with explicit structure constants,
    their (relative) cobar constructions as word complexes, twisting and
    relative-twisting cochain checks, and the induced word-to-module map.
-   ``DGComodule.validate`` checks the structure laws; a coalgebra, and a
-   bialgebra's coalgebra, validates as a comodule over itself plus the
+   Each structure table is read as a field, ``degrees[x]``,
+   ``coproduct[x]`` or ``coaction[x]``.  ``DGComodule.validate`` checks the
+   structure laws; a coalgebra validates as a comodule over itself plus the
    right counit law.  The closed construction is the word algebra and the
    relative one the word module: both products are the truncated
    concatenation ``CobarObject.action``, with the empty word as unit.
 
-2. Ungraded bialgebras (e.g. monoid algebras): the multiplicative operad
-   with components the tensor powers of the bialgebra (``mb_compose``),
-   and the wide module structure on tensor powers with a comodule-algebra
-   coefficient (``z_coface``).  Both compute through two basis-tuple
-   kernels: ``_gamma_terms``, the composition gamma, and ``_twisted_terms``,
-   the twisted concatenation, whose left-to-right fold over the slots is
-   the wide left action lambda' (``_wide_terms``).  These rest on the
-   diagonal translations of a tuple by a basis element, a <| t and t |> b;
-   each is computed once per bialgebra and kept on it.
+2. Ungraded bialgebras (e.g. monoid algebras) and their comodule
+   algebras.  A bialgebra's coalgebra laws are those of the degree-zero
+   ``DGCoalgebra`` on its tables, and a comodule algebra's coaction laws
+   those of the degree-zero ``DGComodule``; ``validate`` adds only the
+   algebra-side laws and, for a bialgebra, a multiplicative counit.  On
+   them: the multiplicative operad with components the tensor powers of
+   the bialgebra (``mb_compose``), and the wide module structure on tensor
+   powers with a comodule-algebra coefficient (``z_coface``).  Both
+   compute through two basis-tuple kernels: ``_gamma_terms``, the
+   composition gamma, and ``_twisted_terms``, the twisted concatenation,
+   whose left-to-right fold over the slots is the wide left action lambda'
+   (``_wide_terms``).  These rest on the diagonal translations of a tuple
+   by a basis element, a <| t and t |> b; each is computed once per
+   bialgebra and kept on it.
 
 3. The truncated totalization ``CobarTot`` of the unreduced (relative)
    cobar complex, whose ``chain_complex()`` is that complex, with its
@@ -120,19 +126,13 @@ class DGCoalgebra:
     counit: dict
     unit: str
 
-    def degree(self, name) -> int:
-        return self.degrees[name]
-
     def d(self, v: LinComb) -> LinComb:
         return linear(self.differential, v)
-
-    def delta(self, name) -> LinComb:
-        return self.coproduct[name]
 
     def reduced_delta(self, name) -> LinComb:
         """Coproduct minus the two primitive terms."""
         return (
-            self.delta(name)
+            self.coproduct[name]
             - LinComb.unit((name, self.unit))
             - LinComb.unit((self.unit, name))
         )
@@ -145,7 +145,7 @@ class DGCoalgebra:
         DGComodule(self, self.degrees, self.differential, self.coproduct).validate()
         for x in self.degrees:
             right = LinComb(
-                (a, c * self.counit.get(b, 0)) for (a, b), c in self.delta(x)
+                (a, c * self.counit.get(b, 0)) for (a, b), c in self.coproduct[x]
             )
             if right != LinComb.unit(x):
                 raise ValueError(f"right counit law fails at {x}")
@@ -163,7 +163,7 @@ def _leibniz_terms(N: DGComodule, pairs: LinComb):
     for (a, n), c in pairs:
         for a2, c2 in C.d(LinComb.unit(a)):
             yield (a2, n), c * c2
-        sign = -1 if C.degree(a) % 2 else 1
+        sign = -1 if C.degrees[a] % 2 else 1
         for n2, c2 in N.d(LinComb.unit(n)):
             yield (a, n2), sign * c * c2
 
@@ -178,17 +178,11 @@ class DGComodule:
     differential: dict
     coaction: dict
 
-    def degree(self, name) -> int:
-        return self.degrees[name]
-
     def d(self, v: LinComb) -> LinComb:
         return linear(self.differential, v)
 
-    def rho(self, name) -> LinComb:
-        return self.coaction[name]
-
     def reduced_rho(self, name) -> LinComb:
-        return self.rho(name) - LinComb.unit((self.coalgebra.unit, name))
+        return self.coaction[name] - LinComb.unit((self.coalgebra.unit, name))
 
     def validate(self) -> None:
         """Check that every basis element has a coaction entry, every
@@ -201,12 +195,12 @@ class DGComodule:
             if x not in self.coaction:
                 raise ValueError(f"coaction table has no entry for {x!r}")
             named = [(y, self.degrees) for y, _ in self.d(LinComb.unit(x))]
-            for (a, n), _ in self.rho(x):
+            for (a, n), _ in self.coaction[x]:
                 named += [(a, C.degrees), (n, self.degrees)]
             for y, degrees in named:
                 if y not in degrees:
                     raise ValueError(f"{y!r}, named at {x!r}, has no degree")
-            for (a, _), _ in self.rho(x):
+            for (a, _), _ in self.coaction[x]:
                 if a not in C.coproduct:
                     raise ValueError(
                         f"{a!r}, named at {x!r}, has no coproduct entry"
@@ -214,23 +208,25 @@ class DGComodule:
         for x in self.degrees:
             # homogeneity
             for y, _ in self.differential.get(x, LinComb()):
-                if self.degree(y) != self.degree(x) - 1:
+                if self.degrees[y] != self.degrees[x] - 1:
                     raise ValueError(f"differential is not degree -1 at {x}")
-            for (a, n), _ in self.rho(x):
-                if C.degree(a) + self.degree(n) != self.degree(x):
+            for (a, n), _ in self.coaction[x]:
+                if C.degrees[a] + self.degrees[n] != self.degrees[x]:
                     raise ValueError(f"coaction is not degree-preserving at {x}")
-            left = LinComb((n, c * C.counit.get(a, 0)) for (a, n), c in self.rho(x))
+            left = LinComb(
+                (n, c * C.counit.get(a, 0)) for (a, n), c in self.coaction[x]
+            )
             if left != LinComb.unit(x):
                 raise ValueError(f"left counit law fails at {x}")
             lhs = LinComb(
                 ((a1, a2, n), c * c2)
-                for (a, n), c in self.rho(x)
-                for (a1, a2), c2 in C.delta(a)
+                for (a, n), c in self.coaction[x]
+                for (a1, a2), c2 in C.coproduct[a]
             )
             rhs = LinComb(
                 ((a, b, n2), c * c2)
-                for (a, n), c in self.rho(x)
-                for (b, n2), c2 in self.rho(n)
+                for (a, n), c in self.coaction[x]
+                for (b, n2), c2 in self.coaction[n]
             )
             if lhs != rhs:
                 raise ValueError(f"coassociativity fails at {x}")
@@ -240,9 +236,9 @@ class DGComodule:
             lhs = LinComb(
                 (t, c * ct)
                 for y, c in self.d(LinComb.unit(x))
-                for t, ct in self.rho(y)
+                for t, ct in self.coaction[y]
             )
-            rhs = LinComb(_leibniz_terms(self, self.rho(x)))
+            rhs = LinComb(_leibniz_terms(self, self.coaction[x]))
             if lhs != rhs:
                 raise ValueError(f"co-Leibniz fails at {x}")
 
@@ -288,12 +284,12 @@ class CobarObject:
             x: [
                 ((y,), -cy, L[y] - L[x])
                 for y, cy in C.d(LinComb.unit(x))
-                if C.degree(y) >= 2
+                if C.degrees[y] >= 2
             ]
             + [
-                ((a, b), (-1 if C.degree(a) % 2 else 1) * cab, L[a] + L[b] - L[x])
+                ((a, b), (-1 if C.degrees[a] % 2 else 1) * cab, L[a] + L[b] - L[x])
                 for (a, b), cab in C.reduced_delta(x)
-                if C.degree(a) >= 2 and C.degree(b) >= 2
+                if C.degrees[a] >= 2 and C.degrees[b] >= 2
             ]
             for x in self._letters
         }
@@ -307,7 +303,7 @@ class CobarObject:
                 + [
                     ((z,), n2, czn, L[z] + T[n2] - T[n])
                     for (z, n2), czn in N.reduced_rho(n)
-                    if C.degree(z) >= 2
+                    if C.degrees[z] >= 2
                 ]
                 for n in N.degrees
             }
@@ -465,18 +461,16 @@ def universal_twisting(cob: CobarObject):
 def twisting_check(C: DGCoalgebra, A: CobarObject, f: dict) -> bool:
     """Whether f cup f equals the Hom-complex differential of f (degree -1
     convention: the two differential terms enter with the same sign)."""
-
-    def fmap(name) -> LinComb:
-        return f.get(name, LinComb())
-
     for x in C.degrees:
         square = LinComb(
             # the degree -1 cochain crossing a gives the sign
-            (t, (-1 if C.degree(a) % 2 else 1) * c * ct)
-            for (a, b), c in C.delta(x)
-            for t, ct in A.action(fmap(a), fmap(b))
+            (t, (-1 if C.degrees[a] % 2 else 1) * c * ct)
+            for (a, b), c in C.coproduct[x]
+            for t, ct in A.action(f.get(a, LinComb()), f.get(b, LinComb()))
         )
-        boundary = A.differential(fmap(x)) + linear(f, C.d(LinComb.unit(x)))
+        boundary = A.differential(f.get(x, LinComb())) + linear(
+            f, C.d(LinComb.unit(x))
+        )
         if square != boundary:
             return False
     return True
@@ -497,21 +491,16 @@ def relative_twisting_check(
         raise ValueError("C is not the coalgebra of the module M")
     if N is not M.comodule:
         raise ValueError("N is not the comodule of the module M")
-
-    def fmap(name) -> LinComb:
-        return f.get(name, LinComb())
-
-    def gmap(name) -> LinComb:
-        return g.get(name, LinComb())
-
     for n in N.degrees:
         twist = LinComb(
             (t, c * ct)
-            for (a, n2), c in N.rho(n)
-            for t, ct in M.action(fmap(a), gmap(n2))
+            for (a, n2), c in N.coaction[n]
+            for t, ct in M.action(f.get(a, LinComb()), g.get(n2, LinComb()))
         )
         # g has degree zero
-        boundary = M.differential(gmap(n)) - linear(g, N.d(LinComb.unit(n)))
+        boundary = M.differential(g.get(n, LinComb())) - linear(
+            g, N.d(LinComb.unit(n))
+        )
         if twist != boundary:
             return False
     return True
@@ -633,32 +622,36 @@ class Bialgebra:
         self._right: dict = {}
 
     def validate(self) -> None:
-        # the bialgebra is a comodule algebra over itself through its
-        # coproduct: the algebra laws, the left counit law, coassociativity
-        # and the bialgebra axiom
+        """The bialgebra is a comodule algebra over itself through its
+        coproduct: the algebra laws, the coalgebra laws of its degree-zero
+        dg-coalgebra and the bialgebra axiom; then the counit is
+        multiplicative, which with the right counit law at the unit
+        1 (x) 1 gives an algebra map."""
         _check_comodule_algebra(
-            self, self.basis, self.unit, self.product, self.coproduct, "coproduct"
+            self, _coalgebra(self), self.basis, self.unit, self.product,
+            self.coproduct, "coproduct",
         )
-        # the right counit law, and with the unit 1 (x) 1 this gives
-        # eps(1) = 1
         eps = self.counit.get
-        for x in self.basis:
-            right = LinComb((a, c * eps(b, 0)) for (a, b), c in self.coproduct[x])
-            if right != LinComb.unit(x):
-                raise ValueError(f"right counit law fails at {x}")
         for a, b in product(self.basis, repeat=2):
             ab = self.mul(LinComb.unit(a), LinComb.unit(b))
             if sum(c * eps(p, 0) for p, c in ab) != eps(a, 0) * eps(b, 0):
                 raise ValueError(f"counit is not multiplicative at {(a, b)}")
 
 
+def _coalgebra(B: Bialgebra) -> DGCoalgebra:
+    """The coalgebra of B as a dg-coalgebra in degree zero, on B's own
+    coproduct and counit tables."""
+    return DGCoalgebra(dict.fromkeys(B.basis, 0), {}, B.coproduct, B.counit, B.unit)
+
+
 def _check_comodule_algebra(
-    B: Bialgebra, basis, unit, mul_table: dict, coaction: dict, name: str
+    B: Bialgebra, laws, basis, unit, mul_table: dict, coaction: dict, name: str
 ) -> None:
     """Raise ValueError naming the law and the element at which an algebra
     with a coaction of B (its coproduct, for B itself) is no comodule
-    algebra: complete tables, unit and associativity, the comodule laws in
-    degree zero, and a coaction that is a map of unital algebras."""
+    algebra: complete tables, unit and associativity, the laws of ``laws``
+    (the degree-zero coalgebra or comodule on these tables), and a coaction
+    that is a map of unital algebras."""
     _check_complete(basis, mul_table, coaction, name)
     mul = partial(bilinear, mul_table)
     one = LinComb.unit(unit)
@@ -670,11 +663,7 @@ def _check_comodule_algebra(
         va, vb, vc = LinComb.unit(a), LinComb.unit(b), LinComb.unit(c)
         if mul(mul(va, vb), vc) != mul(va, mul(vb, vc)):
             raise ValueError(f"associativity fails at {(a, b, c)}")
-    # the left counit and coassociativity laws
-    coalgebra = DGCoalgebra(
-        dict.fromkeys(B.basis, 0), {}, B.coproduct, B.counit, B.unit
-    )
-    DGComodule(coalgebra, dict.fromkeys(basis, 0), {}, coaction).validate()
+    laws.validate()
     if coaction[unit] != LinComb.unit((B.unit, unit)):
         raise ValueError(f"{name} of the unit is not 1 (x) 1")
     for a, b in product(basis, repeat=2):
@@ -708,11 +697,13 @@ class ComoduleAlgebra:
 
     def validate(self) -> None:
         """Complete tables, unit and associativity of the product, the
-        comodule laws in degree zero, and a coaction that is a map of unital
-        algebras: rho(1) = 1 (x) 1 and rho(xy) = rho(x) rho(y)."""
+        comodule laws of the degree-zero dg-comodule on these tables, and a
+        coaction that is a map of unital algebras: rho(1) = 1 (x) 1 and
+        rho(xy) = rho(x) rho(y)."""
+        B = self.bialgebra
+        N = DGComodule(_coalgebra(B), dict.fromkeys(self.basis, 0), {}, self.coaction)
         _check_comodule_algebra(
-            self.bialgebra, self.basis, self.unit, self.product, self.coaction,
-            "coaction",
+            B, N, self.basis, self.unit, self.product, self.coaction, "coaction"
         )
 
 

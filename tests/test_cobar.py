@@ -114,12 +114,12 @@ def reference_diff_basis(cob, w) -> LinComb:
             sign = -1 if prefix % 2 else 1
             # internal differential: d(s^{-1} x) = - s^{-1}(d x)
             for y, cy in C.d(LinComb.unit(x)):
-                if C.degree(y) >= 2:
+                if C.degrees[y] >= 2:
                     yield elem(word[:i] + (y,) + word[i + 1 :], tail), -sign * cy
             # quadratic part: sum (-1)^{|c1|} [c1, c2]
             for (a, b), cab in C.reduced_delta(x):
-                if C.degree(a) >= 2 and C.degree(b) >= 2:
-                    s2 = -1 if C.degree(a) % 2 else 1
+                if C.degrees[a] >= 2 and C.degrees[b] >= 2:
+                    s2 = -1 if C.degrees[a] % 2 else 1
                     new_word = word[:i] + (a, b) + word[i + 1 :]
                     yield elem(new_word, tail), sign * s2 * cab
             prefix += cob.letter_degree(x)
@@ -128,7 +128,7 @@ def reference_diff_basis(cob, w) -> LinComb:
             for y, cy in cob.comodule.d(LinComb.unit(tail)):
                 yield elem(word, y), sign * cy
             for (z, n2), czn in cob.comodule.reduced_rho(tail):
-                if C.degree(z) >= 2:
+                if C.degrees[z] >= 2:
                     yield elem(word + (z,), n2), sign * czn
 
     return LinComb(
@@ -147,15 +147,15 @@ def reference_words(cob, degree: int) -> list:
     tails = [None] if N is None else list(N.degrees)
     out = []
     # a tail of negative degree lets the letters exceed the target
-    bound = degree - min([0] + [N.degree(n) for n in tails if n is not None])
+    bound = degree - min([0] + [N.degrees[n] for n in tails if n is not None])
 
     def extend(word, deg):
         for tail in tails:
-            extra = 0 if tail is None else N.degree(tail)
+            extra = 0 if tail is None else N.degrees[tail]
             if deg + extra == degree:
                 out.append(word if tail is None else (word, tail))
         for x in letters:
-            d2 = deg + C.degree(x) - 1
+            d2 = deg + C.degrees[x] - 1
             if d2 <= bound:
                 extend(word + (x,), d2)
 
@@ -601,7 +601,7 @@ class TestMemoizedConstructions:
             for rel in rels:
                 N = rel.comodule
                 outside = relative_cobar(C, N, truncation=top).words(top) + [
-                    ((), n) for n in N.degrees if N.degree(n) < 0
+                    ((), n) for n in N.degrees if N.degrees[n] < 0
                 ]
                 inputs = [LinComb.unit(w) for w in all_words(rel) + outside]
                 inputs += [rel.differential(LinComb.unit(w)) for w in all_words(rel)]
@@ -672,7 +672,7 @@ class TestMemoizedConstructions:
             for rel in rels:
                 N = rel.comodule
                 outside = relative_cobar(C, N, truncation=top).words(top) + [
-                    ((), n) for n in N.degrees if N.degree(n) < 0
+                    ((), n) for n in N.degrees if N.degrees[n] < 0
                 ]
                 cases.append((rel, all_pairs_action(rel, cob), outside))
             # one call per construction checks each pair: the i-th right word
