@@ -67,7 +67,7 @@ def _environment_seed() -> int:
 _MAX_TOKENS = 8
 
 # the bounds of the integer options that have them
-_LEAST = {"--max-tokens": 1, "--samples": 0, "--truncate": 0, "--max-level": 0}
+_LEAST = {"--max-tokens": 1, "--samples": 1, "--truncate": 0, "--max-level": 0}
 _MOST = {"--max-tokens": _MAX_TOKENS}
 
 
@@ -388,11 +388,7 @@ def _suite_rl_operad(args) -> tuple[bool, dict]:
 
     by_out = strings.by_output(elems)
     assoc_cases = 0
-    for _ in range(args.samples):
-        pick = _sample_pair(rng, elems, by_out)
-        if pick is None:
-            continue
-        f, i, g = pick
+    for f, i, g in _composable(rng, elems, by_out, args.samples):
         gi, _ = strings.colours(g)
         if not gi:
             continue
@@ -407,11 +403,7 @@ def _suite_rl_operad(args) -> tuple[bool, dict]:
             tally.fail(["associativity", text(f), i, text(g), j, text(h)])
         assoc_cases += 1
     equi_cases = 0
-    for _ in range(args.samples):
-        pick = _sample_pair(rng, elems, by_out)
-        if pick is None:
-            continue
-        f, i, g = pick
+    for f, i, g in _composable(rng, elems, by_out, args.samples):
         k = strings.arity(f)
         sigma = list(range(1, k + 1))
         rng.shuffle(sigma)
@@ -442,17 +434,18 @@ def _suite_rl_operad(args) -> tuple[bool, dict]:
     )
 
 
-def _sample_pair(rng, elems, by_out):
-    """Random composable triple (f, slot, g), or None if the draw has none."""
-    f = rng.choice(elems)
-    ins, _ = strings.colours(f)
-    if not ins:
-        return None
-    i = rng.randrange(len(ins)) + 1
-    gs = by_out.get(ins[i - 1], [])
-    if not gs:
-        return None
-    return f, i, rng.choice(gs)
+def _composable(rng, elems, by_out, samples):
+    """Make ``samples`` random draws and yield each one that gives a
+    composable triple (f, slot, g); a draw with none is skipped."""
+    for _ in range(samples):
+        f = rng.choice(elems)
+        ins, _ = strings.colours(f)
+        if not ins:
+            continue
+        i = rng.randrange(len(ins)) + 1
+        gs = by_out.get(ins[i - 1], [])
+        if gs:
+            yield f, i, rng.choice(gs)
 
 
 def _suite_graph_operad(args) -> tuple[bool, dict]:
@@ -461,11 +454,7 @@ def _suite_graph_operad(args) -> tuple[bool, dict]:
     tally = _Tally()
     filt_cases = lax_cases = 0
     by_out = strings.by_output(elems)
-    for _ in range(args.samples):
-        pick = _sample_pair(rng, elems, by_out)
-        if pick is None:
-            continue
-        f, i, g = pick
+    for f, i, g in _composable(rng, elems, by_out, args.samples):
         witness = [strings.text(f), i, strings.text(g)]
         fg = strings.compose(f, i, g)
         if not strings.in_filtration(fg, args.m):

@@ -904,8 +904,7 @@ class CobarTot:
         return w if self.C is None else (w, tail)
 
     def basis(self, level: int) -> list:
-        if level < 0 or level > self.truncation:
-            return []
+        """The raw basis elements of ``level``."""
         words = list(product(self.B.basis, repeat=level))
         if self.C is None:
             return words

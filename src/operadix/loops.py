@@ -335,8 +335,7 @@ class TotComplex(CobarTot):
         return all(a != b for a, b in zip(xs, xs[1:]))
 
     def basis(self, degree: int) -> list:
-        if degree < 0 or degree > self.truncation:
-            return []
+        """The conormalized basis elements of level ``degree``."""
         tuples = [
             xs for xs in product(self.M.elements, repeat=degree) if self._normal(xs)
         ]

@@ -653,6 +653,14 @@ BAD_INPUT = [
     ),
     (("verify", "--suite", "rs-operad", "--samples", "-1"), "--samples"),
     (("verify", "--suite", "sc-geometry", "--samples", "-2"), "--samples"),
+    (
+        ("verify", "--suite", "chain-core", "--samples", "0", "--json"),
+        "--samples must be at least 1, not 0",
+    ),
+    (
+        ("verify", "--suite", "sc-geometry", "--samples", "0"),
+        "--samples must be at least 1, not 0",
+    ),
     (("loops", "--truncate", "-1", "--json"), "--truncate must be at least 0, not -1"),
     (("cobar", "--truncate", "-1", "--json"), "--truncate must be at least 0, not -1"),
     (

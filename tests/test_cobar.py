@@ -838,6 +838,18 @@ class TestBialgebraLayer:
         with pytest.raises(ValueError, match="coaction table .*'0'"):
             ComoduleAlgebra(C.bialgebra, C.basis, C.unit, C.product, coaction)
 
+    def test_comodule_tables_emptied_after_construction(self):
+        # validate runs its completeness check before any law reads the
+        # tables, so an entry removed after construction is named
+        C = diagonal_comodule(group_bialgebra(Z2))
+        del C.coaction["1"]
+        with pytest.raises(ValueError, match="^coaction table has no entry for '1'$"):
+            C.validate()
+        C = diagonal_comodule(group_bialgebra(Z2))
+        del C.product[("0", "1")]
+        with pytest.raises(ValueError, match=r"^product table .*\('0', '1'\)$"):
+            C.validate()
+
     def test_library_comodule_algebras_validate(self):
         Z3 = FiniteMonoid.cyclic(3)
         for B in (

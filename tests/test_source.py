@@ -36,6 +36,41 @@ def test_one_chain_complex_builder():
 
 
 
+def test_no_pass_through_accessors():
+    # a method whose body only reads ``self.<field>[<parameter>]`` renames a
+    # table: callers read the field itself, so each table is read one way
+    allowed = {
+        # perfbench's cobar job calls it by name
+        "CobarObject.letter_degree",
+    }
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                body = fn.body
+                if ast.get_docstring(fn) is not None:
+                    body = body[1:]
+                if len(body) != 1 or not isinstance(body[0], ast.Return):
+                    continue
+                value = body[0].value
+                params = {arg.arg for arg in fn.args.args[1:]}
+                if (
+                    isinstance(value, ast.Subscript)
+                    and isinstance(value.value, ast.Attribute)
+                    and isinstance(value.value.value, ast.Name)
+                    and value.value.value.id == "self"
+                    and isinstance(value.slice, ast.Name)
+                    and value.slice.id in params
+                    and f"{cls.name}.{fn.name}" not in allowed
+                ):
+                    found.append(f"{path.name}:{fn.lineno} {cls.name}.{fn.name}")
+    assert not found, found
+
+
 def test_cli_states_no_relation():
     # each homotopy relation is stated once, in cobar.relation_defects: the
     # CLI calls none of the operations the relations are made of
