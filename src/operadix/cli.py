@@ -66,7 +66,8 @@ def _environment_seed() -> int:
 # and 288 MB at 9.
 _MAX_TOKENS = 8
 
-# the bounds of the integer options that have them
+# the bounds of the integer options that have them; at 0 samples the
+# sampled verify suites would check no case and still pass
 _LEAST = {"--max-tokens": 1, "--samples": 1, "--truncate": 0, "--max-level": 0}
 _MOST = {"--max-tokens": _MAX_TOKENS}
 
